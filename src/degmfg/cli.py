@@ -176,14 +176,12 @@ def _cmd_mc_validate(args) -> int:
     i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
     k = int(round(args.t0 / sol.u.dt))
     pde_value = float(sol.u.values[k, i1, i2])
-    abs_diff = abs(est.mean - pde_value)
-    tol = 3 * est.std_error + 0.05
     summary = {
         "mc_mean": est.mean,
         "mc_stderr": est.std_error,
         "pde_value": pde_value,
-        "abs_diff": abs_diff,
-        "pass": bool(abs_diff <= tol),
+        "abs_diff": abs(est.mean - pde_value),
+        "pass": est.agrees_with(pde_value),
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -262,7 +260,7 @@ def _cmd_run(args) -> int:
         "mc_stderr": est.std_error,
         "pde_value": pde_value,
         "abs_diff": abs(est.mean - pde_value),
-        "pass": bool(abs(est.mean - pde_value) <= 3 * est.std_error + 0.05),
+        "pass": est.agrees_with(pde_value),
     }
     timings["mc_validate"] = time.monotonic() - t0
 

@@ -10,10 +10,10 @@ Serialization round-trips: parse_config(serialize_config(cfg)) == cfg.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .coupling import CouplingSpec, builtin_coupling
-from .dynamics import DynamicsSpec, dynamics_preset, _PRESETS
+from .dynamics import DynamicsSpec, dynamics_preset
 from .errors import ConfigurationError
 from .fixed_point import FixedPointConfig
 from .grid import DensityField, Grid2D, truncated_gaussian
@@ -132,51 +132,40 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig) -> list:
+    """Every problem with ``cfg``, each prefixed by its section name.
+
+    Each section is checked by building its solver object, which owns the
+    rules; only the rules that span sections are written out here.
+    """
     problems = []
-    g, t = cfg.grid, cfg.time
-    if g.n1 < 4:
-        problems.append("grid.n1=%d violates n1 >= 4" % g.n1)
-    if g.n2 < 4:
-        problems.append("grid.n2=%d violates n2 >= 4" % g.n2)
-    if not g.x1_min < g.x1_max:
-        problems.append("grid.x1_min < grid.x1_max violated")
-    if not g.x2_min < g.x2_max:
-        problems.append("grid.x2_min < grid.x2_max violated")
-    if t.T <= 0:
-        problems.append("time.T must be positive")
-    if t.nt < 3:
-        problems.append("time.nt must be >= 3")
-    if cfg.dynamics.preset not in _PRESETS:
-        problems.append("dynamics.preset %r unknown (known: %s)"
-                        % (cfg.dynamics.preset, sorted(_PRESETS)))
-    if cfg.dynamics.epsilon < 0:
-        problems.append("dynamics.epsilon must be >= 0")
-    if cfg.coupling.name not in ("nonlocal_smooth", "local_power", "decoupled"):
-        problems.append("coupling.name %r unknown" % cfg.coupling.name)
-    fp = cfg.fixed_point
-    if not 0.0 < fp.theta <= 1.0:
-        problems.append("fixed_point.theta must lie in (0, 1]")
-    if fp.tol_d1 <= 0:
-        problems.append("fixed_point.tol_d1 must be positive")
-    if fp.max_outer_iters < 1:
-        problems.append("fixed_point.max_outer_iters must be >= 1")
-    sched = tuple(fp.eps_schedule)
-    if any(e < 0 for e in sched):
-        problems.append("fixed_point.eps_schedule entries must be >= 0")
-    if any(b >= a for a, b in zip(sched, sched[1:])):
-        problems.append("fixed_point.eps_schedule must be strictly decreasing")
-    mc = cfg.mc
-    if mc.n_particles < 1:
-        problems.append("mc.n_particles must be >= 1")
-    if mc.dt_sde <= 0:
-        problems.append("mc.dt_sde must be positive")
-    elif t.nt >= 3 and t.T > 0 and mc.dt_sde > t.T / (t.nt - 1) + 1e-12:
-        problems.append("mc.dt_sde=%g exceeds the time mesh dt=%g"
-                        % (mc.dt_sde, t.T / (t.nt - 1)))
-    if cfg.initial_density.variance <= 0:
-        problems.append("initial_density.variance must be positive")
-    if len(tuple(cfg.initial_density.center)) != 2:
-        problems.append("initial_density.center must have two entries")
+
+    def build(section, make):
+        try:
+            return make()
+        except ConfigurationError as exc:
+            problems.extend("%s: %s" % (section, p) for p in exc.problems)
+        except (TypeError, ValueError) as exc:  # a value of the wrong type
+            problems.append("%s: %s" % (section, exc))
+        return None
+
+    grid = build("grid", cfg.make_grid)
+    hjb = build("time", cfg.make_hjb_config)
+    build("dynamics", cfg.make_dynamics)
+    build("coupling", cfg.make_coupling)
+    build("fixed_point", cfg.make_fixed_point)
+    build("mc", cfg.make_ensemble)
+    # the initial density is built on the grid; an invalid grid section must
+    # not hide its own problems, so those are then checked on the default box
+    on_grid = cfg if grid is not None else replace(cfg, grid=GridSection())
+    build("initial_density", on_grid.make_initial_density)
+    if hjb is not None:
+        # the HJB residual check differences three consecutive time slices
+        if hjb.nt < 3:
+            problems.append("time.nt must be >= 3")
+        # a coarser SDE step would use a stale feedback control
+        if cfg.mc.dt_sde > hjb.dt + 1e-12:
+            problems.append("mc.dt_sde=%g exceeds the time mesh dt=%g"
+                            % (cfg.mc.dt_sde, hjb.dt))
     return problems
 
 
@@ -224,8 +213,7 @@ def parse_config(text: str) -> RunConfig:
         else:
             problems.append("unknown top-level key %r (known: %s)"
                             % (key, sorted(list(_SECTIONS) + ["output_dir"])))
-    cfg = RunConfig(**kwargs) if not problems else RunConfig(
-        **{k: v for k, v in kwargs.items()})
+    cfg = RunConfig(**kwargs)
     problems.extend(_validate(cfg))
     if problems:
         raise ConfigurationError(problems)

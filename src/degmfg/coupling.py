@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError
-from .grid import DensityField, Grid2D, ScalarField
+from .grid import DensityField, ScalarField
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,13 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
         power = float(params.setdefault("power", 1.0))
         g_amp = float(params.setdefault("g_amp", 1.0))
         width = float(params.setdefault("width", 1.5))
+        problems = []
         if c1 < 0:
-            raise ConfigurationError("local_power with c1 < 0 is not monotone")
+            problems.append("local_power with c1 < 0 is not monotone")
         if power <= 0:
-            raise ConfigurationError("local_power requires power > 0")
+            problems.append("local_power requires power > 0")
+        if problems:
+            raise ConfigurationError(problems)
 
         def F(x1g, x2g, m):
             return c1 * m.values ** power
@@ -125,46 +128,3 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
     raise ConfigurationError(
         "unknown coupling %r (known: nonlocal_smooth, local_power, decoupled)" % name)
 
-
-def check_coupling(spec: CouplingSpec, grid: Grid2D, test_measures=None):
-    """Numeric spot check of the structural assumptions on a grid.
-
-    Verifies bounded values and bounded first/second finite differences
-    over a set of test measures, and (for monotone couplings) that adding
-    a nonnegative bump never decreases F. Returns the measured sup bound.
-    """
-    from .grid import truncated_gaussian, uniform_density
-    from .operators import diff1, diff2
-
-    if test_measures is None:
-        test_measures = [truncated_gaussian(grid, variance=0.4),
-                         truncated_gaussian(grid, center=(1.0, -0.5), variance=0.8),
-                         uniform_density(grid)]
-    worst = 0.0
-    problems = []
-    for m in test_measures:
-        for fld in (spec.running_cost(m), spec.terminal_cost(m)):
-            v = fld.values
-            b = max(np.abs(v).max(),
-                    np.abs(diff1(v, grid.dx1, 0)).max(),
-                    np.abs(diff1(v, grid.dx2, 1)).max(),
-                    np.abs(diff2(v, grid.dx1, 0)).max(),
-                    np.abs(diff2(v, grid.dx2, 1)).max())
-            worst = max(worst, b)
-    if not np.isfinite(worst):
-        problems.append("coupling produced non-finite values")
-    if spec.monotone:
-        base = test_measures[0]
-        x1g, x2g = grid.meshgrid()
-        bump = np.exp(-((x1g - 0.5) ** 2 + x2g ** 2) / 0.5)
-        bumped_vals = base.values + bump / grid.integrate(bump)
-        # renormalization suspended for the ordering check
-        bumped = DensityField.__new__(DensityField)
-        object.__setattr__(bumped, "grid", grid)
-        object.__setattr__(bumped, "values", bumped_vals)
-        if np.any(spec.F(x1g, x2g, bumped) < spec.F(x1g, x2g, base) - 1e-12):
-            problems.append("coupling flagged monotone but F decreased under a "
-                            "nonnegative bump")
-    if problems:
-        raise ConfigurationError(problems)
-    return worst

@@ -112,11 +112,16 @@ _PRESETS = {
 
 
 def dynamics_preset(name: str, epsilon: float = 0.0) -> DynamicsSpec:
+    problems = []
     if name not in _PRESETS:
-        raise ConfigurationError(
-            "unknown dynamics preset %r (known: %s)" % (name, sorted(_PRESETS)))
-    return DynamicsSpec(epsilon=epsilon, name=name, **_PRESETS[name])
+        problems.append("unknown dynamics preset %r (known: %s)"
+                        % (name, sorted(_PRESETS)))
+    try:  # an unknown name must not hide DynamicsSpec's own problems
+        spec = DynamicsSpec(epsilon=epsilon, name=name,
+                            **_PRESETS.get(name, _PRESETS["zero"]))
+    except ConfigurationError as exc:
+        problems.extend(exc.problems)
+    if problems:
+        raise ConfigurationError(problems)
+    return spec
 
-
-def preset_names():
-    return sorted(_PRESETS)

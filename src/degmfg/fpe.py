@@ -4,8 +4,9 @@ equation driven by a value path.
 Finite-volume form on trapezoidal cells (interior width dx, boundary dx/2)
 with zero boundary fluxes: discrete mass is a telescoping identity. The
 transport flux is upwinded per face from the face-averaged velocity, which
-preserves nonnegativity under the CFL condition; diffusion is implicit via
-an M-matrix, which also preserves nonnegativity.
+preserves nonnegativity under the CFL condition. Diffusion is implicit via
+the adjoint of the HJB diffusion matrix in the trapezoid-weighted inner
+product, an M-matrix, which also preserves nonnegativity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.sparse.linalg import splu
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityField, DensityPath, Grid2D, ValuePath
-from .hjb import HjbConfig
+from .hjb import HjbConfig, assemble_diffusion
 from .operators import degenerate_gradient
 
 MASS_DRIFT_HARD = 1e-8
@@ -34,52 +35,25 @@ class FpeReport:
     renormalization_max: float = 0.0
 
 
-def _cell_widths(n, dx):
-    w = np.full(n, dx)
-    w[[0, -1]] = 0.5 * dx
-    return w
-
-
 def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
-    """Flux-form matrix for epsilon*Laplace + (1/2) sum d^2(sigma_i^2 .).
+    """W-adjoint of the HJB diffusion: W^-1 A^T W, W the trapezoid weights.
 
-    Zero boundary fluxes; the cell-weighted column sums vanish, so the
-    implicit step conserves trapezoidal mass structurally.
+    A = epsilon*Laplace + L with reflecting ends (``hjb.assemble_diffusion``),
+    so this is the flux form of epsilon*Laplace + (1/2) sum d^2(sigma_i^2 .)
+    with zero boundary fluxes. The rows of A sum to zero, hence the
+    W-weighted column sums of the adjoint vanish and the implicit step
+    conserves trapezoidal mass structurally.
     """
-    x1g, x2g = grid.meshgrid()
-    g1 = dyn.epsilon + 0.5 * dyn.sigma1_sq(x1g, x2g)  # coefficient inside d^2
-    g2 = dyn.epsilon + 0.5 * dyn.sigma2_sq(x1g, x2g)
-    n1, n2 = grid.shape
-    n = grid.n_nodes
-    w1 = _cell_widths(n1, grid.dx1)
-    w2 = _cell_widths(n2, grid.dx2)
+    w = grid.cell_weights().ravel()
+    return (sparse.diags(1.0 / w) @ assemble_diffusion(grid, dyn).T
+            @ sparse.diags(w)).tocsr()
 
-    rows, cols, vals = [], [], []
 
-    def add(i1, j1, i2, j2, coef):
-        rows.append(i1 * n2 + j1)
-        cols.append(i2 * n2 + j2)
-        vals.append(coef)
-
-    # x1 faces between (i, j) and (i+1, j): flux = (g1*m)_{i+1} - (g1*m)_i over dx1
-    for i in range(n1 - 1):
-        for j in range(n2):
-            f_hi = g1[i + 1, j] / grid.dx1
-            f_lo = g1[i, j] / grid.dx1
-            add(i, j, i + 1, j, f_hi / w1[i])
-            add(i, j, i, j, -f_lo / w1[i])
-            add(i + 1, j, i + 1, j, -f_hi / w1[i + 1])
-            add(i + 1, j, i, j, f_lo / w1[i + 1])
-    # x2 faces
-    for i in range(n1):
-        for j in range(n2 - 1):
-            f_hi = g2[i, j + 1] / grid.dx2
-            f_lo = g2[i, j] / grid.dx2
-            add(i, j, i, j + 1, f_hi / w2[j])
-            add(i, j, i, j, -f_lo / w2[j])
-            add(i, j + 1, i, j + 1, -f_hi / w2[j + 1])
-            add(i, j + 1, i, j, f_lo / w2[j + 1])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _face_velocities(v1eff, v2eff):
+    """Advection velocity a = -v_eff averaged onto the x1 and x2 faces."""
+    a1 = -0.5 * (v1eff[1:, :] + v1eff[:-1, :])   # x1 faces, shape (n1-1, n2)
+    a2 = -0.5 * (v2eff[:, 1:] + v2eff[:, :-1])   # x2 faces, shape (n1, n2-1)
+    return a1, a2
 
 
 def _upwind_transport(m, v1eff, v2eff, grid, sabotage=False):
@@ -88,12 +62,9 @@ def _upwind_transport(m, v1eff, v2eff, grid, sabotage=False):
     The PDE term is +div_G(m D_G u); characteristics move with velocity
     -v_eff, so the upwind side is taken accordingly.
     """
-    n1, n2 = grid.shape
-    w1 = _cell_widths(n1, grid.dx1)[:, None]
-    w2 = _cell_widths(n2, grid.dx2)[None, :]
-    # advection velocity a = -v_eff
-    a1 = -0.5 * (v1eff[1:, :] + v1eff[:-1, :])   # x1 faces, shape (n1-1, n2)
-    a2 = -0.5 * (v2eff[:, 1:] + v2eff[:, :-1])   # x2 faces, shape (n1, n2-1)
+    w1, w2 = grid.axis_widths()
+    w1, w2 = w1[:, None], w2[None, :]
+    a1, a2 = _face_velocities(v1eff, v2eff)
     if sabotage:
         flux1 = a1 * 0.5 * (m[1:, :] + m[:-1, :])
         flux2 = a2 * 0.5 * (m[:, 1:] + m[:, :-1])
@@ -106,11 +77,6 @@ def _upwind_transport(m, v1eff, v2eff, grid, sabotage=False):
     out[:, :-1] -= flux2 / w2[:, :-1]
     out[:, 1:] += flux2 / w2[:, 1:]
     return out
-
-
-def second_moment(m: DensityField) -> float:
-    """Trapezoidal integral of |x|^2 against the density."""
-    return m.second_moment()
 
 
 def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
@@ -127,9 +93,8 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         report = FpeReport()
 
     hg = dyn.h_grid(grid)
-    n1, n2 = grid.shape
-    w1 = _cell_widths(n1, grid.dx1)[:, None]
-    w2 = _cell_widths(n2, grid.dx2)[None, :]
+    w1, w2 = grid.axis_widths()
+    w1, w2 = w1[:, None], w2[None, :]
     # effective velocities: term is d1(m b1) + h d2(m b2) = div of (m b1, m h b2)
     vel = []
     cfl = 0.0
@@ -139,8 +104,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         v2 = hg * b.v2
         vel.append((v1, v2))
         # per-cell outflow coefficient of the explicit upwind step
-        a1 = -0.5 * (v1[1:, :] + v1[:-1, :])
-        a2 = -0.5 * (v2[:, 1:] + v2[:, :-1])
+        a1, a2 = _face_velocities(v1, v2)
         out = np.zeros(grid.shape)
         out[:-1, :] += np.maximum(a1, 0.0)
         out[1:, :] += np.maximum(-a1, 0.0)
@@ -162,11 +126,13 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
             sparse.identity(grid.n_nodes) - dt * diff))
 
     w = grid.cell_weights()
+    x1g, x2g = grid.meshgrid()
+    sqnorm = x1g ** 2 + x2g ** 2
     m = m0.values.copy()
     values = np.empty((cfg.nt,) + grid.shape)
     values[0] = m
     report.min_density = float(m.min())
-    report.second_moments = [second_moment(m0)]
+    report.second_moments = [m0.second_moment()]
     for k in range(cfg.nt - 1):
         v1, v2 = vel[k]
         star = m + dt * _upwind_transport(m, v1, v2, grid, sabotage=sabotage_upwind)
@@ -196,18 +162,8 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
                 m_new /= new_mass
         m = m_new
         values[k + 1] = m
-        report.second_moments.append(float(np.sum(w * m * _sqnorm(grid))))
+        report.second_moments.append(float(np.sum(w * m * sqnorm)))
     # the sabotaged (centered-flux) variant is a negative control: it must
     # reach the verify suite unclamped so the positivity check can fail on it
     return DensityPath(grid, dt, values, validate_slices=not sabotage_upwind)
 
-
-_SQNORM_CACHE = {}
-
-
-def _sqnorm(grid: Grid2D):
-    key = (grid.x1_min, grid.x1_max, grid.x2_min, grid.x2_max, grid.n1, grid.n2)
-    if key not in _SQNORM_CACHE:
-        x1g, x2g = grid.meshgrid()
-        _SQNORM_CACHE[key] = x1g ** 2 + x2g ** 2
-    return _SQNORM_CACHE[key]

@@ -70,13 +70,17 @@ class Grid2D:
     def n_nodes(self) -> int:
         return self.n1 * self.n2
 
-    def cell_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights, shape (n1, n2)."""
+    def axis_widths(self):
+        """Trapezoidal cell widths per axis: dx inside, dx/2 at both ends."""
         w1 = np.full(self.n1, self.dx1)
         w1[[0, -1]] = 0.5 * self.dx1
         w2 = np.full(self.n2, self.dx2)
         w2[[0, -1]] = 0.5 * self.dx2
-        return np.outer(w1, w2)
+        return w1, w2
+
+    def cell_weights(self) -> np.ndarray:
+        """Trapezoidal quadrature weights, shape (n1, n2)."""
+        return np.outer(*self.axis_widths())
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal integral of a sampled function over the box."""
@@ -264,6 +268,13 @@ def default_grid(box_half_width: float = 5.0, n1: int = 64, n2: int = 64) -> Gri
 
 def truncated_gaussian(grid: Grid2D, center=(0.0, 0.0), variance=0.25) -> DensityField:
     """Gaussian density truncated to the box and renormalized (default m0)."""
+    problems = []
+    if len(tuple(center)) != 2:
+        problems.append("center must have two entries")
+    if not variance > 0:
+        problems.append("variance must be positive")
+    if problems:
+        raise ConfigurationError(problems)
     x1g, x2g = grid.meshgrid()
     v = np.exp(-((x1g - center[0]) ** 2 + (x2g - center[1]) ** 2) / (2.0 * variance))
     v /= grid.integrate(v)

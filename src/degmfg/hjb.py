@@ -18,6 +18,8 @@ from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityPath, Grid2D, ScalarField, ValuePath
+from .operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
+    lipschitz_estimate
 
 FLUXES = ("godunov", "engquist_osher")
 
@@ -27,9 +29,6 @@ class HjbConfig:
     T: float
     nt: int
     flux: str = "godunov"
-    diffusion_treatment: str = "implicit"
-    linear_solver_tol: float = 1e-12
-    max_inner_iters: int = 200
 
     def __post_init__(self):
         problems = []
@@ -39,8 +38,6 @@ class HjbConfig:
             problems.append("nt must be >= 2")
         if self.flux not in FLUXES:
             problems.append("flux must be one of %s" % (FLUXES,))
-        if self.diffusion_treatment not in ("implicit", "explicit"):
-            problems.append("diffusion_treatment must be implicit or explicit")
         if problems:
             raise ConfigurationError(problems)
 
@@ -100,7 +97,6 @@ def numerical_hamiltonian(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec,
 
 
 def _lip_bound(values, grid):
-    from .verify import lipschitz_estimate
     return lipschitz_estimate(ScalarField(grid, values))
 
 
@@ -112,26 +108,14 @@ def transport_speed_bound(grid: Grid2D, dyn: DynamicsSpec, g_vals, f_max_lip,
 
 def check_hjb_cfl(grid: Grid2D, dyn: DynamicsSpec, cfg: HjbConfig,
                   lip_bound: float):
-    problems = []
+    """Transport CFL of the explicit Hamiltonian step (diffusion is implicit)."""
     hmax = float(np.abs(dyn.h_values(grid.x1)).max())
     speed = lip_bound / grid.dx1 + hmax ** 2 * lip_bound / grid.dx2
     if speed > 0 and cfg.dt * speed > 1.0 + 1e-12:
-        problems.append(
+        raise ConfigurationError(
             "transport CFL violated: dt=%.4g exceeds 1/(Lip/dx1 + h^2 Lip/dx2)"
             "=%.4g with a-priori Lipschitz bound %.4g"
             % (cfg.dt, 1.0 / speed, lip_bound))
-    if cfg.diffusion_treatment == "explicit":
-        x1g, x2g = grid.meshgrid()
-        smax = max(dyn.sigma1_sq(x1g, x2g).max(), dyn.sigma2_sq(x1g, x2g).max())
-        denom = 4.0 * (dyn.epsilon + smax / 2.0)
-        if denom > 0:
-            dx = min(grid.dx1, grid.dx2)
-            if cfg.dt > dx ** 2 / denom + 1e-15:
-                problems.append(
-                    "explicit diffusion CFL violated: dt=%.4g > dx^2/(4(eps+"
-                    "max sigma^2/2))=%.4g" % (cfg.dt, dx ** 2 / denom))
-    if problems:
-        raise ConfigurationError(problems)
 
 
 def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
@@ -151,11 +135,10 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     check_hjb_cfl(grid, dyn, cfg, lip)
 
     diff = assemble_diffusion(grid, dyn)
-    has_diffusion = abs(diff).sum() > 0
     solver = None
-    if has_diffusion and cfg.diffusion_treatment == "implicit":
-        n = grid.n_nodes
-        solver = splu(sparse.csc_matrix(sparse.identity(n) - dt * diff))
+    if abs(diff).sum() > 0:
+        solver = splu(sparse.csc_matrix(
+            sparse.identity(grid.n_nodes) - dt * diff))
 
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
@@ -164,8 +147,6 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
         rhs = u[k + 1] - dt * ham + dt * f_slices[k]
         if solver is not None:
             u[k] = solver.solve(rhs.ravel()).reshape(grid.shape)
-        elif has_diffusion:  # explicit diffusion
-            u[k] = rhs + dt * (diff @ u[k + 1].ravel()).reshape(grid.shape)
         else:
             u[k] = rhs
         if not np.all(np.isfinite(u[k])):
@@ -204,8 +185,6 @@ def hopf_lax_oracle(g_terminal: ScalarField, t: float, T: float) -> ScalarField:
 def pde_residual(u: ValuePath, dyn: DynamicsSpec, coupling: CouplingSpec,
                  m_path: DensityPath) -> list[ScalarField]:
     """Pointwise HJE residual at interior time slices (centered in time)."""
-    from .operators import apply_L, degenerate_gradient, diff2, hamiltonian
-
     if u.nt < 3:
         raise ConfigurationError("pde_residual needs at least 3 time slices")
     grid = u.grid

@@ -75,7 +75,11 @@ def _transport_lp(xs, a, ys, b) -> float:
          (np.concatenate([rows_i, n + cols_j]), np.concatenate([var, var]))),
         shape=(n + m, n * m)).tocsr()[:-1]
     rhs = np.concatenate([a, b])[:-1]
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    # HiGHS presolve has declared feasible transport LPs (two coarsened
+    # Gaussians with ~150 support points each) infeasible; the transport
+    # polytope is never empty, so solve without it
+    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if not res.success:
         raise SolverError("transport LP failed: %s" % res.message)
     return float(res.fun)

@@ -4,15 +4,22 @@ Interior nodes use centered differences, boundary nodes second-order
 one-sided differences. The x2 direction is weighted by h(x1) (gradient,
 divergence) or h^2(x1) (laplacian). The dual diffusion operator is
 discretized in flux-conservative form so that discrete mass is a
-structural invariant.
+structural invariant. The difference-quotient Lipschitz estimate lives here
+too, below both the HJB solver (its a-priori CFL bound) and the property
+suite.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dynamics import DynamicsSpec
+from .errors import ConfigurationError
 from .grid import Grid2D, ScalarField, VectorField, DensityField
+
+DEFAULT_BOUNDARY_FRAME = 0.1
 
 
 def diff1(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -126,3 +133,42 @@ def duality_defect(u: ScalarField, v: VectorField, dyn: DynamicsSpec):
     commutator = diff1(hg * v.v2, grid.dx2, axis=1) - hg * diff1(v.v2, grid.dx2, axis=1)
     correction = float(np.sum(w * u.values * commutator))
     return defect, correction
+
+
+def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:
+    """Restrict a field to the sub-box obtained by trimming a boundary frame.
+
+    ``frame`` is the fraction of each axis removed on each side; 0 is a
+    no-op. Restriction can only shrink sup-type estimates.
+    """
+    if not 0.0 <= frame < 0.5:
+        raise ConfigurationError("boundary frame must lie in [0, 0.5)")
+    g = u.grid
+    k1 = int(round(frame * g.n1))
+    k2 = int(round(frame * g.n2))
+    if k1 == 0 and k2 == 0:
+        return u
+    if g.n1 - 2 * k1 < 4 or g.n2 - 2 * k2 < 4:
+        raise ConfigurationError("boundary frame leaves fewer than 4 nodes per axis")
+    x1 = g.x1[k1:g.n1 - k1]
+    x2 = g.x2[k2:g.n2 - k2]
+    sub = Grid2D(x1[0], x1[-1], x2[0], x2[-1], len(x1), len(x2))
+    return ScalarField(sub, u.values[k1:g.n1 - k1, k2:g.n2 - k2])
+
+
+def lipschitz_estimate(u: ScalarField, boundary_frame: float = 0.0) -> float:
+    """Max |u(x)-u(y)|/|x-y| over adjacent node pairs, axes and diagonals."""
+    if boundary_frame > 0.0:
+        u = interior_restrict(u, boundary_frame)
+    v = u.values
+    dx1, dx2 = u.grid.dx1, u.grid.dx2
+    ddiag = math.hypot(dx1, dx2)
+    best = 0.0
+    if v.shape[0] > 1:
+        best = max(best, float(np.abs(np.diff(v, axis=0)).max()) / dx1)
+    if v.shape[1] > 1:
+        best = max(best, float(np.abs(np.diff(v, axis=1)).max()) / dx2)
+    if v.shape[0] > 1 and v.shape[1] > 1:
+        best = max(best, float(np.abs(v[1:, 1:] - v[:-1, :-1]).max()) / ddiag)
+        best = max(best, float(np.abs(v[1:, :-1] - v[:-1, 1:]).max()) / ddiag)
+    return best

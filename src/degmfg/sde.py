@@ -24,6 +24,7 @@ from .grid import DensityField, DensityPath, Grid2D, ValuePath
 from .operators import degenerate_gradient
 
 PARTICLE_BLOCK = 4096
+MC_SLACK = 0.05  # absolute slack of the Monte Carlo pass rule (discretization bias)
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,10 @@ class McEstimate:
     std_error: float  # sample std / sqrt(n)
     n: int
 
+    def agrees_with(self, value: float) -> bool:
+        """The Monte Carlo pass rule: |mean - value| <= 3 stderr + MC_SLACK."""
+        return bool(abs(self.mean - value) <= 3 * self.std_error + MC_SLACK)
+
 
 def _block_normals(seed: int, block: int, shape):
     """Independent standard normals for one particle block, counter-based."""
@@ -98,40 +103,22 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + y
 
 
-class _FeedbackField:
-    """alpha(x, t) = -D_G u, precomputed per slice, interpolated on demand."""
+class _SlicedField:
+    """A stack of grid slices on the time mesh: bilinear in space, linear in
+    time."""
 
-    def __init__(self, u_path: ValuePath, dyn: DynamicsSpec):
-        self.grid = u_path.grid
-        self.dt = u_path.dt
-        self.nt = u_path.nt
-        self.a1 = np.empty((u_path.nt,) + self.grid.shape)
-        self.a2 = np.empty_like(self.a1)
-        for k in range(u_path.nt):
-            g = degenerate_gradient(u_path.slice(k), dyn)
-            self.a1[k] = -g.v1
-            self.a2[k] = -g.v2
+    def __init__(self, grid: Grid2D, dt: float, slices: np.ndarray):
+        self.grid = grid
+        self.dt = dt
+        self.nt = len(slices)
+        self.slices = slices
 
-    def at(self, pts: np.ndarray, t: float):
-        """(alpha1, alpha2) at points, linear interpolation in time."""
+    def at(self, pts: np.ndarray, t: float) -> np.ndarray:
         s = min(max(t / self.dt, 0.0), self.nt - 1.0)
         k = min(int(s), self.nt - 2)
         w = s - k
-        a1 = ((1 - w) * _bilinear(self.grid, self.a1[k], pts)
-              + w * _bilinear(self.grid, self.a1[k + 1], pts))
-        a2 = ((1 - w) * _bilinear(self.grid, self.a2[k], pts)
-              + w * _bilinear(self.grid, self.a2[k + 1], pts))
-        return a1, a2
-
-
-def _time_steps(t0: float, horizon: float, dt_sde: float):
-    n = (horizon - t0) / dt_sde
-    n_steps = int(round(n))
-    if n_steps < 1 or abs(n - n_steps) > 1e-9:
-        raise ConfigurationError(
-            "dt_sde=%g must tile the interval [%g, %g] with a whole number "
-            "of steps" % (dt_sde, t0, horizon))
-    return n_steps
+        return ((1 - w) * _bilinear(self.grid, self.slices[k], pts)
+                + w * _bilinear(self.grid, self.slices[k + 1], pts))
 
 
 def sample_density(m: DensityField, n: int, seed: int) -> np.ndarray:
@@ -152,54 +139,60 @@ def sample_density(m: DensityField, n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _initial_positions(x0, nb, lo, hi):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        return np.tile(x0, (nb, 1))
-    return x0[lo:hi].copy()
-
-
-def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
-                   cfg: EnsembleConfig) -> ParticleEnsemble:
-    """Euler-Maruyama under the optimal feedback; reflecting boundary.
-
-    ``x0`` is either a single point (every particle starts there) or an
-    (n_particles, 2) array of initial positions.
-    """
+def _step_count(u_path: ValuePath, x0, t0: float, cfg: EnsembleConfig) -> int:
+    """Check the start of a simulation; return the number of SDE steps."""
     if not 0.0 <= t0 < u_path.horizon:
         raise ConfigurationError("t0 must lie in [0, T)")
     if cfg.dt_sde > u_path.dt + 1e-12:
         raise ConfigurationError(
             "dt_sde=%g exceeds the value-path mesh dt=%g: the feedback "
             "control would be stale" % (cfg.dt_sde, u_path.dt))
-    grid = u_path.grid
-    x0_arr = np.asarray(x0, dtype=float)
-    if x0_arr.ndim == 2 and x0_arr.shape != (cfg.n_particles, 2):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2 and x0.shape != (cfg.n_particles, 2):
         raise ConfigurationError(
             "array x0 must have shape (n_particles, 2)")
-    n_steps = _time_steps(t0, u_path.horizon, cfg.dt_sde)
-    fb = _FeedbackField(u_path, dyn)
+    n = (u_path.horizon - t0) / cfg.dt_sde
+    n_steps = int(round(n))
+    if n_steps < 1 or abs(n - n_steps) > 1e-9:
+        raise ConfigurationError(
+            "dt_sde=%g must tile the interval [%g, %g] with a whole number "
+            "of steps" % (cfg.dt_sde, t0, u_path.horizon))
+    return n_steps
+
+
+def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
+                    cfg: EnsembleConfig, n_steps: int, visit) -> np.ndarray:
+    """Euler-Maruyama under the optimal feedback; reflecting boundary.
+
+    Particles run in blocks of PARTICLE_BLOCK, block ``b`` on the Philox
+    stream keyed by (seed, b). Before every step the kernel calls
+    ``visit(lo, hi, step, t, x, alpha1, alpha2)`` with the block's particle
+    range, the positions and the feedback there. Returns the final
+    positions, shape (n_particles, 2).
+    """
+    grid = u_path.grid
+    a1_slices = np.empty((u_path.nt,) + grid.shape)
+    a2_slices = np.empty_like(a1_slices)
+    for k in range(u_path.nt):
+        g = degenerate_gradient(u_path.slice(k), dyn)
+        a1_slices[k] = -g.v1
+        a2_slices[k] = -g.v2
+    alpha1 = _SlicedField(grid, u_path.dt, a1_slices)
+    alpha2 = _SlicedField(grid, u_path.dt, a2_slices)
     sq_dt = math.sqrt(cfg.dt_sde)
-
-    stored_idx = list(range(0, n_steps + 1, cfg.store_every))
-    if stored_idx[-1] != n_steps:
-        stored_idx.append(n_steps)
-    positions = np.empty((len(stored_idx), cfg.n_particles, 2))
-
+    x0 = np.asarray(x0, dtype=float)
+    final = np.empty((cfg.n_particles, 2))
     n_blocks = -(-cfg.n_particles // PARTICLE_BLOCK)
     for blk in range(n_blocks):
         lo = blk * PARTICLE_BLOCK
         hi = min(lo + PARTICLE_BLOCK, cfg.n_particles)
         nb = hi - lo
         noise = _block_normals(cfg.seed, blk, (n_steps, nb, 2))
-        x = _initial_positions(x0_arr, nb, lo, hi)
-        store_ptr = 0
-        if stored_idx[0] == 0:
-            positions[0, lo:hi] = x
-            store_ptr = 1
+        x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
         for step in range(n_steps):
             t = t0 + step * cfg.dt_sde
-            a1, a2 = fb.at(x, t)
+            a1, a2 = alpha1.at(x, t), alpha2.at(x, t)
+            visit(lo, hi, step, t, x, a1, a2)
             hx = dyn.h_values(x[:, 0])
             s1 = np.sqrt(2.0 * dyn.epsilon
                          + dyn.sigma1_sq(x[:, 0], x[:, 1]).astype(float))
@@ -210,9 +203,29 @@ def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
                             s2 * noise[step, :, 1]], axis=1) * sq_dt
             x[:, 0] = _reflect(x[:, 0], grid.x1_min, grid.x1_max)
             x[:, 1] = _reflect(x[:, 1], grid.x2_min, grid.x2_max)
-            if store_ptr < len(stored_idx) and stored_idx[store_ptr] == step + 1:
-                positions[store_ptr, lo:hi] = x
-                store_ptr += 1
+        final[lo:hi] = x
+    return final
+
+
+def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
+                   cfg: EnsembleConfig) -> ParticleEnsemble:
+    """Euler-Maruyama under the optimal feedback; reflecting boundary.
+
+    ``x0`` is either a single point (every particle starts there) or an
+    (n_particles, 2) array of initial positions.
+    """
+    n_steps = _step_count(u_path, x0, t0, cfg)
+    stored_idx = list(range(0, n_steps + 1, cfg.store_every))
+    if stored_idx[-1] != n_steps:
+        stored_idx.append(n_steps)
+    slot = {step: i for i, step in enumerate(stored_idx)}
+    positions = np.empty((len(stored_idx), cfg.n_particles, 2))
+
+    def store(lo, hi, step, t, x, a1, a2):
+        if step in slot:
+            positions[slot[step], lo:hi] = x
+
+    positions[-1] = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, store)
     times = t0 + cfg.dt_sde * np.asarray(stored_idx, dtype=float)
     return ParticleEnsemble(times=times, positions=positions,
                             seed=cfg.seed, dt_sde=cfg.dt_sde)
@@ -228,52 +241,19 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     """
     if m_path.grid != u_path.grid or m_path.nt != u_path.nt:
         raise ConfigurationError("m_path and u_path must share the mesh")
-    if not 0.0 <= t0 < u_path.horizon:
-        raise ConfigurationError("t0 must lie in [0, T)")
-    if cfg.dt_sde > u_path.dt + 1e-12:
-        raise ConfigurationError(
-            "dt_sde=%g exceeds the value-path mesh dt=%g: the feedback "
-            "control would be stale" % (cfg.dt_sde, u_path.dt))
+    n_steps = _step_count(u_path, x0, t0, cfg)
     grid = u_path.grid
-    n_steps = _time_steps(t0, u_path.horizon, cfg.dt_sde)
-    fb = _FeedbackField(u_path, dyn)
-    sq_dt = math.sqrt(cfg.dt_sde)
-
-    f_slices = np.array([coupling.running_cost(m_path.slice(k)).values
-                         for k in range(m_path.nt)])
+    f = _SlicedField(grid, u_path.dt, np.array(
+        [coupling.running_cost(m_path.slice(k)).values
+         for k in range(m_path.nt)]))
     g_vals = coupling.terminal_cost(m_path.slice(m_path.nt - 1)).values
+    run = np.zeros(cfg.n_particles)
 
-    def f_at(pts, t):
-        s = min(max(t / u_path.dt, 0.0), u_path.nt - 1.0)
-        k = min(int(s), u_path.nt - 2)
-        w = s - k
-        return ((1 - w) * _bilinear(grid, f_slices[k], pts)
-                + w * _bilinear(grid, f_slices[k + 1], pts))
+    def accumulate(lo, hi, step, t, x, a1, a2):
+        run[lo:hi] += (0.5 * (a1 ** 2 + a2 ** 2) + f.at(x, t)) * cfg.dt_sde
 
-    costs = np.empty(cfg.n_particles)
-    n_blocks = -(-cfg.n_particles // PARTICLE_BLOCK)
-    for blk in range(n_blocks):
-        lo = blk * PARTICLE_BLOCK
-        hi = min(lo + PARTICLE_BLOCK, cfg.n_particles)
-        nb = hi - lo
-        noise = _block_normals(cfg.seed, blk, (n_steps, nb, 2))
-        x = np.tile(np.asarray(x0, dtype=float), (nb, 1))
-        run = np.zeros(nb)
-        for step in range(n_steps):
-            t = t0 + step * cfg.dt_sde
-            a1, a2 = fb.at(x, t)
-            run += (0.5 * (a1 ** 2 + a2 ** 2) + f_at(x, t)) * cfg.dt_sde
-            hx = dyn.h_values(x[:, 0])
-            s1 = np.sqrt(2.0 * dyn.epsilon
-                         + dyn.sigma1_sq(x[:, 0], x[:, 1]).astype(float))
-            s2 = np.sqrt(2.0 * dyn.epsilon
-                         + dyn.sigma2_sq(x[:, 0], x[:, 1]).astype(float))
-            x = x + np.stack([a1, a2 * hx], axis=1) * cfg.dt_sde \
-                + np.stack([s1 * noise[step, :, 0],
-                            s2 * noise[step, :, 1]], axis=1) * sq_dt
-            x[:, 0] = _reflect(x[:, 0], grid.x1_min, grid.x1_max)
-            x[:, 1] = _reflect(x[:, 1], grid.x2_min, grid.x2_max)
-        costs[lo:hi] = run + _bilinear(grid, g_vals, x)
+    final = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, accumulate)
+    costs = run + _bilinear(grid, g_vals, final)
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / math.sqrt(cfg.n_particles)) \
         if cfg.n_particles > 1 else 0.0

@@ -18,8 +18,8 @@ import numpy as np
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
 from .grid import DensityPath, Direction, Grid2D, ScalarField, ValuePath
-
-DEFAULT_BOUNDARY_FRAME = 0.1
+from .operators import DEFAULT_BOUNDARY_FRAME, interior_restrict, \
+    lipschitz_estimate
 
 AXES_AND_DIAGONALS = (
     Direction(1.0, 0.0),
@@ -27,45 +27,6 @@ AXES_AND_DIAGONALS = (
     Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
     Direction(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
 )
-
-
-def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:
-    """Restrict a field to the sub-box obtained by trimming a boundary frame.
-
-    ``frame`` is the fraction of each axis removed on each side; 0 is a
-    no-op. Restriction can only shrink sup-type estimates.
-    """
-    if not 0.0 <= frame < 0.5:
-        raise ConfigurationError("boundary frame must lie in [0, 0.5)")
-    g = u.grid
-    k1 = int(round(frame * g.n1))
-    k2 = int(round(frame * g.n2))
-    if k1 == 0 and k2 == 0:
-        return u
-    if g.n1 - 2 * k1 < 4 or g.n2 - 2 * k2 < 4:
-        raise ConfigurationError("boundary frame leaves fewer than 4 nodes per axis")
-    x1 = g.x1[k1:g.n1 - k1]
-    x2 = g.x2[k2:g.n2 - k2]
-    sub = Grid2D(x1[0], x1[-1], x2[0], x2[-1], len(x1), len(x2))
-    return ScalarField(sub, u.values[k1:g.n1 - k1, k2:g.n2 - k2])
-
-
-def lipschitz_estimate(u: ScalarField, boundary_frame: float = 0.0) -> float:
-    """Max |u(x)-u(y)|/|x-y| over adjacent node pairs, axes and diagonals."""
-    if boundary_frame > 0.0:
-        u = interior_restrict(u, boundary_frame)
-    v = u.values
-    dx1, dx2 = u.grid.dx1, u.grid.dx2
-    ddiag = math.hypot(dx1, dx2)
-    best = 0.0
-    if v.shape[0] > 1:
-        best = max(best, float(np.abs(np.diff(v, axis=0)).max()) / dx1)
-    if v.shape[1] > 1:
-        best = max(best, float(np.abs(np.diff(v, axis=1)).max()) / dx2)
-    if v.shape[0] > 1 and v.shape[1] > 1:
-        best = max(best, float(np.abs(v[1:, 1:] - v[:-1, :-1]).max()) / ddiag)
-        best = max(best, float(np.abs(v[1:, :-1] - v[:-1, 1:]).max()) / ddiag)
-    return best
 
 
 def time_lipschitz_estimate(u: ValuePath, boundary_frame: float = 0.0) -> float:

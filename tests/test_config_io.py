@@ -65,6 +65,42 @@ class TestParseConfig:
             parse_config(text)
         assert len(exc.value.problems) >= 4
 
+    def test_solver_object_rules_reported_together(self):
+        # the coupling and the ensemble own these rules; parsing reports both
+        text = json.dumps({"coupling": {"name": "nonlocal_smooth",
+                                        "params": {"delta": 0}},
+                           "mc": {"store_every": 0}})
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(text)
+        problems = exc.value.problems
+        assert any(p.startswith("coupling:") and "delta" in p for p in problems)
+        assert any(p.startswith("mc:") and "store_every" in p
+                   for p in problems)
+
+    def test_one_problem_does_not_hide_another(self):
+        text = json.dumps({"grid": {"n1": 2},
+                           "initial_density": {"variance": -1.0},
+                           "dynamics": {"preset": "nope", "epsilon": -1.0},
+                           "coupling": {"name": "local_power",
+                                        "params": {"c1": -1.0, "power": 0}}})
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(text)
+        sections = [p.split(":")[0] for p in exc.value.problems]
+        assert sorted(sections) == ["coupling", "coupling", "dynamics",
+                                    "dynamics", "grid", "initial_density"]
+
+    def test_wrong_type_is_a_config_problem(self):
+        text = json.dumps({"coupling": {"params": [1, 2]}})
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(text)
+        assert any(p.startswith("coupling:") for p in exc.value.problems)
+
+    def test_two_time_slices_rejected(self):
+        # HjbConfig accepts nt = 2; a run needs three slices
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(json.dumps({"time": {"nt": 2}}))
+        assert any("nt must be >= 3" in p for p in exc.value.problems)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config("not json {")

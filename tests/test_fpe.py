@@ -5,10 +5,11 @@ import pytest
 
 from degmfg.dynamics import DynamicsSpec, dynamics_preset
 from degmfg.errors import ConfigurationError
-from degmfg.fpe import FpeReport, second_moment, solve_fpe_forward
+from degmfg.fpe import FpeReport, assemble_dual_diffusion, solve_fpe_forward
 from degmfg.grid import (DensityField, Grid2D, ValuePath, truncated_gaussian,
                          uniform_density)
-from degmfg.hjb import HjbConfig
+from degmfg.hjb import HjbConfig, assemble_diffusion
+from degmfg.operators import conservative_diff2
 
 
 def _box(half, n):
@@ -95,7 +96,7 @@ class TestHeatKernelOracle:
         m = solve_fpe_forward(truncated_gaussian(grid, variance=v0),
                               _zero_upath(grid, cfg),
                               dynamics_preset("grushin_exp", epsilon=eps), cfg)
-        got = second_moment(m.slice(m.nt - 1))
+        got = m.slice(m.nt - 1).second_moment()
         expected = 2.0 * (v0 + (2.0 * eps + s ** 2) * cfg.T)
         assert abs(got - expected) < 0.05 * expected
 
@@ -131,21 +132,63 @@ class TestDegenerateDirection:
         assert abs(mean_end - (-c * cfg.T)) < 0.05
 
 
+PRESETS = ("grushin_exp", "sin_sigma", "nondegenerate", "fully_degenerate_x2",
+           "zero")
+
+
+class TestDualDiffusion:
+    """The FPE diffusion is the trapezoid-weighted adjoint of the HJB one."""
+
+    GRIDS = (_box(5.0, 32), Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("eps", (0.0, 0.05))
+    @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
+    def test_weighted_adjoint_and_mass(self, preset, eps, grid):
+        dyn = dynamics_preset(preset, epsilon=eps)
+        a = assemble_diffusion(grid, dyn)
+        a_star = assemble_dual_diffusion(grid, dyn)
+        w = grid.cell_weights().ravel()
+        u, m = np.random.default_rng(7).standard_normal((2, grid.n_nodes))
+        au = a @ u
+        # <A u, m>_W == <u, A* m>_W
+        lhs = np.sum(w * au * m)
+        rhs = np.sum(w * u * (a_star @ m))
+        assert abs(lhs - rhs) <= 1e-13 * np.sum(w * np.abs(au * m))
+        # W-weighted column sums of A* vanish: the implicit step keeps mass
+        col = a_star.T @ w
+        assert np.abs(col).max() <= 1e-13 * (abs(a_star).T @ w).max()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
+    def test_matches_flux_form(self, preset, grid):
+        # eps*Laplace + (1/2) sum d^2(sigma_i^2 m) with zero boundary fluxes
+        dyn = dynamics_preset(preset, epsilon=0.05)
+        x1g, x2g = grid.meshgrid()
+        m = np.random.default_rng(3).uniform(0.0, 1.0, grid.shape)
+        g1 = dyn.epsilon + 0.5 * dyn.sigma1_sq(x1g, x2g)
+        g2 = dyn.epsilon + 0.5 * dyn.sigma2_sq(x1g, x2g)
+        expected = conservative_diff2(g1 * m, grid.dx1, axis=0) \
+            + conservative_diff2(g2 * m, grid.dx2, axis=1)
+        got = (assemble_dual_diffusion(grid, dyn) @ m.ravel()).reshape(grid.shape)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestSecondMoment:
     def test_narrow_gaussian(self):
         grid = _box(2.0, 256)
         m = truncated_gaussian(grid, variance=1e-4)
-        assert abs(second_moment(m) - 2e-4) < 0.05 * 2e-4
+        assert abs(m.second_moment() - 2e-4) < 0.05 * 2e-4
 
     def test_uniform_on_unit_box(self):
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 128, 128)
-        assert abs(second_moment(uniform_density(grid)) - 2.0 / 3.0) < 1e-3
+        assert abs(uniform_density(grid).second_moment() - 2.0 / 3.0) < 1e-3
 
     def test_parallel_axis_translation(self):
         grid = _box(5.0, 128)
         centered = truncated_gaussian(grid, variance=0.2)
         shifted = truncated_gaussian(grid, center=(1.0, 0.0), variance=0.2)
-        assert abs(second_moment(shifted) - second_moment(centered) - 1.0) < 1e-6
+        assert abs(shifted.second_moment() - centered.second_moment() - 1.0) < 1e-6
 
 
 class TestErrors:

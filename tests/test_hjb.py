@@ -1,7 +1,13 @@
 """Backward HJE solver: exact fixtures, brute-force oracle, scheme properties."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import degmfg
 
 from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset
@@ -222,3 +228,13 @@ class TestPdeResidual:
         with pytest.raises(ConfigurationError):
             pde_residual(u, dynamics_preset("zero", epsilon=0.0),
                          _const_coupling(), m)
+
+
+def test_hjb_does_not_import_verify():
+    # the a-priori CFL bound uses the Lipschitz estimate from operators, so
+    # the solver sits below the property suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degmfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, degmfg.hjb; sys.exit('degmfg.verify' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

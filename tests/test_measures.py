@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degmfg.errors import ConfigurationError
-from degmfg.grid import DensityField, DensityPath, Grid2D
+from degmfg.grid import DensityField, DensityPath, Grid2D, default_grid, \
+    truncated_gaussian
 from degmfg.measures import (
     GridDistance,
     holder_halftime_estimate,
     mincost_flow_reference,
     wasserstein1_exact,
+    wasserstein1_points,
     wasserstein1_sinkhorn,
 )
 
@@ -97,6 +99,18 @@ class TestExactLP:
             DensityField(grid, np.roll(mu_v, 2, axis=1)),
             DensityField(grid, np.roll(other, 2, axis=1)))
         assert abs(d0 - d1_shifted) < 1e-9
+
+
+    def test_coarsened_gaussians_solve(self):
+        # two valid coarsened Gaussians (148 and 152 support points) that
+        # HiGHS presolve once declared infeasible
+        grid = default_grid(n1=64, n2=64)
+        gd = GridDistance(grid, max_points=320)
+        xs, a = gd.coarsen(truncated_gaussian(grid, variance=0.25).values)
+        ys, b = gd.coarsen(truncated_gaussian(grid, center=(0.05, 0.0),
+                                              variance=0.26).values)
+        assert (len(a), len(b)) == (148, 152)
+        assert abs(wasserstein1_points(xs, a, ys, b) - 0.0515715) < 1e-6
 
 
 class TestSinkhorn:

@@ -212,6 +212,25 @@ class TestMcValue:
         # bias ratio near 2 (allow slack for Monte Carlo noise)
         assert biases[48] > 1.4 * biases[96]
 
+    def test_pass_rule(self):
+        est = sde.McEstimate(mean=1.0, std_error=0.01, n=100)
+        assert est.agrees_with(1.079) and est.agrees_with(0.921)
+        assert not est.agrees_with(1.081)
+
+    def test_same_paths_as_simulate_paths(self):
+        # no feedback and G = x1: the value estimate is the mean final x1 of
+        # the very paths simulate_paths draws for the same seed
+        dyn = dynamics_preset("zero", epsilon=0.05)
+        up = _const_u_path(GRID, NT, T)
+        coupling = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
+                                G=lambda x1, x2, m: x1 + 0.0 * x2,
+                                monotone=True, lipschitz_in_m=0.0)
+        cfg = sde.EnsembleConfig(n_particles=5000, seed=4, dt_sde=0.05)
+        est = sde.mc_value(dyn, coupling, _const_m_path(GRID, NT, T), up,
+                           (0.3, -0.2), 0.0, cfg)
+        ens = sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
+        assert abs(est.mean - np.mean(ens.final()[:, 0])) < 1e-12
+
     def test_mesh_mismatch_rejected(self):
         dyn = dynamics_preset("zero")
         up = _const_u_path(GRID, NT, T)
