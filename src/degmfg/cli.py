@@ -26,7 +26,8 @@ from .fixed_point import eps_sweep, picard_solve
 from .fpe import FpeReport, solve_fpe_forward
 from .grid import DensityField, DensityPath, ValuePath
 from .hjb import solve_hjb_backward
-from .measures import wasserstein1_points, sinkhorn_points
+from .measures import SINKHORN_REG_FACTOR, GridDistance, sinkhorn_points, \
+    wasserstein1_points
 from .verify import VerifyThresholds, ae_residual_report, lipschitz_estimate, \
     property_checks, report_to_dict
 
@@ -194,18 +195,14 @@ def _cmd_w1(args) -> int:
     ga, va = dio.read_field_csv(args.a)
     gb, vb = dio.read_field_csv(args.b)
     da, db = DensityField(ga, va), DensityField(gb, vb)
-    from .measures import GridDistance
+    gd = GridDistance(ga, max_points=args.max_points)
+    xs, wa = gd.coarsen(da.values)
+    ys, wb = gd.coarsen(db.values)
     if args.exact:
-        gd = GridDistance(ga, max_points=args.max_points)
-        xs, wa = gd.coarsen(da.values)
-        ys, wb = gd.coarsen(db.values)
         value = wasserstein1_points(xs, wa, ys, wb)
     else:
-        gd = GridDistance(ga, max_points=args.max_points)
-        xs, wa = gd.coarsen(da.values)
-        ys, wb = gd.coarsen(db.values)
-        reg = args.reg or gd.reg
-        value = sinkhorn_points(xs, wa, ys, wb, reg=reg).value
+        reg = args.reg or SINKHORN_REG_FACTOR * ga.diameter
+        value = sinkhorn_points(xs, wa, ys, wb, reg=reg, debias=False).value
     print("%.12g" % value)
     return EXIT_OK
 

@@ -5,9 +5,13 @@ One application of the map psi solves the backward HJE with a frozen density
 path and then pushes the initial density forward through the FPE with the
 resulting feedback. A fixed point of psi is a solution of the coupled
 system. Plain iteration can cycle, so the density path is damped slice by
-slice; the stopping metric is max-over-time d1 between consecutive paths,
-measured with the fast coarsened entropic solver and cross-checked with the
-exact LP solver at the final iterate.
+slice; the stopping metric is max-over-time d1 between consecutive paths:
+the exact transport LP between slices block-coarsened by ``GridDistance``
+to at most 320 support points (256 on the 32x32 default grid). At the final
+iterate the same LP is solved again on supports coarsened to at most
+``lp_check_points`` (120) points. Both are exact values, at two
+resolutions, so their gap (5.5e-4 vs 7.2e-4 on grushin_default) measures
+the coarsening, not the error of an approximate solver.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class MfgSolution:
     epsilon: float
     converged: bool
     iterations: int = 0
-    lp_residual: float = float("nan")  # exact-LP cross-check at the final iterate
+    lp_residual: float = float("nan")  # final residual at the LP-check resolution
 
 
 def _check_indices(nt: int, n_check: int):
@@ -80,8 +84,7 @@ def psi_map(mu: DensityPath, dyn: DynamicsSpec, coupling: CouplingSpec,
 
 
 def _path_residual(a: DensityPath, b: DensityPath, gd: GridDistance, idx):
-    return max(gd.distance(a.values[k], b.values[k], key="slice%d" % k)
-               for k in idx)
+    return max(gd.distance(a.values[k], b.values[k]) for k in idx)
 
 
 def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
@@ -92,8 +95,8 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
 
     The initial guess is psi applied to the time-constant extension of m0
     (so a decoupled system converges in exactly one further iteration). On
-    convergence the exact-LP distance between the last two iterates is
-    recorded as ``lp_residual``.
+    convergence the exact-LP distance between the last two iterates at the
+    coarser ``lp_check_points`` resolution is recorded as ``lp_residual``.
     """
     if not coupling.monotone:
         import warnings
@@ -139,7 +142,9 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
 
 
 def _lp_cross_check(a: DensityPath, b: DensityPath, idx, max_points: int) -> float:
-    """Exact-LP verification of the stopping metric on a coarsened grid."""
+    """Resolution check of the stopping metric: the same exact LP on supports
+    coarsened to at most ``max_points`` points instead of the stopping
+    metric's finer ones; the gap between the two is the coarsening error."""
     gd = GridDistance(a.grid, max_points=max_points)
     best = 0.0
     for k in idx:

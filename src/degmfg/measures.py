@@ -1,12 +1,14 @@
 """Kantorovich-Rubinstein (W1) distance machinery.
 
 Three routes with different trust/speed trade-offs:
-  * wasserstein1_exact      -- discrete optimal transport LP (HiGHS), coarse grids
+  * wasserstein1_exact      -- discrete optimal transport LP (HiGHS), solved by
+                               column generation; GridDistance applies it to
+                               coarsened slices as the Picard stopping metric
   * mincost_flow_reference  -- independent network-simplex oracle (integerized)
-  * wasserstein1_sinkhorn   -- log-domain entropic solver with reg annealing;
-                               the returned plan is rounded to the feasible
-                               polytope, so the biased value never undershoots
-                               the exact one
+  * wasserstein1_sinkhorn   -- log-domain entropic solver with reg annealing,
+                               for supports too large for the LP; the returned
+                               plan is rounded to the feasible polytope, so
+                               the biased value never undershoots the exact one
 
 The ground cost is the Euclidean distance |x - y|, matching the d1 metric.
 """
@@ -14,7 +16,6 @@ The ground cost is the Euclidean distance |x - y|, matching the d1 metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import networkx as nx
@@ -26,6 +27,9 @@ from .grid import DensityField, DensityPath
 
 MAX_LP_NODES = 4096
 SUPPORT_EPS = 1e-15
+LP_CANDIDATES = 8      # nearest partners per source and per sink, first LP
+LP_PRICING_TOL = 1e-9  # a pair enters once its reduced cost is below -tol
+SINKHORN_REG_FACTOR = 3e-3  # default entropic reg, times the grid diameter
 
 
 def density_support(m: DensityField, eps: float = SUPPORT_EPS):
@@ -53,36 +57,76 @@ def wasserstein1_exact(mu: DensityField, nu: DensityField) -> float:
             "wasserstein1_sinkhorn" % (mu.grid.n_nodes, MAX_LP_NODES))
     xs, a = density_support(mu)
     ys, b = density_support(nu)
-    return _transport_lp(xs, a, ys, b)
+    return _transport_lp(xs, a, ys, b)[0]
 
 
 def wasserstein1_points(xs, a, ys, b) -> float:
     """Exact W1 between weighted point clouds via the transport LP."""
     if len(a) * len(b) > MAX_LP_NODES ** 2:
         raise ConfigurationError("point clouds too large for the exact LP")
-    return _transport_lp(xs, np.asarray(a, float), ys, np.asarray(b, float))
+    return _transport_lp(xs, np.asarray(a, float), ys, np.asarray(b, float))[0]
 
 
-def _transport_lp(xs, a, ys, b) -> float:
+def _northwest_corner(a, b):
+    """Cells (i, j) of the north-west-corner plan, a feasible basis.
+
+    Lays both marginals end to end on [0, 1]; every piece between two
+    consecutive breakpoints of the cumulative sums is one cell.
+    """
+    ca, cb = np.cumsum(a)[:-1], np.cumsum(b)[:-1]
+    starts = np.concatenate([[0.0], np.union1d(ca, cb)])
+    return (np.searchsorted(ca, starts, side="right"),
+            np.searchsorted(cb, starts, side="right"))
+
+
+def _restricted_lp(cost, a, b, rows, cols):
+    """Transport LP over the pairs (rows, cols) only; the HiGHS result."""
     n, m = len(a), len(b)
-    cost = _cost_matrix(xs, ys).ravel()
+    var = np.arange(len(rows))
     # row-marginal constraints, then column marginals (last one redundant)
-    rows_i = np.repeat(np.arange(n), m)
-    cols_j = np.tile(np.arange(m), n)
-    var = np.arange(n * m)
     A = sparse.coo_matrix(
-        (np.ones(2 * n * m),
-         (np.concatenate([rows_i, n + cols_j]), np.concatenate([var, var]))),
-        shape=(n + m, n * m)).tocsr()[:-1]
+        (np.ones(2 * len(var)),
+         (np.concatenate([rows, n + cols]), np.concatenate([var, var]))),
+        shape=(n + m, len(var))).tocsr()[:-1]
     rhs = np.concatenate([a, b])[:-1]
     # HiGHS presolve has declared feasible transport LPs (two coarsened
     # Gaussians with ~150 support points each) infeasible; the transport
     # polytope is never empty, so solve without it
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
-                  options={"presolve": False})
+    res = linprog(cost[rows, cols], A_eq=A, b_eq=rhs, bounds=(0, None),
+                  method="highs", options={"presolve": False})
     if not res.success:
         raise SolverError("transport LP failed: %s" % res.message)
-    return float(res.fun)
+    return res
+
+
+def _transport_lp(xs, a, ys, b):
+    """Exact transport LP by column generation; returns (value, rounds).
+
+    Solves on a sparse candidate set (the nearest partners of every source
+    and sink, plus the north-west-corner cells, which make it feasible),
+    prices all n*m pairs with the duals of that solve and adds every pair
+    of negative reduced cost. When none is left the restricted optimum is
+    the optimum of the full LP, by LP duality.
+    """
+    n, m = len(a), len(b)
+    cost = _cost_matrix(xs, ys)
+    near_b = np.argpartition(cost, min(LP_CANDIDATES, m) - 1, axis=1)
+    near_a = np.argpartition(cost, min(LP_CANDIDATES, n) - 1, axis=0)
+    cand = np.zeros((n, m), dtype=bool)
+    cand[np.arange(n)[:, None], near_b[:, :LP_CANDIDATES]] = True
+    cand[near_a[:LP_CANDIDATES], np.arange(m)] = True
+    cand[_northwest_corner(a, b)] = True
+    rounds = 0
+    while True:
+        rows, cols = np.nonzero(cand)
+        res = _restricted_lp(cost, a, b, rows, cols)
+        rounds += 1
+        duals = np.append(res.eqlin.marginals, 0.0)
+        enter = cost - duals[:n, None] - duals[None, n:] < -LP_PRICING_TOL
+        enter &= ~cand
+        if not enter.any():
+            return float(res.fun), rounds
+        cand |= enter
 
 
 def mincost_flow_reference(mu: DensityField, nu: DensityField,
@@ -121,8 +165,6 @@ class SinkhornResult:
     reg: float
     iterations: int
     marginal_error: float
-    f: np.ndarray           # dual potentials (warm-start handles)
-    g: np.ndarray
 
 
 def _lse(m, axis):
@@ -164,8 +206,7 @@ def _round_to_feasible(p, a, b):
     return p
 
 
-def sinkhorn_points(xs, a, ys, b, reg, iters=2500, f0=None, g0=None,
-                    anneal=True, tol=1e-5, debias=True):
+def sinkhorn_points(xs, a, ys, b, reg, iters=2500, tol=1e-5, debias=True):
     """Entropic OT between weighted point clouds, log domain, reg annealing.
 
     ``iters`` caps the sweeps at the final regularization level; earlier
@@ -178,19 +219,15 @@ def sinkhorn_points(xs, a, ys, b, reg, iters=2500, f0=None, g0=None,
     cost = _cost_matrix(xs, ys)
     log_a = np.log(a)
     log_b = np.log(b)
-    f = np.zeros(len(a)) if f0 is None else f0.copy()
-    g = np.zeros(len(b)) if g0 is None else g0.copy()
+    f = np.zeros(len(a))
+    g = np.zeros(len(b))
     total_it = 0
-    if anneal:
-        top = max(cost.max() / 4.0, reg)
-        schedule = []
-        r = top
-        while r > reg * 1.5:
-            schedule.append(r)
-            r /= 2.5
-        schedule.append(reg)
-    else:
-        schedule = [reg]
+    schedule = []
+    r = max(cost.max() / 4.0, reg)
+    while r > reg * 1.5:
+        schedule.append(r)
+        r /= 2.5
+    schedule.append(reg)
     for k, r in enumerate(schedule):
         sweep = iters if k == len(schedule) - 1 else 40
         f, g, it, err = _sinkhorn_potentials(cost, log_a, log_b, r, sweep, f, g, tol)
@@ -206,7 +243,7 @@ def sinkhorn_points(xs, a, ys, b, reg, iters=2500, f0=None, g0=None,
         bias = 0.5 * (_self_transport(xs, a, reg, iters, tol)
                       + _self_transport(ys, b, reg, iters, tol))
     return SinkhornResult(value=value, debiased=max(value - bias, 0.0), reg=reg,
-                          iterations=total_it, marginal_error=float(err), f=f, g=g)
+                          iterations=total_it, marginal_error=float(err))
 
 
 def _self_transport(xs, a, reg, iters, tol):
@@ -228,26 +265,19 @@ def wasserstein1_sinkhorn(mu: DensityField, nu: DensityField, reg: float,
 
 
 class GridDistance:
-    """Fast d1 between density slices on a common grid, with warm starts.
+    """Exact d1 between density slices on a common grid.
 
     Coarsens to at most ``max_points`` support points (block aggregation,
-    mass preserving) and runs the annealed entropic solver; the debiased
-    value feeds fixed-point stopping rules. Potentials are cached per call
-    site key so that nearly-identical repeated comparisons converge fast.
+    mass preserving) and solves the transport LP between the coarsened
+    measures; the value feeds fixed-point stopping rules.
     """
 
-    def __init__(self, grid, max_points=320, reg_factor=3e-3, iters=1500,
-                 tol=1e-4):
+    def __init__(self, grid, max_points=320):
         self.grid = grid
         self.block = 1
         n = grid.n_nodes
         while n // (self.block * self.block) > max_points:
             self.block += 1
-        self.reg = reg_factor * grid.diameter
-        self.iters = iters
-        self.tol = tol
-        self._warm = {}
-        self._self_cache = {}
 
     def coarsen(self, values: np.ndarray):
         """Aggregate node masses onto block representative points."""
@@ -276,34 +306,12 @@ class GridDistance:
         pts = np.stack([xb[keep] / wt, yb[keep] / wt], axis=1)
         return pts, wt / wt.sum()
 
-    def distance(self, a_values: np.ndarray, b_values: np.ndarray,
-                 key: Optional[str] = None) -> float:
+    def distance(self, a_values: np.ndarray, b_values: np.ndarray) -> float:
         if np.array_equal(a_values, b_values):
             return 0.0
         xs, a = self.coarsen(a_values)
         ys, b = self.coarsen(b_values)
-        f0 = g0 = None
-        warm = self._warm.get(key) if key else None
-        if warm is not None and len(warm[0]) == len(a) and len(warm[1]) == len(b):
-            f0, g0 = warm
-        res = sinkhorn_points(xs, a, ys, b, self.reg, iters=self.iters,
-                              f0=f0, g0=g0, anneal=f0 is None,
-                              tol=self.tol, debias=False)
-        if key:
-            self._warm[key] = (res.f, res.g)
-        bias = 0.5 * (self._self_bias(a_values, xs, a)
-                      + self._self_bias(b_values, ys, b))
-        return max(res.value - bias, 0.0)
-
-    def _self_bias(self, values, pts, wt):
-        """Cached self-transport of a coarsened measure (debiasing term)."""
-        h = hash(values.tobytes())
-        if h not in self._self_cache:
-            if len(self._self_cache) > 512:
-                self._self_cache.clear()
-            self._self_cache[h] = _self_transport(pts, wt, self.reg,
-                                                  self.iters, self.tol)
-        return self._self_cache[h]
+        return wasserstein1_points(xs, a, ys, b)
 
 
 @dataclass
@@ -317,8 +325,7 @@ def holder_halftime_estimate(path: DensityPath, distance=None) -> HolderEstimate
     """Time-Holder estimator for a density path over dyadic time pairs."""
     nt = path.nt
     if distance is None:
-        gd = GridDistance(path.grid)
-        distance = lambda a, b: gd.distance(a, b)
+        distance = GridDistance(path.grid).distance
     pairs = []
     lag = 1
     while lag <= nt - 1:

@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
+from degmfg.grid import default_grid, truncated_gaussian
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 ZERO_CFG = os.path.join(CONFIG_DIR, "decoupled_zero.json")
@@ -148,3 +150,18 @@ class TestSmallTools:
         sink = float(capsys.readouterr().out.strip())
         assert exact > 0.01
         assert abs(sink - exact) <= 0.05 * exact + 1e-3
+
+    def test_w1_prints_the_recorded_values(self, tmp_path, capsys):
+        # values printed when the exact route was one dense LP; the Sinkhorn
+        # route must print the same digits, the column-generation LP the
+        # same value up to the last printed digits
+        grid = default_grid(n1=32, n2=32)
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
+        dio.write_field_csv(b, grid, truncated_gaussian(
+            grid, center=(0.3, 0.1), variance=0.5).values)
+        assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
+        assert capsys.readouterr().out == "0.413323008233\n"
+        assert main(["w1", "--a", a, "--b", b, "--exact"]) == EXIT_OK
+        exact = float(capsys.readouterr().out)
+        assert abs(exact - 0.407061697866) <= 1e-9
