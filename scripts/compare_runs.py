@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Compare the field dumps of two run directories slice by slice.
 
-    python scripts/compare_runs.py RUN_A RUN_B
+    PYTHONPATH=src python scripts/compare_runs.py RUN_A RUN_B
+
+(``PYTHONPATH=src`` is only needed when degmfg is not installed.)
 
 For every slice CSV under u/ and m/ prints whether the two files are
 byte-identical (sha256) and the maximum absolute difference of their

@@ -52,24 +52,26 @@ class DynamicsSpec:
         """Numeric spot check of the boundedness assumptions on the box.
 
         Verifies that sigma1, sigma2, h and their first and second
-        finite-difference quotients stay below ``bound`` on the grid.
+        finite-difference quotients (along x1 and x2 for sigma, along x1 for
+        h, which depends on x1 only) stay below ``bound`` on the grid.
         Returns the measured sup of all quantities.
         """
         x1g, x2g = grid.meshgrid()
         worst = 0.0
         problems = []
-        h1 = self.h_values(grid.x1)
-        for name, vals, dx in (
-            ("sigma1", np.sqrt(self.sigma1_sq(x1g, x2g)), grid.dx1),
-            ("sigma2", np.sqrt(self.sigma2_sq(x1g, x2g)), grid.dx1),
-            ("h", h1, grid.dx1),
+        for name, vals, steps in (
+            ("sigma1", np.sqrt(self.sigma1_sq(x1g, x2g)), (grid.dx1, grid.dx2)),
+            ("sigma2", np.sqrt(self.sigma2_sq(x1g, x2g)), (grid.dx1, grid.dx2)),
+            ("h", self.h_values(grid.x1), (grid.dx1,)),
         ):
             if not np.all(np.isfinite(vals)):
                 problems.append("%s is non-finite on the grid" % name)
                 continue
-            d1 = np.diff(vals, axis=0) / dx
-            d2 = np.diff(vals, n=2, axis=0) / dx ** 2
-            m = max(np.abs(vals).max(), np.abs(d1).max(), np.abs(d2).max())
+            m = np.abs(vals).max()
+            for axis, dx in enumerate(steps):
+                d1 = np.diff(vals, axis=axis) / dx
+                d2 = np.diff(vals, n=2, axis=axis) / dx ** 2
+                m = max(m, np.abs(d1).max(), np.abs(d2).max())
             worst = max(worst, m)
             if m > bound:
                 problems.append(

@@ -4,9 +4,9 @@ equation driven by a value path.
 Finite-volume form on trapezoidal cells (interior width dx, boundary dx/2)
 with zero boundary fluxes: discrete mass is a telescoping identity. The
 transport flux is upwinded per face from the face-averaged velocity, which
-preserves nonnegativity under the CFL condition. Diffusion is implicit via
-the adjoint of the HJB diffusion matrix in the trapezoid-weighted inner
-product, an M-matrix, which also preserves nonnegativity.
+preserves nonnegativity under the CFL condition. The implicit diffusion
+step is the W-weighted transposed solve of the HJB's implicit matrix
+(``hjb.implicit_diffusion``), which also keeps mass and nonnegativity.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps it
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityField, DensityPath, Grid2D, ValuePath
-from .hjb import HjbConfig, assemble_diffusion
+from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion
 from .operators import degenerate_gradient
 
 MASS_DRIFT_HARD = 1e-8
@@ -40,9 +40,8 @@ def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matri
 
     A = epsilon*Laplace + L with reflecting ends (``hjb.assemble_diffusion``),
     so this is the flux form of epsilon*Laplace + (1/2) sum d^2(sigma_i^2 .)
-    with zero boundary fluxes. The rows of A sum to zero, hence the
-    W-weighted column sums of the adjoint vanish and the implicit step
-    conserves trapezoidal mass structurally.
+    with zero boundary fluxes. The solver never builds it (it solves with
+    the transposed HJB matrix); it is the reference the tests check against.
     """
     w = grid.cell_weights().ravel()
     return (sparse.diags(1.0 / w) @ assemble_diffusion(grid, dyn).T
@@ -119,12 +118,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
             "FPE transport CFL violated: max cell outflow coefficient %.4g > 1; "
             "reduce dt or refine the value path" % cfl)
 
-    diff = assemble_dual_diffusion(grid, dyn)
-    solver = None
-    if abs(diff).sum() > 0:
-        solver = splu(sparse.csc_matrix(
-            sparse.identity(grid.n_nodes) - dt * diff))
-
+    _, solve = implicit_diffusion(grid, dyn, dt)
     w = grid.cell_weights()
     x1g, x2g = grid.meshgrid()
     sqnorm = x1g ** 2 + x2g ** 2
@@ -136,10 +130,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     for k in range(cfg.nt - 1):
         v1, v2 = vel[k]
         star = m + dt * _upwind_transport(m, v1, v2, grid, sabotage=sabotage_upwind)
-        if solver is not None:
-            m_new = solver.solve(star.ravel()).reshape(grid.shape)
-        else:
-            m_new = star
+        m_new = solve(star.ravel()).reshape(grid.shape)
         pre_min = float(m_new.min())
         report.min_density = min(report.min_density, pre_min)
         mass = float(np.sum(w * m_new))

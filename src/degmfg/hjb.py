@@ -71,6 +71,22 @@ def assemble_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
             + sparse.diags(c2.ravel()) @ op2).tocsr()
 
 
+def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
+    """(hjb_solve, fpe_solve) of the implicit diffusion step, one LU of I - dt A.
+
+    hjb_solve solves (I - dt A) u = r; fpe_solve solves its W-adjoint
+    W^-1 (I - dt A)^T W m = r (W the trapezoid cell weights) by the transposed
+    solve. A 1 = 0 gives <w, m> = <w, r>, and the inverse of the transposed
+    M-matrix is nonnegative. Without diffusion both return their input.
+    """
+    diff = assemble_diffusion(grid, dyn)
+    if not abs(diff).sum() > 0:
+        return (lambda r: r), (lambda r: r)
+    lu = splu(sparse.csc_matrix(sparse.identity(grid.n_nodes) - dt * diff))
+    w = grid.cell_weights().ravel()
+    return lu.solve, lambda r: lu.solve(w * r, trans="T") / w
+
+
 def _one_sided_slopes(u, dx, axis):
     """(backward, forward) slopes with zero-slope (Neumann) extension."""
     v = np.moveaxis(u, axis, 0)
@@ -134,21 +150,13 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     lip = transport_speed_bound(grid, dyn, g_vals, f_max_lip, cfg.T)
     check_hjb_cfl(grid, dyn, cfg, lip)
 
-    diff = assemble_diffusion(grid, dyn)
-    solver = None
-    if abs(diff).sum() > 0:
-        solver = splu(sparse.csc_matrix(
-            sparse.identity(grid.n_nodes) - dt * diff))
-
+    solve, _ = implicit_diffusion(grid, dyn, dt)
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):
         ham = numerical_hamiltonian(u[k + 1], grid, dyn, cfg.flux)
         rhs = u[k + 1] - dt * ham + dt * f_slices[k]
-        if solver is not None:
-            u[k] = solver.solve(rhs.ravel()).reshape(grid.shape)
-        else:
-            u[k] = rhs
+        u[k] = solve(rhs.ravel()).reshape(grid.shape)
         if not np.all(np.isfinite(u[k])):
             raise SolverError("HJB backward step %d produced non-finite values" % k)
 
@@ -161,25 +169,21 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
 
 
 def hopf_lax_oracle(g_terminal: ScalarField, t: float, T: float) -> ScalarField:
-    """Brute-force Hopf-Lax value u(x,t) = min_y [G(y) + |x-y|^2 / (2(T-t))].
+    """Hopf-Lax value u(x,t) = min_y [G(y) + |x-y|^2 / (2(T-t))] over grid nodes.
 
-    Valid oracle for the zero-diffusion, h == 1, F == 0 case. Minimizes over
-    all grid nodes.
+    Valid oracle for the zero-diffusion, h == 1, F == 0 case. The quadratic
+    separates, so the minimum over all nodes is taken in two 1-D passes:
+    over y2 for every (y1, x2), then over y1 for every (x1, x2).
     """
     if t >= T:
         raise ConfigurationError("hopf_lax_oracle requires t < T")
     grid = g_terminal.grid
-    x1g, x2g = grid.meshgrid()
-    xs = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
-    gv = g_terminal.values.ravel()
     scale = 0.5 / (T - t)
-    out = np.empty(len(xs))
-    chunk = 2048
-    for i in range(0, len(xs), chunk):
-        block = xs[i:i + chunk]
-        d2 = ((block[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
-        out[i:i + chunk] = np.min(gv[None, :] + scale * d2, axis=1)
-    return ScalarField(grid, out.reshape(grid.shape))
+    q1 = scale * (grid.x1[:, None] - grid.x1[None, :]) ** 2  # (x1, y1)
+    q2 = scale * (grid.x2[:, None] - grid.x2[None, :]) ** 2  # (x2, y2)
+    inner = np.min(g_terminal.values[:, None, :] + q2[None], axis=2)  # (y1, x2)
+    out = np.min(inner[None, :, :] + q1[:, :, None], axis=1)          # (x1, x2)
+    return ScalarField(grid, out)
 
 
 def pde_residual(u: ValuePath, dyn: DynamicsSpec, coupling: CouplingSpec,

@@ -32,14 +32,19 @@ LP_PRICING_TOL = 1e-9  # a pair enters once its reduced cost is below -tol
 SINKHORN_REG_FACTOR = 3e-3  # default entropic reg, times the grid diameter
 
 
-def density_support(m: DensityField, eps: float = SUPPORT_EPS):
-    """(points, weights) of the grid measure, zero-mass nodes dropped."""
-    x1g, x2g = m.grid.meshgrid()
-    w = m.grid.cell_weights() * m.values
+def _node_support(grid, values, eps=SUPPORT_EPS):
+    """(points, weights) of the node masses W * values, zero-mass nodes dropped."""
+    x1g, x2g = grid.meshgrid()
+    w = grid.cell_weights() * values
     keep = w > eps * w.max()
     pts = np.stack([x1g[keep], x2g[keep]], axis=1)
     wt = w[keep]
     return pts, wt / wt.sum()
+
+
+def density_support(m: DensityField, eps: float = SUPPORT_EPS):
+    """(points, weights) of the grid measure, zero-mass nodes dropped."""
+    return _node_support(m.grid, m.values, eps)
 
 
 def _cost_matrix(xs, ys):
@@ -281,14 +286,10 @@ class GridDistance:
 
     def coarsen(self, values: np.ndarray):
         """Aggregate node masses onto block representative points."""
-        w = self.grid.cell_weights() * values
         b = self.block
         if b == 1:
-            x1g, x2g = self.grid.meshgrid()
-            keep = w > SUPPORT_EPS * w.max()
-            pts = np.stack([x1g[keep], x2g[keep]], axis=1)
-            wt = w[keep]
-            return pts, wt / wt.sum()
+            return _node_support(self.grid, values)
+        w = self.grid.cell_weights() * values
         n1, n2 = self.grid.shape
         k1, k2 = -(-n1 // b), -(-n2 // b)
         wp = np.zeros((k1 * b, k2 * b))

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from degmfg.dynamics import DynamicsSpec, dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import FpeReport, assemble_dual_diffusion, solve_fpe_forward
 from degmfg.grid import (DensityField, Grid2D, ValuePath, truncated_gaussian,
                          uniform_density)
-from degmfg.hjb import HjbConfig, assemble_diffusion
+from degmfg.hjb import HjbConfig, assemble_diffusion, implicit_diffusion
 from degmfg.operators import conservative_diff2
 
 
@@ -158,6 +160,30 @@ class TestDualDiffusion:
         # W-weighted column sums of A* vanish: the implicit step keeps mass
         col = a_star.T @ w
         assert np.abs(col).max() <= 1e-13 * (abs(a_star).T @ w).max()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("eps", (0.0, 0.05))
+    @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
+    def test_implicit_solves_are_adjoint(self, preset, eps, grid):
+        # the FPE step is the W-weighted transposed solve of the HJB matrix
+        dyn = dynamics_preset(preset, epsilon=eps)
+        dt = 1.0 / 63.0
+        hjb_solve, fpe_solve = implicit_diffusion(grid, dyn, dt)
+        w = grid.cell_weights().ravel()
+        r, s = np.random.default_rng(11).standard_normal((2, grid.n_nodes))
+        m, u = fpe_solve(r), hjb_solve(s)
+        dual = sparse.csc_matrix(sparse.identity(grid.n_nodes)
+                                 - dt * assemble_dual_diffusion(grid, dyn))
+        expected = spsolve(dual, r)
+        assert np.abs(m - expected).max() <= 1e-13 * np.abs(expected).max()
+        # <fpe_solve(r), s>_W == <r, hjb_solve(s)>_W
+        lhs = np.sum(w * m * s)
+        rhs = np.sum(w * r * u)
+        assert abs(lhs - rhs) <= 1e-13 * np.sum(w * np.abs(r * u))
+        # the step keeps trapezoidal mass
+        assert abs(np.sum(w * m) - np.sum(w * r)) <= 1e-13 * np.sum(w * np.abs(r))
+        if preset == "zero" and eps == 0.0:
+            assert m.tobytes() == r.tobytes() and u.tobytes() == s.tobytes()
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))

@@ -72,6 +72,20 @@ class TestHopfLaxOracle:
         exact = (x1g ** 2 + x2g ** 2) / 4.0
         assert np.abs(out.values - exact).max() < 2.0 * max(grid.dx1, grid.dx2) ** 2
 
+    @pytest.mark.parametrize("grid", (Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9),
+                                      _box(3.0, 32)), ids=("17x9", "32x32"))
+    @pytest.mark.parametrize("t", (0.0, 0.3, 0.75, 0.99))
+    def test_two_passes_match_brute_force(self, grid, t):
+        # min over every pair of nodes at once, the oracle's own definition
+        x1g, x2g = grid.meshgrid()
+        g = np.minimum((x1g - 1.0) ** 2, (x1g + 1.0) ** 2) / 2.0 + x2g ** 2 \
+            + 0.3 * np.sin(2.0 * x1g * x2g)  # not separable
+        xs = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
+        d2 = ((xs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
+        brute = np.min(g.ravel()[None, :] + d2 / (2.0 * (1.0 - t)), axis=1)
+        out = hopf_lax_oracle(ScalarField(grid, g), t, 1.0)
+        assert np.abs(out.values - brute.reshape(grid.shape)).max() <= 1e-14
+
     def test_rejects_t_at_or_past_horizon(self):
         grid = _box(3.0, 8)
         g = ScalarField(grid, np.zeros(grid.shape))

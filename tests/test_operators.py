@@ -276,9 +276,19 @@ class TestDynamicsChecks:
                      "fully_degenerate_x2"):
             dynamics_preset(name).check_regularity(grid)
 
+    def test_regularity_check_differentiates_along_x2(self):
+        # sigma2 = sin(3 x2) is bounded by 1 but its x2 quotients are not
+        dyn = DynamicsSpec(sigma1=lambda x1, x2: np.ones_like(x1),
+                           sigma2=lambda x1, x2: np.sin(3.0 * x2),
+                           h=lambda x1: np.ones_like(x1))
+        grid = make_grid()
+        assert dyn.check_regularity(grid) > 2.0
+        with pytest.raises(ConfigurationError, match="sigma2"):
+            dyn.check_regularity(grid, bound=2.0)
+
     def test_grushin_h_vanishes_at_origin(self):
         assert grushin_h(np.array([0.0]))[0] == 0.0
-        assert grushin_h(np.array([1e-2]))[0] < 1e-300 or True
+        assert grushin_h(np.array([1e-2]))[0] < 1e-300  # exp(-1e4) underflows
         # vanishes faster than any polynomial near 0
         x = np.array([0.05, 0.1, 0.2])
         assert np.all(grushin_h(x) < x ** 8)
