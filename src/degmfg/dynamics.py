@@ -57,11 +57,16 @@ class DynamicsSpec:
         Returns the measured sup of all quantities.
         """
         x1g, x2g = grid.meshgrid()
+
+        def on_grid(f):  # sigma itself: |sigma| has kinks where sigma = 0
+            return np.broadcast_to(np.asarray(f(x1g, x2g), dtype=float),
+                                   x1g.shape)
+
         worst = 0.0
         problems = []
         for name, vals, steps in (
-            ("sigma1", np.sqrt(self.sigma1_sq(x1g, x2g)), (grid.dx1, grid.dx2)),
-            ("sigma2", np.sqrt(self.sigma2_sq(x1g, x2g)), (grid.dx1, grid.dx2)),
+            ("sigma1", on_grid(self.sigma1), (grid.dx1, grid.dx2)),
+            ("sigma2", on_grid(self.sigma2), (grid.dx1, grid.dx2)),
             ("h", self.h_values(grid.x1), (grid.dx1,)),
         ):
             if not np.all(np.isfinite(vals)):

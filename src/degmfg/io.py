@@ -1,15 +1,18 @@
 """Run-directory serialization: CSV field dumps and JSON summaries.
 
-Field CSVs have the header ``x1,x2,value``, one row per grid node in
-row-major order (x1 outer, x2 inner), values at 17 significant digits so a
-round trip is bit-exact for doubles. A run directory is self-describing:
-it contains the exact config used (config.json), the value path under u/,
-the density path under m/, and a summary.json.
+A field CSV is ASCII text: the header ``x1,x2,value``, then one row
+``x1,x2,value`` per grid node in row-major order (x1 outer, x2 inner).
+Every number is written with ``%.17g``, so a round trip is bit-exact for
+doubles, and every line ends in ``\r\n`` (the layout of ``csv.writer``).
+Readers also accept ``\n`` line ends and any row order. A file that is not
+a full uniform grid of three-number rows is a ``ConfigurationError``. A
+run directory is self-describing: it contains the exact config used
+(config.json), the value path under u/, the density path under m/, and a
+summary.json.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -20,39 +23,85 @@ from .errors import ConfigurationError
 from .grid import DensityPath, Grid2D, ValuePath
 
 _FMT = "%.17g"
+_HEADER = "x1,x2,value"
+
+
+def _csv_template(grid: Grid2D) -> str:
+    """The text of a field CSV on ``grid`` with a ``%.17g`` slot per value.
+
+    The coordinates are formatted here, once per grid, so writing a field
+    is a single ``%`` of this template with the values in row-major order.
+    """
+    x1 = [_FMT % a for a in grid.x1.tolist()]
+    x2 = [_FMT % b for b in grid.x2.tolist()]
+    rows = ["%s,%s,%s\r\n" % (a, b, _FMT) for a in x1 for b in x2]
+    return _HEADER + "\r\n" + "".join(rows)
+
+
+def _write_fields(paths, grid: Grid2D, fields):
+    """Write each field of ``fields`` to the matching path."""
+    template = _csv_template(grid)
+    for path, values in zip(paths, fields):
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.shape:
+            raise ConfigurationError("field shape %s does not match grid %s"
+                                     % (values.shape, grid.shape))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(template % tuple(values.ravel().tolist()))
 
 
 def write_field_csv(path, grid: Grid2D, values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ConfigurationError("field shape %s does not match grid %s"
-                                 % (values.shape, grid.shape))
-    x1, x2 = grid.x1, grid.x2
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "value"])
-        for i in range(grid.n1):
-            for j in range(grid.n2):
-                writer.writerow([_FMT % x1[i], _FMT % x2[j],
-                                 _FMT % values[i, j]])
+    _write_fields([path], grid, [values])
+
+
+def _parse_rows(path, rows):
+    """The data rows of a field CSV as an (n, 3) array of floats.
+
+    A row that is not three numbers is a ConfigurationError naming its line.
+    """
+    # Joining the rows with a "\n" token between them, a file whose rows all
+    # hold three fields reads x1, x2, value, "\n", x1, ...: every fourth
+    # token is a row end. Any row with more or fewer fields breaks that.
+    tokens = ",\n,".join(rows).split(",")
+    if (len(tokens) != 4 * len(rows) - 1
+            or tokens[3::4].count("\n") != len(rows) - 1):
+        k = next(k for k, row in enumerate(rows) if row.count(",") != 2)
+        raise ConfigurationError("%s: line %d: expected 3 fields, got %d"
+                                 % (path, k + 2, rows[k].count(",") + 1))
+    del tokens[3::4]
+    try:
+        # a coordinate recurs on every row of its line of nodes, and float()
+        # of a 17-digit token is slow, so each distinct token is parsed once
+        number = {token: float(token) for token in set(tokens)}
+    except ValueError:
+        for k, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                raise ConfigurationError("%s: line %d: %r is not a number"
+                                         % (path, k // 3 + 2, token)) from None
+    return np.array(list(map(number.__getitem__, tokens))).reshape(-1, 3)
 
 
 def read_field_csv(path):
     """Read a field CSV back into (Grid2D, values).
 
     The grid is reconstructed from the coordinate columns; spacing must be
-    uniform per axis.
+    uniform per axis, and every node must appear exactly once.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x1", "x2", "value"]:
-            raise ConfigurationError("%s: expected header x1,x2,value, got %r"
-                                     % (path, header))
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:  # \r\n reads as \n
+            header = fh.readline().rstrip("\n")
+            if header != _HEADER:
+                raise ConfigurationError("%s: expected header %s, got %r"
+                                         % (path, _HEADER, header))
+            rows = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError("%s: not a text file: %s"
+                                 % (path, exc)) from None
     if not rows:
         raise ConfigurationError("%s: no data rows" % path)
-    arr = np.asarray(rows)
+    arr = _parse_rows(path, rows)
     x1 = np.unique(arr[:, 0])
     x2 = np.unique(arr[:, 1])
     n1, n2 = len(x1), len(x2)
@@ -65,9 +114,11 @@ def read_field_csv(path):
             raise ConfigurationError("%s: non-uniform grid spacing" % path)
     grid = Grid2D(float(x1[0]), float(x1[-1]), float(x2[0]), float(x2[-1]),
                   n1, n2)
-    values = np.empty(grid.shape)
     i1 = np.searchsorted(x1, arr[:, 0])
     i2 = np.searchsorted(x2, arr[:, 1])
+    if np.unique(i1 * n2 + i2).size != len(rows):
+        raise ConfigurationError("%s: rows do not form a full grid" % path)
+    values = np.empty(grid.shape)
     values[i1, i2] = arr[:, 2]
     return grid, values
 
@@ -97,9 +148,8 @@ def read_json(path):
 
 def _write_path(dirname, grid, values_3d):
     os.makedirs(dirname, exist_ok=True)
-    for k in range(values_3d.shape[0]):
-        write_field_csv(os.path.join(dirname, "slice_%04d.csv" % k),
-                        grid, values_3d[k])
+    _write_fields([os.path.join(dirname, "slice_%04d.csv" % k)
+                   for k in range(values_3d.shape[0])], grid, values_3d)
 
 
 def _read_path(dirname):

@@ -39,6 +39,15 @@ class TestExitCodes:
         bad.write_text("{\"mystery\": 1}")
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1", "expected 3 fields"), ("0,1,abc", "'abc' is not a number")])
+    def test_malformed_field_csv_is_exit_2(self, tmp_path, capsys, row,
+                                           message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,value\n0,0,1\n%s\n1,0,3\n1,1,4\n" % row)
+        assert main(["w1", "--a", str(bad), "--b", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestSolveAndVerify:
     def test_decoupled_zero_pipeline(self, tmp_path, capsys):

@@ -1,0 +1,66 @@
+"""Tests of scripts/compare_runs.py, run as a command on real run directories."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from degmfg import io as dio
+from degmfg.cli import EXIT_OK, main
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPT = os.path.join(ROOT, "scripts", "compare_runs.py")
+ZERO_CFG = os.path.join(ROOT, "configs", "decoupled_zero.json")
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    runs = [str(root / name) for name in ("a", "b")]
+    for run in runs:
+        assert main(["run", "--config", ZERO_CFG, "--out", run]) == EXIT_OK
+    return runs
+
+
+def _compare(a, b):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, SCRIPT, a, b], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_identical_runs(two_runs):
+    proc = _compare(*two_runs)
+    assert proc.returncode == 0, proc.stderr
+    for field in ("u", "m"):
+        assert ("%s/: 33 of 33 slices byte-identical, max|diff| 0\n" % field
+                in proc.stdout)
+    assert "picard iters 1 vs 1" in proc.stdout
+
+
+def test_changed_value_is_reported(two_runs, tmp_path):
+    a, b = two_runs
+    changed = str(tmp_path / "changed")
+    shutil.copytree(b, changed)
+    path = os.path.join(changed, "m", "slice_0005.csv")
+    grid, values = dio.read_field_csv(path)
+    values[3, 4] += 0.25
+    dio.write_field_csv(path, grid, values)
+    proc = _compare(a, changed)
+    assert proc.returncode == 0, proc.stderr
+    assert "m/slice_0005.csv sha256 differ max|diff| 0.25\n" in proc.stdout
+    assert "m/slice_0004.csv sha256 equal max|diff| 0\n" in proc.stdout
+    assert "m/: 32 of 33 slices byte-identical, max|diff| 0.25\n" \
+        in proc.stdout
+    assert "u/: 33 of 33 slices byte-identical" in proc.stdout
+
+
+def test_missing_slice_fails(two_runs, tmp_path):
+    a, b = two_runs
+    short = str(tmp_path / "short")
+    shutil.copytree(b, short)
+    os.remove(os.path.join(short, "u", "slice_0032.csv"))
+    proc = _compare(a, short)
+    assert proc.returncode == 1
+    assert "u/: the runs hold different slices" in proc.stdout

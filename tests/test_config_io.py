@@ -1,5 +1,6 @@
 """Tests for config parsing/validation and run-directory serialization."""
 
+import csv
 import json
 import os
 
@@ -135,6 +136,100 @@ class TestFieldCsv:
         path.write_text("x1,x2,value\n0,0,1\n0,1,2\n1,0,3\n")
         with pytest.raises(ConfigurationError):
             dio.read_field_csv(path)
+
+    def test_duplicated_node_rejected(self, tmp_path):
+        # sixteen rows on a 4x4 grid, but (0, 1) is missing and (0, 0) twice
+        rows = ["%d,%d,%d" % (i, j, 4 * i + j)
+                for i in range(4) for j in range(4)]
+        rows[1] = "0,0,1"
+        path = tmp_path / "dup.csv"
+        path.write_text("x1,x2,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigurationError, match="full grid"):
+            dio.read_field_csv(path)
+
+    def test_two_field_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,x2,value\n0,0,1\n0,1\n1,0,3\n1,1,4\n")
+        with pytest.raises(ConfigurationError, match="line 3: expected 3"):
+            dio.read_field_csv(path)
+
+    def test_rows_that_only_add_up_rejected(self, tmp_path):
+        # six fields on two lines, but split two and four
+        path = tmp_path / "shifted.csv"
+        path.write_text("x1,x2,value\n0,0\n1,0,1,3\n")
+        with pytest.raises(ConfigurationError, match="line 2: expected 3"):
+            dio.read_field_csv(path)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("x1,x2,value\n0,0,1\n0,1,abc\n1,0,3\n1,1,4\n")
+        with pytest.raises(ConfigurationError, match="line 3: 'abc'"):
+            dio.read_field_csv(path)
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"x1,x2,value\n\xff\xfe\x00\n")
+        with pytest.raises(ConfigurationError, match="not a text file"):
+            dio.read_field_csv(path)
+
+    def test_lf_line_ends_read_like_crlf(self, tmp_path):
+        grid = default_grid(n1=9, n2=7)
+        values = np.random.default_rng(1).standard_normal(grid.shape)
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        dio.write_field_csv(crlf, grid, values)
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert b"\r" not in lf.read_bytes()
+        g2, v2 = dio.read_field_csv(lf)
+        assert g2 == grid
+        assert np.array_equal(v2, values)
+
+
+class TestFieldCsvBytes:
+    """The byte format of field CSVs: csv.writer rows of %.17g numbers."""
+
+    GRID = Grid2D(-1.5, 2.5, 0.25, 1.75, 9, 7)  # dx1 = 0.5, dx2 = 0.25
+
+    def _values(self, seed=0):
+        values = np.random.default_rng(seed).standard_normal(self.GRID.shape)
+        values.flat[:5] = [-0.0, 5e-324, 1e-300, -1e300, 1.0 / 3.0]
+        return values
+
+    def _reference(self, path, values):
+        # the writer this format was first defined by
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "value"])
+            for i in range(self.GRID.n1):
+                for j in range(self.GRID.n2):
+                    writer.writerow(["%.17g" % self.GRID.x1[i],
+                                     "%.17g" % self.GRID.x2[j],
+                                     "%.17g" % values[i, j]])
+
+    def test_write_matches_csv_writer(self, tmp_path):
+        values = self._values()
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        self._reference(ref, values)
+        dio.write_field_csv(out, self.GRID, values)
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_bytes().startswith(b"x1,x2,value\r\n-1.5,0.25,-0\r\n")
+
+    def test_path_writer_matches_slice_writer(self, tmp_path):
+        values = np.stack([self._values(seed) for seed in range(3)])
+        dio._write_path(tmp_path / "path", self.GRID, values)
+        for k in range(3):
+            one = tmp_path / ("one_%d.csv" % k)
+            dio.write_field_csv(one, self.GRID, values[k])
+            written = tmp_path / "path" / ("slice_%04d.csv" % k)
+            assert written.read_bytes() == one.read_bytes()
+
+    def test_special_values_read_back_bit_equal(self, tmp_path):
+        values = self._values()
+        path = tmp_path / "f.csv"
+        self._reference(path, values)
+        grid, back = dio.read_field_csv(path)
+        assert grid == self.GRID
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+        assert np.signbit(back.flat[0]) and back.flat[1] == 5e-324
 
 
 class TestRunDirectory:

@@ -276,6 +276,13 @@ class TestDynamicsChecks:
                      "fully_degenerate_x2"):
             dynamics_preset(name).check_regularity(grid)
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_regularity_check_reads_sigma_not_its_modulus(self, n):
+        # sigma1 = sin(x1): |sin| has kinks at k*pi whose second quotients
+        # grow like 2/dx; those of sin itself stay at most 1
+        grid = Grid2D(-5.0, 5.0, -5.0, 5.0, n, n)
+        assert dynamics_preset("sin_sigma").check_regularity(grid) <= 1.01
+
     def test_regularity_check_differentiates_along_x2(self):
         # sigma2 = sin(3 x2) is bounded by 1 but its x2 quotients are not
         dyn = DynamicsSpec(sigma1=lambda x1, x2: np.ones_like(x1),
