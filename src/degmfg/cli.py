@@ -37,13 +37,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _apply_threads(n):
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _constant_path(m0: DensityField, dt: float, nt: int) -> DensityPath:
     return DensityPath(m0.grid, dt,
                        np.repeat(m0.values[None], nt, axis=0),
@@ -285,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="degmfg",
         description="Degenerate mean-field-game numerical laboratory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP thread counts")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -352,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.fn(args)
     except ConfigurationError as exc:

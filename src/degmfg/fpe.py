@@ -1,12 +1,15 @@
 """Forward-in-time conservative solver for the degenerate Fokker-Planck
 equation driven by a value path.
 
-Finite-volume form on trapezoidal cells (interior width dx, boundary dx/2)
-with zero boundary fluxes: discrete mass is a telescoping identity. The
-transport flux is upwinded per face from the face-averaged velocity, which
-preserves nonnegativity under the CFL condition. The implicit diffusion
-step is the W-weighted transposed solve of the HJB's implicit matrix
-(``hjb.implicit_diffusion``), which also keeps mass and nonnegativity.
+Each step is the W-adjoint (W the trapezoid cell weights) of the HJB step
+u^k = S^-1 (u^{k+1} - dt H(u^{k+1}) + dt F^k) linearized at u^{k+1}:
+the implicit diffusion is the W-weighted transposed solve of S = I - dt A
+(``hjb.implicit_diffusion``), the transport is W^-1 J^T W with J the
+derivative of the HJB's upwind flux (``hjb.upwind_slopes``). Both PDEs
+read one flux, one set of coefficients and one CFL rule: 1 - dt times the
+diagonal of J is the HJB step's monotonicity margin and the transport
+step's nonnegativity margin. Each face flux leaves one cell and enters
+its neighbour, so discrete mass is a telescoping identity.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityField, DensityPath, Grid2D, ValuePath
-from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion
-from .operators import degenerate_gradient
+from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion, upwind_slopes
 
 MASS_DRIFT_HARD = 1e-8
 CLAMP_FLOOR = -1e-12
@@ -48,33 +50,23 @@ def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matri
             @ sparse.diags(w)).tocsr()
 
 
-def _face_velocities(v1eff, v2eff):
-    """Advection velocity a = -v_eff averaged onto the x1 and x2 faces."""
-    a1 = -0.5 * (v1eff[1:, :] + v1eff[:-1, :])   # x1 faces, shape (n1-1, n2)
-    a2 = -0.5 * (v2eff[:, 1:] + v2eff[:, :-1])   # x2 faces, shape (n1, n2-1)
-    return a1, a2
+def flux_transpose(y: np.ndarray, p, grid: Grid2D, hg: np.ndarray) -> np.ndarray:
+    """J^T y for J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v.
 
-
-def _upwind_transport(m, v1eff, v2eff, grid, sabotage=False):
-    """Finite-volume update increment for + div(m v_eff) with upwind fluxes.
-
-    The PDE term is +div_G(m D_G u); characteristics move with velocity
-    -v_eff, so the upwind side is taken accordingly.
+    J is the derivative of ``hjb.numerical_hamiltonian`` with the active
+    parts p = (p1b, p1f, p2b, p2f) of ``hjb.upwind_slopes``. Each face
+    carries one flux, added to one neighbour and taken from the other, so
+    the entries of J^T y sum to zero.
     """
-    w1, w2 = grid.axis_widths()
-    w1, w2 = w1[:, None], w2[None, :]
-    a1, a2 = _face_velocities(v1eff, v2eff)
-    if sabotage:
-        flux1 = a1 * 0.5 * (m[1:, :] + m[:-1, :])
-        flux2 = a2 * 0.5 * (m[:, 1:] + m[:, :-1])
-    else:
-        flux1 = np.maximum(a1, 0.0) * m[:-1, :] + np.minimum(a1, 0.0) * m[1:, :]
-        flux2 = np.maximum(a2, 0.0) * m[:, :-1] + np.minimum(a2, 0.0) * m[:, 1:]
-    out = np.zeros_like(m)
-    out[:-1, :] -= flux1 / w1[:-1]
-    out[1:, :] += flux1 / w1[1:]
-    out[:, :-1] -= flux2 / w2[:, :-1]
-    out[:, 1:] += flux2 / w2[:, 1:]
+    p1b, p1f, p2b, p2f = p
+    out = np.zeros_like(y)
+    face1 = (y[1:] * p1b[1:] + y[:-1] * p1f[:-1]) / grid.dx1
+    out[1:] += face1
+    out[:-1] -= face1
+    yh = y * hg
+    face2 = (yh[:, 1:] * p2b[:, 1:] + yh[:, :-1] * p2f[:, :-1]) / grid.dx2
+    out[:, 1:] += face2
+    out[:, :-1] -= face2
     return out
 
 
@@ -91,34 +83,8 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     if report is None:
         report = FpeReport()
 
-    hg = dyn.h_grid(grid)
-    w1, w2 = grid.axis_widths()
-    w1, w2 = w1[:, None], w2[None, :]
-    # effective velocities: term is d1(m b1) + h d2(m b2) = div of (m b1, m h b2)
-    vel = []
-    cfl = 0.0
-    for k in range(cfg.nt):
-        b = degenerate_gradient(u_path.slice(k), dyn)
-        v1 = b.v1
-        v2 = hg * b.v2
-        vel.append((v1, v2))
-        # per-cell outflow coefficient of the explicit upwind step
-        a1, a2 = _face_velocities(v1, v2)
-        out = np.zeros(grid.shape)
-        out[:-1, :] += np.maximum(a1, 0.0)
-        out[1:, :] += np.maximum(-a1, 0.0)
-        out = out / w1
-        tmp = np.zeros(grid.shape)
-        tmp[:, :-1] += np.maximum(a2, 0.0)
-        tmp[:, 1:] += np.maximum(-a2, 0.0)
-        out += tmp / w2
-        cfl = max(cfl, dt * float(out.max()))
-    if cfl > 1.0 + 1e-12:
-        raise ConfigurationError(
-            "FPE transport CFL violated: max cell outflow coefficient %.4g > 1; "
-            "reduce dt or refine the value path" % cfl)
-
     _, solve = implicit_diffusion(grid, dyn, dt)
+    hg = dyn.h_grid(grid)
     w = grid.cell_weights()
     x1g, x2g = grid.meshgrid()
     sqnorm = x1g ** 2 + x2g ** 2
@@ -128,9 +94,20 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     report.min_density = float(m.min())
     report.second_moments = [m0.second_moment()]
     for k in range(cfg.nt - 1):
-        v1, v2 = vel[k]
-        star = m + dt * _upwind_transport(m, v1, v2, grid, sabotage=sabotage_upwind)
-        m_new = solve(star.ravel()).reshape(grid.shape)
+        # W-adjoint of the HJB step S^-1 (I - dt J) linearized at u^{k+1}
+        s = solve(m.ravel()).reshape(grid.shape)
+        _, (p1b, p1f, p2b, p2f) = upwind_slopes(u_path.values[k + 1], grid,
+                                                hg, cfg.flux)
+        cfl = dt * float(np.max((p1b - p1f) / grid.dx1
+                                + hg * (p2b - p2f) / grid.dx2))
+        if cfl > 1.0 + 1e-12:
+            raise ConfigurationError(
+                "FPE transport CFL violated: max cell outflow coefficient %.4g > 1; "
+                "reduce dt or refine the value path" % cfl)
+        if sabotage_upwind:
+            p1b = p1f = 0.5 * (p1b + p1f)
+            p2b = p2f = 0.5 * (p2b + p2f)
+        m_new = s - dt * flux_transpose(w * s, (p1b, p1f, p2b, p2f), grid, hg) / w
         pre_min = float(m_new.min())
         report.min_density = min(report.min_density, pre_min)
         mass = float(np.sum(w * m_new))

@@ -96,20 +96,34 @@ def _one_sided_slopes(u, dx, axis):
     return np.moveaxis(backward, 0, axis), np.moveaxis(forward, 0, axis)
 
 
-def numerical_hamiltonian(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec,
-                          flux: str) -> np.ndarray:
-    """Monotone flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
+def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray, flux: str):
+    """One-sided slopes of u and their active upwind parts.
+
+    Returns ((b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f)): the backward and
+    forward slopes along x1 and h-weighted along x2, and the parts
+    p_b = max(backward, 0) >= 0 >= p_f = min(forward, 0) that the flux
+    reads. Godunov keeps only the larger of the two, Engquist-Osher both.
+    The derivative of ``numerical_hamiltonian`` at u is then
+    J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v, and 1 - dt
+    times its diagonal is the monotonicity (CFL) margin of the step.
+    """
     b1, f1 = _one_sided_slopes(u, grid.dx1, axis=0)
     b2, f2 = _one_sided_slopes(u, grid.dx2, axis=1)
-    hg = dyn.h_grid(grid)
     q2m, q2p = hg * b2, hg * f2
+    p1b, p1f = np.maximum(b1, 0.0), np.minimum(f1, 0.0)
+    p2b, p2f = np.maximum(q2m, 0.0), np.minimum(q2p, 0.0)
     if flux == "godunov":
-        h1 = np.maximum(np.maximum(b1, 0.0) ** 2, np.minimum(f1, 0.0) ** 2)
-        h2 = np.maximum(np.maximum(q2m, 0.0) ** 2, np.minimum(q2p, 0.0) ** 2)
-    else:  # engquist_osher
-        h1 = np.maximum(b1, 0.0) ** 2 + np.minimum(f1, 0.0) ** 2
-        h2 = np.maximum(q2m, 0.0) ** 2 + np.minimum(q2p, 0.0) ** 2
-    return 0.5 * (h1 + h2)
+        back1, back2 = p1b >= -p1f, p2b >= -p2f
+        p1b, p1f = np.where(back1, p1b, 0.0), np.where(back1, 0.0, p1f)
+        p2b, p2f = np.where(back2, p2b, 0.0), np.where(back2, 0.0, p2f)
+    return (b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f)
+
+
+def numerical_hamiltonian(u: np.ndarray, grid: Grid2D, hg: np.ndarray,
+                          flux: str) -> np.ndarray:
+    """Monotone flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
+    (b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f) = upwind_slopes(u, grid, hg, flux)
+    return 0.5 * ((p1b * b1 + p1f * f1) + (p2b * q2m + p2f * q2p))
 
 
 def _lip_bound(values, grid):
@@ -151,10 +165,11 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     check_hjb_cfl(grid, dyn, cfg, lip)
 
     solve, _ = implicit_diffusion(grid, dyn, dt)
+    hg = dyn.h_grid(grid)
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):
-        ham = numerical_hamiltonian(u[k + 1], grid, dyn, cfg.flux)
+        ham = numerical_hamiltonian(u[k + 1], grid, hg, cfg.flux)
         rhs = u[k + 1] - dt * ham + dt * f_slices[k]
         u[k] = solve(rhs.ravel()).reshape(grid.shape)
         if not np.all(np.isfinite(u[k])):

@@ -1,12 +1,12 @@
 """Degenerate differential operators on grid fields.
 
 Interior nodes use centered differences, boundary nodes second-order
-one-sided differences. The x2 direction is weighted by h(x1) (gradient,
-divergence) or h^2(x1) (laplacian). The dual diffusion operator is
-discretized in flux-conservative form so that discrete mass is a
-structural invariant. The difference-quotient Lipschitz estimate lives here
-too, below both the HJB solver (its a-priori CFL bound) and the property
-suite.
+one-sided differences. The x2 direction is weighted by h(x1) (gradient)
+or h^2(x1) (laplacian). These are the pointwise operators of the residual
+check, the feedback and the property suite; the solvers' stencils live in
+``hjb`` (the FPE uses their W-adjoints). The difference-quotient Lipschitz
+estimate lives here too, below both the HJB solver (its a-priori CFL
+bound) and the property suite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import Grid2D, ScalarField, VectorField, DensityField
+from .grid import Grid2D, ScalarField, VectorField
 
 DEFAULT_BOUNDARY_FRAME = 0.1
 
@@ -42,35 +42,12 @@ def diff2(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Flux-form second derivative of g with zero boundary fluxes.
-
-    Interior nodes own cells of width dx, boundary nodes dx/2; the weighted
-    sum of the output telescopes to the (zero) boundary fluxes, so discrete
-    mass of dx^2-integrable inputs is conserved exactly.
-    """
-    g = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
-    flux = (g[1:] - g[:-1]) / dx  # flux at interior faces
-    out = np.empty_like(g)
-    out[1:-1] = (flux[1:] - flux[:-1]) / dx
-    out[0] = flux[0] / (0.5 * dx)
-    out[-1] = -flux[-1] / (0.5 * dx)
-    return np.moveaxis(out, 0, axis)
-
-
 def degenerate_gradient(u: ScalarField, dyn: DynamicsSpec) -> VectorField:
     """(d/dx1 u, h(x1) d/dx2 u)."""
     grid = u.grid
     p1 = diff1(u.values, grid.dx1, axis=0)
     p2 = dyn.h_grid(grid) * diff1(u.values, grid.dx2, axis=1)
     return VectorField(grid, p1, p2)
-
-
-def degenerate_divergence(v: VectorField, dyn: DynamicsSpec) -> ScalarField:
-    """d/dx1 v1 + h(x1) d/dx2 v2."""
-    grid = v.grid
-    d = diff1(v.v1, grid.dx1, axis=0) + dyn.h_grid(grid) * diff1(v.v2, grid.dx2, axis=1)
-    return ScalarField(grid, d)
 
 
 def degenerate_laplacian(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
@@ -90,17 +67,6 @@ def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def apply_L_star(m: DensityField, dyn: DynamicsSpec) -> ScalarField:
-    """Dual diffusion operator in divergence form: (1/2) sum_i d^2(sigma_i^2 m)."""
-    grid = m.grid
-    x1g, x2g = grid.meshgrid()
-    out = 0.5 * conservative_diff2(dyn.sigma1_sq(x1g, x2g) * m.values,
-                                   grid.dx1, axis=0) \
-        + 0.5 * conservative_diff2(dyn.sigma2_sq(x1g, x2g) * m.values,
-                                   grid.dx2, axis=1)
-    return ScalarField(grid, out)
-
-
 def hamiltonian(p: VectorField) -> ScalarField:
     """Pointwise (1/2)|p|^2."""
     return ScalarField(p.grid, 0.5 * (p.v1 ** 2 + p.v2 ** 2))
@@ -110,29 +76,6 @@ def optimal_feedback(u: ScalarField, dyn: DynamicsSpec) -> VectorField:
     """Minimizer of the conjugate Hamiltonian: minus the degenerate gradient."""
     p = degenerate_gradient(u, dyn)
     return VectorField(u.grid, -p.v1, -p.v2)
-
-
-def duality_defect(u: ScalarField, v: VectorField, dyn: DynamicsSpec):
-    """Discrete gradient/divergence duality test.
-
-    Returns (defect, correction) where
-        defect = <D_G u, v> + <u, div_G v>
-    with the trapezoidal inner product, and correction is the discrete
-    commutator of h with the x2 difference (h depends only on x1, so the
-    commutator image vanishes identically; it is computed, not assumed).
-    For fields vanishing near the boundary |defect - correction| is at
-    roundoff level.
-    """
-    grid = u.grid
-    w = grid.cell_weights()
-    p = degenerate_gradient(u, dyn)
-    div = degenerate_divergence(v, dyn)
-    defect = float(np.sum(w * (p.v1 * v.v1 + p.v2 * v.v2))
-                   + np.sum(w * u.values * div.values))
-    hg = dyn.h_grid(grid)
-    commutator = diff1(hg * v.v2, grid.dx2, axis=1) - hg * diff1(v.v2, grid.dx2, axis=1)
-    correction = float(np.sum(w * u.values * commutator))
-    return defect, correction
 
 
 def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:

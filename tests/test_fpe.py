@@ -7,11 +7,29 @@ from scipy.sparse.linalg import spsolve
 
 from degmfg.dynamics import DynamicsSpec, dynamics_preset
 from degmfg.errors import ConfigurationError
-from degmfg.fpe import FpeReport, assemble_dual_diffusion, solve_fpe_forward
+from degmfg.fpe import (FpeReport, assemble_dual_diffusion, flux_transpose,
+                        solve_fpe_forward)
 from degmfg.grid import (DensityField, Grid2D, ValuePath, truncated_gaussian,
                          uniform_density)
-from degmfg.hjb import HjbConfig, assemble_diffusion, implicit_diffusion
-from degmfg.operators import conservative_diff2
+from degmfg.hjb import (FLUXES, HjbConfig, assemble_diffusion,
+                        implicit_diffusion, numerical_hamiltonian,
+                        upwind_slopes)
+
+
+def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Flux-form second derivative of g with zero boundary fluxes.
+
+    Interior nodes own cells of width dx, boundary nodes dx/2; the weighted
+    sum of the output telescopes to the (zero) boundary fluxes, so discrete
+    mass of dx^2-integrable inputs is conserved exactly.
+    """
+    g = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    flux = (g[1:] - g[:-1]) / dx  # flux at interior faces
+    out = np.empty_like(g)
+    out[1:-1] = (flux[1:] - flux[:-1]) / dx
+    out[0] = flux[0] / (0.5 * dx)
+    out[-1] = -flux[-1] / (0.5 * dx)
+    return np.moveaxis(out, 0, axis)
 
 
 def _box(half, n):
@@ -200,6 +218,78 @@ class TestDualDiffusion:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _one_sided(v, dx, axis):
+    """(backward, forward) differences of v, zero past either end."""
+    d = np.diff(v, axis=axis) / dx
+    zero = np.zeros_like(np.take(v, [0], axis=axis))
+    return (np.concatenate([zero, d], axis=axis),
+            np.concatenate([d, zero], axis=axis))
+
+
+def _apply_j(v, p, grid, hg):
+    """J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v."""
+    p1b, p1f, p2b, p2f = p
+    b1, f1 = _one_sided(v, grid.dx1, axis=0)
+    b2, f2 = _one_sided(v, grid.dx2, axis=1)
+    return p1b * b1 + p1f * f1 + hg * (p2b * b2 + p2f * f2)
+
+
+class TestTransportDuality:
+    """The FPE transport is the W-adjoint of the HJB flux's derivative J."""
+
+    GRIDS = TestDualDiffusion.GRIDS
+    DT = 0.01
+
+    def _setup(self, preset, flux, grid, seed=5):
+        dyn = dynamics_preset(preset, epsilon=0.05)
+        hg = dyn.h_grid(grid)
+        rng = np.random.default_rng(seed)
+        u, m, v = rng.standard_normal((3,) + grid.shape)
+        # scale u so that dt times the diagonal of J is 1/2 at most
+        _, (p1b, p1f, p2b, p2f) = upwind_slopes(u, grid, hg, flux)
+        diag = np.max((p1b - p1f) / grid.dx1 + hg * (p2b - p2f) / grid.dx2)
+        u *= 0.5 / (self.DT * diag)
+        _, p = upwind_slopes(u, grid, hg, flux)
+        return dyn, hg, u, m, v, p
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("flux", FLUXES)
+    @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
+    def test_flux_and_its_adjoint(self, preset, flux, grid):
+        dyn, hg, u, m, v, p = self._setup(preset, flux, grid)
+        w = grid.cell_weights()
+        # the flux is (1/2) J(u) u: J is its derivative at u
+        ham = numerical_hamiltonian(u, grid, hg, flux)
+        assert np.abs(ham - 0.5 * _apply_j(u, p, grid, hg)).max() \
+            <= 1e-14 * np.abs(ham).max()
+        # <W^-1 J^T W m, v>_W == <m, J v>_W
+        jt = flux_transpose(w * m, p, grid, hg)
+        jv = _apply_j(v, p, grid, hg)
+        assert abs(np.sum(jt * v) - np.sum(w * m * jv)) \
+            <= 1e-13 * np.sum(np.abs(w * m * jv))
+        # J^T entries cancel: the transport keeps W-mass
+        assert abs(np.sum(jt)) <= 1e-13 * np.sum(np.abs(jt))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("flux", FLUXES)
+    @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
+    def test_step_is_adjoint_of_linearized_hjb_step(self, preset, flux, grid):
+        dyn, hg, u, m, v, p = self._setup(preset, flux, grid)
+        cfg = HjbConfig(T=self.DT, nt=2, flux=flux)
+        w = grid.cell_weights()
+        m0 = np.abs(m)
+        m0 /= np.sum(w * m0)
+        # the step reads u^{k+1}; u^0 must not matter
+        u_path = ValuePath(grid, cfg.dt, np.stack([-u, u]))
+        m1 = solve_fpe_forward(DensityField(grid, m0), u_path, dyn, cfg).values[1]
+        hjb_solve, _ = implicit_diffusion(grid, dyn, cfg.dt)
+        back = hjb_solve((v - cfg.dt * _apply_j(v, p, grid, hg)).ravel())
+        lhs = np.sum(w * m1 * v)
+        rhs = np.sum(w.ravel() * m0.ravel() * back)
+        assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(w * m1 * v))
+        assert abs(np.sum(w * m1) - 1.0) <= 1e-13
+
+
 class TestSecondMoment:
     def test_narrow_gaussian(self):
         grid = _box(2.0, 256)
@@ -233,6 +323,26 @@ class TestErrors:
             solve_fpe_forward(truncated_gaussian(grid, variance=0.2),
                               _linear_upath(grid, cfg, c1=20.0),
                               dynamics_preset("zero", epsilon=0.0), cfg)
+
+    @pytest.mark.parametrize("courant", (0.99, 1.01))
+    @pytest.mark.parametrize("axis", (1, 2))
+    def test_cfl_is_the_hjb_monotonicity_rule(self, courant, axis):
+        # u = c x_i moves mass towards x_i = -2; the boundary half cell obeys
+        # the same rule dt c / dx <= 1 as the interior and as the HJB step
+        grid = _box(2.0, 33)
+        cfg = HjbConfig(T=1.0, nt=17)
+        c = courant * grid.dx1 / cfg.dt
+        args = (truncated_gaussian(grid, variance=0.2),
+                _linear_upath(grid, cfg, **{"c%d" % axis: c}),
+                dynamics_preset("zero", epsilon=0.0), cfg)
+        if courant > 1.0:
+            with pytest.raises(ConfigurationError, match="FPE transport CFL"):
+                solve_fpe_forward(*args)
+            return
+        rep = FpeReport()
+        solve_fpe_forward(*args, report=rep)
+        assert rep.min_density >= 0.0
+        assert rep.mass_drift_max <= 1e-12
 
     def test_sup_norm_growth_bounded(self):
         # barrier-style bound: growth factor of ||m||_inf stays below e^{C T}
