@@ -8,6 +8,7 @@ CSV: x1, x2, mc_mean, mc_stderr, pde_value, abs_diff.
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from degmfg import sde
@@ -38,8 +39,7 @@ def main():
               (grid.n1 // 2, 3 * grid.n2 // 4)]
     ens_cfg = cfg.make_ensemble()
     if args.n:
-        ens_cfg = sde.EnsembleConfig(n_particles=args.n, seed=ens_cfg.seed,
-                                     dt_sde=ens_cfg.dt_sde)
+        ens_cfg = dataclasses.replace(ens_cfg, n_particles=args.n)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x1", "x2", "mc_mean", "mc_stderr", "pde_value",

@@ -153,19 +153,32 @@ def _cmd_sweep_eps(args) -> int:
     return EXIT_OK
 
 
+def _start_point(text: str, grid) -> tuple:
+    """The point 'x1,x2' given to --x0; it must lie in the grid's box."""
+    try:
+        x0 = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        x0 = ()
+    if len(x0) != 2:
+        raise ConfigurationError("--x0 must be 'x1,x2', got %r" % text)
+    if not (grid.x1_min <= x0[0] <= grid.x1_max
+            and grid.x2_min <= x0[1] <= grid.x2_max):
+        raise ConfigurationError(
+            "--x0=%s lies outside the box [%g, %g] x [%g, %g]"
+            % (text, grid.x1_min, grid.x1_max, grid.x2_min, grid.x2_max))
+    return x0
+
+
 def _cmd_mc_validate(args) -> int:
     cfg = load_config(args.config)
+    grid = cfg.make_grid()
+    x0 = _start_point(args.x0, grid)
     sol = _solve_mfg(cfg, None)
-    x0 = tuple(float(v) for v in args.x0.split(","))
-    if len(x0) != 2:
-        raise ConfigurationError("--x0 must be 'x1,x2'")
-    ens_cfg = sde.EnsembleConfig(
-        n_particles=args.n or cfg.mc.n_particles,
-        seed=args.seed if args.seed is not None else cfg.mc.seed,
-        dt_sde=cfg.mc.dt_sde)
+    ens_cfg = dataclasses.replace(
+        cfg.mc, n_particles=args.n or cfg.mc.n_particles,
+        seed=args.seed if args.seed is not None else cfg.mc.seed)
     est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
                        sol.m, sol.u, x0, args.t0, ens_cfg)
-    grid = sol.u.grid
     i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
     i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
     k = int(round(args.t0 / sol.u.dt))

@@ -89,8 +89,7 @@ def _path_residual(a: DensityPath, b: DensityPath, gd: GridDistance, idx):
 
 def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
                  cfg: HjbConfig, fp: FixedPointConfig,
-                 initial_path: DensityPath | None = None,
-                 distance: GridDistance | None = None) -> MfgSolution:
+                 initial_path: DensityPath | None = None) -> MfgSolution:
     """Damped Picard iteration m^{k+1} = (1-theta) m^k + theta psi(m^k).
 
     The initial guess is psi applied to the time-constant extension of m0
@@ -103,7 +102,7 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
         warnings.warn("coupling is not declared monotone; the fixed point "
                       "may not be unique", stacklevel=2)
     grid = m0.grid
-    gd = distance or GridDistance(grid)
+    gd = GridDistance(grid)
     idx = _check_indices(cfg.nt, fp.n_check_slices)
 
     if initial_path is None:

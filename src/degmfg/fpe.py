@@ -5,10 +5,10 @@ Each step is the W-adjoint (W the trapezoid cell weights) of the HJB step
 u^k = S^-1 (u^{k+1} - dt H(u^{k+1}) + dt F^k) linearized at u^{k+1}:
 the implicit diffusion is the W-weighted transposed solve of S = I - dt A
 (``hjb.implicit_diffusion``), the transport is W^-1 J^T W with J the
-derivative of the HJB's upwind flux (``hjb.upwind_slopes``). Both PDEs
-read one flux, one set of coefficients and one CFL rule: 1 - dt times the
-diagonal of J is the HJB step's monotonicity margin and the transport
-step's nonnegativity margin. Each face flux leaves one cell and enters
+derivative of the HJB's Godunov flux (``hjb.upwind_slopes``). Both PDEs
+read one set of slopes and one CFL rule: 1 - dt times the diagonal of J
+is the HJB step's monotonicity margin and the transport step's
+nonnegativity margin. Each face flux leaves one cell and enters
 its neighbour, so discrete mass is a telescoping identity.
 """
 
@@ -53,10 +53,11 @@ def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matri
 def flux_transpose(y: np.ndarray, p, grid: Grid2D, hg: np.ndarray) -> np.ndarray:
     """J^T y for J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v.
 
-    J is the derivative of ``hjb.numerical_hamiltonian`` with the active
-    parts p = (p1b, p1f, p2b, p2f) of ``hjb.upwind_slopes``. Each face
-    carries one flux, added to one neighbour and taken from the other, so
-    the entries of J^T y sum to zero.
+    J is the derivative of ``hjb.numerical_hamiltonian`` when
+    p = (p1b, p1f, p2b, p2f) holds the parts max(p_i, 0) and min(p_i, 0)
+    of the slopes of ``hjb.upwind_slopes``. Each face carries one flux,
+    added to one neighbour and taken from the other, so the entries of
+    J^T y sum to zero.
     """
     p1b, p1f, p2b, p2f = p
     out = np.zeros_like(y)
@@ -96,18 +97,19 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     for k in range(cfg.nt - 1):
         # W-adjoint of the HJB step S^-1 (I - dt J) linearized at u^{k+1}
         s = solve(m.ravel()).reshape(grid.shape)
-        _, (p1b, p1f, p2b, p2f) = upwind_slopes(u_path.values[k + 1], grid,
-                                                hg, cfg.flux)
-        cfl = dt * float(np.max((p1b - p1f) / grid.dx1
-                                + hg * (p2b - p2f) / grid.dx2))
+        p1, p2 = upwind_slopes(u_path.values[k + 1], grid, hg)
+        cfl = dt * float(np.max(np.abs(p1) / grid.dx1
+                                + hg * np.abs(p2) / grid.dx2))
         if cfl > 1.0 + 1e-12:
             raise ConfigurationError(
                 "FPE transport CFL violated: max cell outflow coefficient %.4g > 1; "
                 "reduce dt or refine the value path" % cfl)
         if sabotage_upwind:
-            p1b = p1f = 0.5 * (p1b + p1f)
-            p2b = p2f = 0.5 * (p2b + p2f)
-        m_new = s - dt * flux_transpose(w * s, (p1b, p1f, p2b, p2f), grid, hg) / w
+            parts = (0.5 * p1, 0.5 * p1, 0.5 * p2, 0.5 * p2)
+        else:
+            parts = (np.maximum(p1, 0.0), np.minimum(p1, 0.0),
+                     np.maximum(p2, 0.0), np.minimum(p2, 0.0))
+        m_new = s - dt * flux_transpose(w * s, parts, grid, hg) / w
         pre_min = float(m_new.min())
         report.min_density = min(report.min_density, pre_min)
         mass = float(np.sum(w * m_new))

@@ -2,8 +2,11 @@
 
 IMEX time stepping: the diffusion part (epsilon * Laplace + L) is implicit
 (unconditionally stable, uniformly in epsilon), the Hamiltonian is explicit
-through a monotone numerical flux. The x2 slope is multiplied by h(x1)
-*before* squaring, so transport in x2 switches off wherever h vanishes.
+through the Godunov flux, the one numerical flux: it is monotone under the
+CFL rule that ``check_hjb_cfl`` checks a priori, so the scheme converges to
+the viscosity solution (Barles & Souganidis). The x2 slope is multiplied by
+h(x1) *before* squaring, so transport in x2 switches off wherever h
+vanishes.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ from .grid import DensityPath, Grid2D, ScalarField, ValuePath
 from .operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
     lipschitz_estimate
 
-FLUXES = ("godunov", "engquist_osher")
-
 
 @dataclass(frozen=True)
 class HjbConfig:
     T: float
     nt: int
-    flux: str = "godunov"
 
     def __post_init__(self):
         problems = []
@@ -36,8 +36,6 @@ class HjbConfig:
             problems.append("time horizon T must be > 0")
         if self.nt < 2:
             problems.append("nt must be >= 2")
-        if self.flux not in FLUXES:
-            problems.append("flux must be one of %s" % (FLUXES,))
         if problems:
             raise ConfigurationError(problems)
 
@@ -96,34 +94,32 @@ def _one_sided_slopes(u, dx, axis):
     return np.moveaxis(backward, 0, axis), np.moveaxis(forward, 0, axis)
 
 
-def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray, flux: str):
-    """One-sided slopes of u and their active upwind parts.
+def _godunov(backward, forward):
+    """The larger active one-sided slope, signed; 0 where neither is active."""
+    pb, pf = np.maximum(backward, 0.0), np.minimum(forward, 0.0)
+    return np.where(pb >= -pf, pb, pf)
 
-    Returns ((b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f)): the backward and
-    forward slopes along x1 and h-weighted along x2, and the parts
-    p_b = max(backward, 0) >= 0 >= p_f = min(forward, 0) that the flux
-    reads. Godunov keeps only the larger of the two, Engquist-Osher both.
-    The derivative of ``numerical_hamiltonian`` at u is then
-    J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v, and 1 - dt
-    times its diagonal is the monotonicity (CFL) margin of the step.
+
+def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray):
+    """Signed Godunov slopes (p1, p2) of u, p2 weighted by h.
+
+    p > 0: the backward difference is active; p < 0: the forward one;
+    p = 0 at a local minimum. The derivative of ``numerical_hamiltonian``
+    at u is J v = p1+ D1- v + p1- D1+ v + h (p2+ D2- v + p2- D2+ v), with
+    p+ = max(p, 0) and p- = min(p, 0). One minus dt times its diagonal,
+    1 - dt (|p1|/dx1 + h |p2|/dx2), is the monotonicity (CFL) margin of
+    the step.
     """
     b1, f1 = _one_sided_slopes(u, grid.dx1, axis=0)
     b2, f2 = _one_sided_slopes(u, grid.dx2, axis=1)
-    q2m, q2p = hg * b2, hg * f2
-    p1b, p1f = np.maximum(b1, 0.0), np.minimum(f1, 0.0)
-    p2b, p2f = np.maximum(q2m, 0.0), np.minimum(q2p, 0.0)
-    if flux == "godunov":
-        back1, back2 = p1b >= -p1f, p2b >= -p2f
-        p1b, p1f = np.where(back1, p1b, 0.0), np.where(back1, 0.0, p1f)
-        p2b, p2f = np.where(back2, p2b, 0.0), np.where(back2, 0.0, p2f)
-    return (b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f)
+    return _godunov(b1, f1), _godunov(hg * b2, hg * f2)
 
 
-def numerical_hamiltonian(u: np.ndarray, grid: Grid2D, hg: np.ndarray,
-                          flux: str) -> np.ndarray:
-    """Monotone flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
-    (b1, f1, q2m, q2p), (p1b, p1f, p2b, p2f) = upwind_slopes(u, grid, hg, flux)
-    return 0.5 * ((p1b * b1 + p1f * f1) + (p2b * q2m + p2f * q2p))
+def numerical_hamiltonian(u: np.ndarray, grid: Grid2D,
+                          hg: np.ndarray) -> np.ndarray:
+    """Godunov flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
+    p1, p2 = upwind_slopes(u, grid, hg)
+    return 0.5 * (p1 * p1 + p2 * p2)
 
 
 def _lip_bound(values, grid):
@@ -169,7 +165,7 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):
-        ham = numerical_hamiltonian(u[k + 1], grid, hg, cfg.flux)
+        ham = numerical_hamiltonian(u[k + 1], grid, hg)
         rhs = u[k + 1] - dt * ham + dt * f_slices[k]
         u[k] = solve(rhs.ravel()).reshape(grid.shape)
         if not np.all(np.isfinite(u[k])):

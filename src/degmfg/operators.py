@@ -1,10 +1,10 @@
 """Degenerate differential operators on grid fields.
 
 Interior nodes use centered differences, boundary nodes second-order
-one-sided differences. The x2 direction is weighted by h(x1) (gradient)
-or h^2(x1) (laplacian). These are the pointwise operators of the residual
-check, the feedback and the property suite; the solvers' stencils live in
-``hjb`` (the FPE uses their W-adjoints). The difference-quotient Lipschitz
+one-sided differences. The x2 derivative of the gradient is weighted by
+h(x1). These are the pointwise operators of the residual check, the
+feedback and the property suite; the solvers' stencils live in ``hjb``
+(the FPE uses their W-adjoints). The difference-quotient Lipschitz
 estimate lives here too, below both the HJB solver (its a-priori CFL
 bound) and the property suite.
 """
@@ -50,14 +50,6 @@ def degenerate_gradient(u: ScalarField, dyn: DynamicsSpec) -> VectorField:
     return VectorField(grid, p1, p2)
 
 
-def degenerate_laplacian(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
-    """d^2/dx1^2 u + h^2(x1) d^2/dx2^2 u."""
-    grid = u.grid
-    lap = diff2(u.values, grid.dx1, axis=0) \
-        + dyn.h_grid(grid) ** 2 * diff2(u.values, grid.dx2, axis=1)
-    return ScalarField(grid, lap)
-
-
 def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
     """(1/2)(sigma1^2 d^2/dx1^2 + sigma2^2 d^2/dx2^2) u (diagonal sigma)."""
     grid = u.grid
@@ -70,12 +62,6 @@ def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
 def hamiltonian(p: VectorField) -> ScalarField:
     """Pointwise (1/2)|p|^2."""
     return ScalarField(p.grid, 0.5 * (p.v1 ** 2 + p.v2 ** 2))
-
-
-def optimal_feedback(u: ScalarField, dyn: DynamicsSpec) -> VectorField:
-    """Minimizer of the conjugate Hamiltonian: minus the degenerate gradient."""
-    p = degenerate_gradient(u, dyn)
-    return VectorField(u.grid, -p.v1, -p.v2)
 
 
 def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:

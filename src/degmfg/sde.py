@@ -32,7 +32,6 @@ class EnsembleConfig:
     n_particles: int = 10_000
     seed: int = 0
     dt_sde: float = 1e-2
-    store_every: int = 1  # keep every k-th time slice of positions
 
     def __post_init__(self):
         problems = []
@@ -40,8 +39,6 @@ class EnsembleConfig:
             problems.append("n_particles must be >= 1")
         if self.dt_sde <= 0:
             problems.append("dt_sde must be positive")
-        if self.store_every < 1:
-            problems.append("store_every must be >= 1")
         if problems:
             raise ConfigurationError(problems)
 
@@ -212,21 +209,17 @@ def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     """Euler-Maruyama under the optimal feedback; reflecting boundary.
 
     ``x0`` is either a single point (every particle starts there) or an
-    (n_particles, 2) array of initial positions.
+    (n_particles, 2) array of initial positions. The positions are kept at
+    every step, the start included.
     """
     n_steps = _step_count(u_path, x0, t0, cfg)
-    stored_idx = list(range(0, n_steps + 1, cfg.store_every))
-    if stored_idx[-1] != n_steps:
-        stored_idx.append(n_steps)
-    slot = {step: i for i, step in enumerate(stored_idx)}
-    positions = np.empty((len(stored_idx), cfg.n_particles, 2))
+    positions = np.empty((n_steps + 1, cfg.n_particles, 2))
 
     def store(lo, hi, step, t, x, a1, a2):
-        if step in slot:
-            positions[slot[step], lo:hi] = x
+        positions[step, lo:hi] = x
 
     positions[-1] = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, store)
-    times = t0 + cfg.dt_sde * np.asarray(stored_idx, dtype=float)
+    times = t0 + cfg.dt_sde * np.arange(n_steps + 1, dtype=float)
     return ParticleEnsemble(times=times, positions=positions,
                             seed=cfg.seed, dt_sde=cfg.dt_sde)
 
@@ -260,25 +253,20 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     return McEstimate(mean=mean, std_error=std_error, n=cfg.n_particles)
 
 
-def empirical_density(ens: ParticleEnsemble, grid: Grid2D,
-                      slice_index: int = -1,
-                      bandwidth: float | None = None) -> DensityField:
-    """Gaussian KDE of a stored particle slice, renormalized on the grid.
+def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
+    """Gaussian KDE of the final particle slice, renormalized on the grid.
 
-    Default bandwidth is Silverman's rule per axis. Returns a DensityField,
-    so the usual invariants (nonnegative, unit trapezoidal mass) hold.
+    The bandwidth is Silverman's rule per axis. Returns a DensityField, so
+    the usual invariants (nonnegative, unit trapezoidal mass) hold.
     """
-    pts = ens.positions[slice_index]
+    pts = ens.final()
     n = pts.shape[0]
     if n == 0:
         raise ConfigurationError("ensemble is empty")
-    if bandwidth is None:
-        # Silverman in 2D: h_i = sigma_i * n^(-1/6)
-        sig = np.std(pts, axis=0, ddof=1) if n > 1 else np.array([0.0, 0.0])
-        sig = np.maximum(sig, 1e-3 * min(grid.dx1, grid.dx2))
-        bw = sig * n ** (-1.0 / 6.0)
-    else:
-        bw = np.array([bandwidth, bandwidth], dtype=float)
+    # Silverman in 2D: h_i = sigma_i * n^(-1/6)
+    sig = np.std(pts, axis=0, ddof=1) if n > 1 else np.array([0.0, 0.0])
+    sig = np.maximum(sig, 1e-3 * min(grid.dx1, grid.dx2))
+    bw = sig * n ** (-1.0 / 6.0)
     x1g, x2g = grid.meshgrid()
     vals = np.zeros(grid.shape)
     # chunk over particles to bound memory
@@ -292,8 +280,8 @@ def empirical_density(ens: ParticleEnsemble, grid: Grid2D,
     return DensityField(grid, vals)
 
 
-def kde_bandwidth(ens: ParticleEnsemble, slice_index: int = -1) -> float:
+def kde_bandwidth(ens: ParticleEnsemble) -> float:
     """The Silverman bandwidth scale used by empirical_density (max axis)."""
-    pts = ens.positions[slice_index]
+    pts = ens.final()
     sig = np.std(pts, axis=0, ddof=1)
     return float(np.max(sig) * pts.shape[0] ** (-1.0 / 6.0))

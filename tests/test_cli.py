@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from degmfg import cli
 from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from degmfg.grid import default_grid, truncated_gaussian
@@ -38,6 +39,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"mystery\": 1}")
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+
+    def test_wrong_type_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mc": {"dt_sde": "abc"}}))
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+        assert "configuration error: mc: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, message", [
         ("0,1", "expected 3 fields"), ("0,1,abc", "'abc' is not a number")])
@@ -136,6 +143,21 @@ class TestSmallTools:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["pass"]
         assert summary["abs_diff"] == 0.0
+
+    @pytest.mark.parametrize("x0, message", [
+        ("a,0", "must be 'x1,x2'"),
+        ("6,0", "outside the box"),
+        ("-6,0", "outside the box")])
+    def test_mc_validate_rejects_bad_start_point(self, monkeypatch, capsys,
+                                                 x0, message):
+        # checked before the Picard solve; -6 would wrap to a node at +4.3
+        def no_solve(*args):
+            raise AssertionError("--x0 was not checked before the solve")
+
+        monkeypatch.setattr(cli, "_solve_mfg", no_solve)
+        assert main(["mc-validate", "--config", ZERO_CFG, "--x0=" + x0,
+                     "--n", "10"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_w1_exact_zero_for_identical_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "fpe")

@@ -70,13 +70,30 @@ class TestParseConfig:
         # the coupling and the ensemble own these rules; parsing reports both
         text = json.dumps({"coupling": {"name": "nonlocal_smooth",
                                         "params": {"delta": 0}},
-                           "mc": {"store_every": 0}})
+                           "mc": {"n_particles": 0}})
         with pytest.raises(ConfigurationError) as exc:
             parse_config(text)
         problems = exc.value.problems
         assert any(p.startswith("coupling:") and "delta" in p for p in problems)
-        assert any(p.startswith("mc:") and "store_every" in p
+        assert any(p.startswith("mc:") and "n_particles" in p
                    for p in problems)
+
+    @pytest.mark.parametrize("mc", [{"dt_sde": "abc"},
+                                    {"n_particles": 0, "dt_sde": 0.5}])
+    def test_invalid_section_skips_rules_that_read_it(self, mc):
+        # the dt_sde rule spans time and mc; it reads only sections that built
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(json.dumps({"mc": mc}))
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith("mc: ")
+
+    def test_removed_store_every_key_rejected(self):
+        # run directories written while mc.store_every existed carry it
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(json.dumps({"mc": {"store_every": 1}}))
+        assert exc.value.problems == [
+            "unknown key 'store_every' in section 'mc' "
+            "(known: ['dt_sde', 'n_particles', 'seed'])"]
 
     def test_one_problem_does_not_hide_another(self):
         text = json.dumps({"grid": {"n1": 2},

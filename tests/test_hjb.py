@@ -188,17 +188,6 @@ class TestSchemeProperties:
             solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
                                _const_coupling(), _frozen_path(grid, bad), cfg)
 
-    def test_engquist_osher_close_to_godunov(self):
-        grid = _box(3.0, 24)
-        cfg_g = HjbConfig(T=0.5, nt=32, flux="godunov")
-        cfg_e = HjbConfig(T=0.5, nt=32, flux="engquist_osher")
-        coup = builtin_coupling("nonlocal_smooth")
-        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
-        m_path = _frozen_path(grid, cfg_g)
-        ug = solve_hjb_backward(dyn, coup, m_path, cfg_g)
-        ue = solve_hjb_backward(dyn, coup, m_path, cfg_e)
-        assert np.abs(ug.values - ue.values).max() < 5e-2
-
 
 class TestPdeResidual:
     def test_constant_solution_zero_residual(self):
