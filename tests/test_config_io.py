@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from degmfg.config import RunConfig, load_config, parse_config, \
     serialize_config
 from degmfg.errors import ConfigurationError
+from degmfg.fixed_point import FixedPointConfig
 from degmfg.grid import DensityPath, Grid2D, ValuePath, default_grid, \
     truncated_gaussian
+from degmfg.hjb import HjbConfig
 from degmfg import io as dio
+from degmfg.sde import EnsembleConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -94,6 +98,34 @@ class TestParseConfig:
         assert exc.value.problems == [
             "unknown key 'store_every' in section 'mc' "
             "(known: ['dt_sde', 'n_particles', 'seed'])"]
+
+    @pytest.mark.parametrize("section, solver_class", [
+        ("grid", Grid2D), ("time", HjbConfig),
+        ("fixed_point", FixedPointConfig), ("mc", EnsembleConfig)])
+    def test_sections_are_the_solver_objects(self, section, solver_class):
+        cfg = parse_config("{}")
+        built = getattr(cfg, section)
+        assert type(built) is solver_class
+        assert built == getattr(RunConfig(), section)
+
+    @pytest.mark.parametrize("section, raw, problem", [
+        ("grid", {"n1": 2}, "grid: n1 >= 4 violated (got 2)"),
+        ("time", {"T": 0.0}, "time: time horizon T must be > 0"),
+        ("fixed_point", {"theta": 0.0},
+         "fixed_point: damping theta must lie in (0, 1]"),
+        ("mc", {"n_particles": 0}, "mc: n_particles must be >= 1")])
+    def test_section_checks_itself(self, section, raw, problem):
+        # the solver object's own rule, prefixed by the section name
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(json.dumps({section: raw}))
+        assert exc.value.problems == [problem]
+
+    def test_section_keys_replace_the_defaults(self):
+        cfg = parse_config(json.dumps({"mc": {"seed": 7},
+                                       "grid": {"n2": 16}}))
+        assert cfg.mc == replace(RunConfig().mc, seed=7)
+        assert cfg.mc.dt_sde == 0.015625
+        assert cfg.grid == Grid2D(-5.0, 5.0, -5.0, 5.0, 32, 16)
 
     def test_one_problem_does_not_hide_another(self):
         text = json.dumps({"grid": {"n1": 2},

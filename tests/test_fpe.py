@@ -343,6 +343,28 @@ class TestErrors:
         assert rep.min_density >= 0.0
         assert rep.mass_drift_max <= 1e-12
 
+    @pytest.mark.parametrize("courant", (0.99, 1.01))
+    @pytest.mark.parametrize("axis", (1, 2))
+    def test_cfl_counts_one_face_at_a_ridge(self, courant, axis):
+        # u = -c |x_i| sends mass away from x_i = 0 through both faces; the
+        # Godunov flux makes one active there, so the rule is dt c / dx <= 1
+        # (a flux that added both one-sided slopes would read 2 dt c / dx)
+        grid = _box(2.0, 33)
+        cfg = HjbConfig(T=1.0, nt=17)
+        c = courant * grid.dx1 / cfg.dt
+        ridge = -c * np.abs(grid.meshgrid()[axis - 1])
+        args = (truncated_gaussian(grid, variance=0.2),
+                ValuePath(grid, cfg.dt, np.repeat(ridge[None], cfg.nt, axis=0)),
+                dynamics_preset("zero", epsilon=0.0), cfg)
+        if courant > 1.0:
+            with pytest.raises(ConfigurationError, match="FPE transport CFL"):
+                solve_fpe_forward(*args)
+            return
+        rep = FpeReport()
+        solve_fpe_forward(*args, report=rep)
+        assert rep.min_density >= 0.0
+        assert rep.mass_drift_max <= 1e-12
+
     def test_sup_norm_growth_bounded(self):
         # barrier-style bound: growth factor of ||m||_inf stays below e^{C T}
         grid = _box(5.0, 32)

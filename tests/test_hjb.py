@@ -13,8 +13,8 @@ from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, uniform_density
-from degmfg.hjb import (HjbConfig, hopf_lax_oracle, pde_residual,
-                        solve_hjb_backward)
+from degmfg.hjb import (HjbConfig, hopf_lax_oracle, numerical_hamiltonian,
+                        pde_residual, solve_hjb_backward, upwind_slopes)
 
 
 def _zeros(x1, x2, m):
@@ -187,6 +187,66 @@ class TestSchemeProperties:
         with pytest.raises(ConfigurationError):
             solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
                                _const_coupling(), _frozen_path(grid, bad), cfg)
+
+
+class TestUpwindSlopes:
+    """Signs of the Godunov slopes: p > 0 where the backward difference is
+    active, p < 0 where the forward one is, p = 0 at a local minimum."""
+
+    C = 1.5
+
+    @staticmethod
+    def _setup(axis):
+        # 17 nodes on [-2, 2]: node 8 sits at 0; h varies along x1 and is
+        # positive, so the x2 slope must come out multiplied by it
+        grid = _box(2.0, 17)
+        x1g, x2g = grid.meshgrid()
+        return grid, (x1g, x2g)[axis - 1], 1.0 + x1g ** 2
+
+    @staticmethod
+    def _along(values, axis):
+        return np.moveaxis(values, axis - 1, 0)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("axis", (1, 2))
+    def test_linear_field(self, axis, sign):
+        grid, x, hg = self._setup(axis)
+        c = sign * self.C
+        p = upwind_slopes(c * x, grid, hg)
+        weight = np.ones(grid.shape) if axis == 1 else hg
+        expected = self._along(c * weight, axis).copy()
+        # the zero-slope extension makes the upwind end a flat minimum
+        expected[0 if sign > 0 else -1] = 0.0
+        np.testing.assert_allclose(self._along(p[axis - 1], axis), expected,
+                                   rtol=1e-12, atol=1e-12)
+        assert not np.any(p[2 - axis])
+
+    @pytest.mark.parametrize("axis", (1, 2))
+    def test_zero_at_a_local_minimum(self, axis):
+        grid, x, hg = self._setup(axis)
+        p = self._along(upwind_slopes(self.C * np.abs(x), grid, hg)[axis - 1],
+                        axis)
+        assert not np.any(p[8])
+        assert np.all(p[9:] > 0.0) and np.all(p[1:8] < 0.0)
+
+    @pytest.mark.parametrize("axis", (1, 2))
+    def test_one_side_active_at_a_ridge(self, axis):
+        # both one-sided slopes are active at the ridge; Godunov keeps one,
+        # so dt |p| / dx there is the Courant number of one face
+        grid, x, hg = self._setup(axis)
+        p = self._along(upwind_slopes(-self.C * np.abs(x), grid, hg)[axis - 1],
+                        axis)
+        weight = 1.0 if axis == 1 else self._along(hg, axis)[8]
+        np.testing.assert_allclose(p[8], self.C * weight, rtol=1e-12)
+
+    def test_hamiltonian_is_half_the_squared_slopes(self):
+        grid, _, hg = self._setup(1)
+        x1g, x2g = grid.meshgrid()
+        ham = numerical_hamiltonian(0.5 * x1g - 2.0 * x2g, grid, hg)
+        # the first x1 row and the last x2 column are flat minima
+        np.testing.assert_allclose(ham[1:, :-1],
+                                   0.5 * (0.25 + 4.0 * hg[1:, :-1] ** 2),
+                                   rtol=1e-12)
 
 
 class TestPdeResidual:
