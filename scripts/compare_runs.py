@@ -9,8 +9,10 @@ For every slice CSV under u/ and m/ prints whether the two files are
 byte-identical (sha256) and the maximum absolute difference of their
 values, then one line per field with the worst slice. If both runs have a
 summary.json with Picard ``iters`` and ``residuals``, those are compared
-too. Exits 0 when both runs hold the same slices on the same grid, 1
-otherwise.
+too. Then every value of summary.json and of run_summary.json (``timings``
+left out) is compared exactly: one line per value that differs and one
+line per file. Exits 0 when both runs hold the same slices on the same
+grid, 1 otherwise.
 """
 
 import argparse
@@ -76,6 +78,41 @@ def compare_picard(a, b):
     print(line)
 
 
+def _leaves(obj, path=""):
+    """(path, value) for every scalar of a JSON document."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], "%s.%s" % (path, key) if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, "%s[%d]" % (path, i))
+    else:
+        yield path, obj
+
+
+def compare_json(a, b, name, skip=()):
+    """Print the values of the JSON file ``name`` that differ between the
+    runs, keys in ``skip`` left out; repr equality, so nan equals nan."""
+    pa, pb = (os.path.join(r, name) for r in (a, b))
+    if not (os.path.exists(pa) and os.path.exists(pb)):
+        return
+    leaves = []
+    for path in (pa, pb):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        leaves.append({k: repr(v) for k, v in _leaves(
+            {k: v for k, v in doc.items() if k not in skip})})
+    la, lb = leaves
+    differ = sorted(k for k in la.keys() | lb.keys() if la.get(k) != lb.get(k))
+    for key in differ:
+        print("%s %s: %s vs %s" % (name, key, la.get(key, "missing"),
+                                   lb.get(key, "missing")))
+    status = "%d values differ" % len(differ) if differ else "equal"
+    if skip:
+        status += " (%s left out)" % ", ".join(skip)
+    print("%s: %s" % (name, status))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("a", help="first run directory")
@@ -84,6 +121,8 @@ def main(argv=None):
     ok = all([compare_field(args.a, args.b, f) is not None
               for f in ("u", "m")])
     compare_picard(args.a, args.b)
+    compare_json(args.a, args.b, "summary.json")
+    compare_json(args.a, args.b, "run_summary.json", skip=("timings",))
     return 0 if ok else 1
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as dio
 from . import sde
-from .config import RunConfig, load_config, serialize_config
+from .config import RunConfig, load_config, parse_section, serialize_config
 from .errors import ConfigurationError, SolverError
 from .fixed_point import eps_sweep, picard_solve
 from .fpe import FpeReport, solve_fpe_forward
@@ -173,10 +173,13 @@ def _cmd_mc_validate(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.make_grid()
     x0 = _start_point(args.x0, grid)
-    sol = _solve_mfg(cfg, None)
     ens_cfg = dataclasses.replace(
-        cfg.mc, n_particles=args.n or cfg.mc.n_particles,
+        cfg.mc,
+        n_particles=args.n if args.n is not None else cfg.mc.n_particles,
         seed=args.seed if args.seed is not None else cfg.mc.seed)
+    hjb_cfg = cfg.make_hjb_config()
+    sde.step_count(hjb_cfg.T, hjb_cfg.dt, x0, args.t0, ens_cfg)
+    sol = _solve_mfg(cfg, None)
     est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
                        sol.m, sol.u, x0, args.t0, ens_cfg)
     i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
@@ -216,13 +219,8 @@ def _cmd_w1(args) -> int:
 def _cmd_verify(args) -> int:
     thresholds = None
     if args.tol_file:
-        raw = dio.read_json(args.tol_file)
-        known = {f.name for f in dataclasses.fields(VerifyThresholds)}
-        bad = sorted(set(raw) - known)
-        if bad:
-            raise ConfigurationError(["unknown threshold key %r" % k
-                                      for k in bad])
-        thresholds = VerifyThresholds(**raw)
+        thresholds = parse_section("tol-file", VerifyThresholds(),
+                                   dio.read_json(args.tol_file))
     from .verify import run_property_suite
     report = run_property_suite(args.run, thresholds)
     if args.out:

@@ -100,14 +100,34 @@ def _build(section: str, make, problems: list):
     return None
 
 
-def _parse_section(name: str, raw: dict, problems: list):
-    """The default section ``name`` with the known keys of ``raw`` replaced."""
-    default = getattr(_DEFAULT, name)
+# the JSON numbers a field takes, by the type of its default; a JSON true
+# or false is never a number
+_NUMBERS = {int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def _parse_section(name: str, default, raw, problems: list):
+    """``default`` with the keys of the JSON object ``raw`` replaced.
+
+    Records every problem, prefixed by ``name``, and returns the section,
+    or None if it did not build.
+    """
+    if not isinstance(raw, dict):
+        problems.append("section %r must be a JSON object" % name)
+        return None
     known = [f.name for f in fields(default)]
-    for key in raw:
+    typed = True
+    for key, value in raw.items():
         if key not in known:
             problems.append("unknown key %r in section %r (known: %s)"
                             % (key, name, sorted(known)))
+            continue
+        rule = _NUMBERS.get(type(getattr(default, key)))
+        if rule and (isinstance(value, bool) or not isinstance(value, rule[0])):
+            problems.append("%s: %s must be %s (got %r)"
+                            % (name, key, rule[1], value))
+            typed = False
+    if not typed:
+        return None
 
     def make():
         return replace(default, **{
@@ -115,6 +135,16 @@ def _parse_section(name: str, raw: dict, problems: list):
             for key, value in raw.items() if key in known})
 
     return _build(name, make, problems)
+
+
+def parse_section(name: str, default, raw):
+    """One section on its own (a file of verify thresholds, say): the
+    section, or ConfigurationError with every problem."""
+    problems = []
+    section = _parse_section(name, default, raw, problems)
+    if problems:
+        raise ConfigurationError(problems)
+    return section
 
 
 def _validate(cfg: RunConfig, failed: set) -> list:
@@ -160,11 +190,8 @@ def parse_config(text: str) -> RunConfig:
             else:
                 kwargs["output_dir"] = value
         elif key in _SECTIONS:
-            section = None
-            if not isinstance(value, dict):
-                problems.append("section %r must be a JSON object" % key)
-            else:
-                section = _parse_section(key, value, problems)
+            section = _parse_section(key, getattr(_DEFAULT, key), value,
+                                     problems)
             if section is None:
                 failed.add(key)
             else:

@@ -28,7 +28,6 @@ class CouplingSpec:
     F: Callable
     G: Callable
     monotone: bool
-    lipschitz_in_m: float
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -85,9 +84,7 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
         def G(x1g, x2g, m):
             return cg * smooth_measure(m, delta) + _bowl(x1g, x2g, g_amp, width)
 
-        lip = max(c1, cg) / max(delta, 1e-12)
-        return CouplingSpec(F=F, G=G, monotone=True, lipschitz_in_m=lip,
-                            name=name, params=params)
+        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
 
     if name == "local_power":
         c1 = float(params.setdefault("c1", 0.5))
@@ -108,8 +105,7 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
         def G(x1g, x2g, m):
             return _bowl(x1g, x2g, g_amp, width)
 
-        return CouplingSpec(F=F, G=G, monotone=True, lipschitz_in_m=c1,
-                            name=name, params=params)
+        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
 
     if name == "decoupled":
         f_amp = float(params.setdefault("f_amp", 0.0))
@@ -122,8 +118,7 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
         def G(x1g, x2g, m):
             return _bowl(x1g, x2g, g_amp, width)
 
-        return CouplingSpec(F=F, G=G, monotone=True, lipschitz_in_m=0.0,
-                            name=name, params=params)
+        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
 
     raise ConfigurationError(
         "unknown coupling %r (known: nonlocal_smooth, local_power, decoupled)" % name)

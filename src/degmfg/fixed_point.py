@@ -53,6 +53,8 @@ class FixedPointConfig:
             problems.append("eps_schedule must be strictly decreasing")
         if self.n_check_slices < 2:
             problems.append("n_check_slices must be >= 2")
+        if self.lp_check_points < 1:
+            problems.append("lp_check_points must be >= 1")
         if problems:
             raise ConfigurationError(problems)
 

@@ -83,8 +83,21 @@ class Grid2D:
         return np.outer(*self.axis_widths())
 
     def integrate(self, values: np.ndarray) -> float:
-        """Trapezoidal integral of a sampled function over the box."""
+        """Trapezoidal integral of a sampled function over the box; of a
+        density, its mass."""
         return float(np.sum(self.cell_weights() * values))
+
+    def second_moment(self, values: np.ndarray) -> float:
+        """Trapezoidal integral of |x|^2 times a density."""
+        sq = np.add.outer(self.x1 ** 2, self.x2 ** 2)
+        return float(np.sum(self.cell_weights() * values * sq))
+
+    def boundary_mass(self, values: np.ndarray) -> float:
+        """Mass of a density on the outermost node layer (truncation
+        diagnostic)."""
+        edge = np.ones(self.shape, dtype=bool)
+        edge[1:-1, 1:-1] = False
+        return float(np.sum((self.cell_weights() * values)[edge]))
 
     @property
     def diameter(self) -> float:
@@ -96,6 +109,31 @@ def _check_finite(values, what):
         raise ConfigurationError("%s contains non-finite values" % what)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def density_rule(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """The density invariants of one slice (n1, n2) or of each slice of a
+    stack (nt, n1, n2): no value below -1e-12 and, once clipped at 0, unit
+    trapezoid mass within 1e-8. Returns the clipped copy; raises on the
+    first slice that breaks a rule.
+    """
+    out = np.clip(values, 0.0, None)
+    stack = out.reshape((-1,) + grid.shape)
+    lows = values.reshape(stack.shape).min(axis=(1, 2))
+    for low, v in zip(lows, stack):
+        if low < -NEGATIVITY_TOL:
+            raise ConfigurationError(
+                "density has negativity %g below the -1e-12 tolerance" % low)
+        mass = grid.integrate(v)
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ConfigurationError(
+                "density mass %.12g differs from 1 beyond 1e-8" % mass)
+    return out
+
+
 @dataclass(frozen=True)
 class ScalarField:
     grid: Grid2D
@@ -105,71 +143,24 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ConfigurationError(
-                "field shape %s does not match grid %s" % (v.shape, self.grid.shape))
-        _check_finite(v, "ScalarField")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+                "%s shape %s does not match grid %s"
+                % (type(self).__name__, v.shape, self.grid.shape))
+        _check_finite(v, type(self).__name__)
+        object.__setattr__(self, "values", _read_only(self._admit(v)))
+
+    def _admit(self, v: np.ndarray) -> np.ndarray:
+        return v.copy()
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
-class VectorField:
-    grid: Grid2D
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v1", "v2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != self.grid.shape:
-                raise ConfigurationError(
-                    "component %s shape %s does not match grid" % (name, v.shape))
-            _check_finite(v, "VectorField.%s" % name)
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class DensityField:
+class DensityField(ScalarField):
     """Nonnegative unit-mass grid measure (density w.r.t. Lebesgue)."""
 
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ConfigurationError(
-                "density shape %s does not match grid %s" % (v.shape, self.grid.shape))
-        _check_finite(v, "DensityField")
-        if v.min() < -NEGATIVITY_TOL:
-            raise ConfigurationError(
-                "density has negativity %g below the -1e-12 tolerance" % v.min())
-        v = np.clip(v, 0.0, None)
-        mass = self.grid.integrate(v)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ConfigurationError(
-                "density mass %.12g differs from 1 beyond 1e-8" % mass)
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def mass(self) -> float:
-        return self.grid.integrate(self.values)
-
-    def second_moment(self) -> float:
-        x1g, x2g = self.grid.meshgrid()
-        return self.grid.integrate((x1g ** 2 + x2g ** 2) * self.values)
-
-    def boundary_mass(self) -> float:
-        """Mass carried by the outermost node layer (truncation diagnostic)."""
-        w = self.grid.cell_weights() * self.values
-        interior = w[1:-1, 1:-1].sum()
-        return float(w.sum() - interior)
+    def _admit(self, v: np.ndarray) -> np.ndarray:
+        return density_rule(self.grid, v)
 
 
 @dataclass(frozen=True)
@@ -197,14 +188,16 @@ class ValuePath:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        what = type(self).__name__
         if v.ndim != 3 or v.shape[1:] != self.grid.shape:
-            raise ConfigurationError("ValuePath values must be (nt, n1, n2)")
+            raise ConfigurationError("%s values must be (nt, n1, n2)" % what)
         if self.dt <= 0:
             raise ConfigurationError("dt must be positive")
-        _check_finite(v, "ValuePath")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _check_finite(v, what)
+        object.__setattr__(self, "values", _read_only(self._admit(v)))
+
+    def _admit(self, v: np.ndarray) -> np.ndarray:
+        return v.copy()
 
     @property
     def nt(self) -> int:
@@ -222,40 +215,18 @@ class ValuePath:
 
 
 @dataclass(frozen=True)
-class DensityPath:
-    """Time-stacked density m(., t_k); every slice is a valid DensityField."""
+class DensityPath(ValuePath):
+    """Time-stacked density m(., t_k); every slice obeys the density rule.
 
-    grid: Grid2D
-    dt: float
-    values: np.ndarray  # (nt, n1, n2)
+    ``validate_slices=False`` admits the values unchecked and unclipped
+    (paths built from valid densities, and the negative control that must
+    reach the property suite as it is).
+    """
+
     validate_slices: bool = field(default=True, compare=False)
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[1:] != self.grid.shape:
-            raise ConfigurationError("DensityPath values must be (nt, n1, n2)")
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        _check_finite(v, "DensityPath")
-        if self.validate_slices:
-            for k in range(v.shape[0]):
-                DensityField(self.grid, v[k])  # raises on violation
-            v = np.clip(v, 0.0, None)
-        else:
-            v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def nt(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * (self.nt - 1)
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt)
+    def _admit(self, v: np.ndarray) -> np.ndarray:
+        return density_rule(self.grid, v) if self.validate_slices else v.copy()
 
     def slice(self, k: int) -> DensityField:
         return DensityField(self.grid, self.values[k])

@@ -118,16 +118,14 @@ def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray):
 def numerical_hamiltonian(u: np.ndarray, grid: Grid2D,
                           hg: np.ndarray) -> np.ndarray:
     """Godunov flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
-    p1, p2 = upwind_slopes(u, grid, hg)
-    return 0.5 * (p1 * p1 + p2 * p2)
+    return hamiltonian(upwind_slopes(u, grid, hg))
 
 
 def _lip_bound(values, grid):
     return lipschitz_estimate(ScalarField(grid, values))
 
 
-def transport_speed_bound(grid: Grid2D, dyn: DynamicsSpec, g_vals, f_max_lip,
-                          T: float) -> float:
+def transport_speed_bound(grid: Grid2D, g_vals, f_max_lip, T: float) -> float:
     """A-priori slope bound: Lip(G) + T * Lip(F) (value-function estimate)."""
     return _lip_bound(g_vals, grid) + T * f_max_lip
 
@@ -157,7 +155,7 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
                          for k in range(cfg.nt)])
     g_vals = coupling.terminal_cost(m_path.slice(cfg.nt - 1)).values
     f_max_lip = max(_lip_bound(f_slices[k], grid) for k in range(cfg.nt))
-    lip = transport_speed_bound(grid, dyn, g_vals, f_max_lip, cfg.T)
+    lip = transport_speed_bound(grid, g_vals, f_max_lip, cfg.T)
     check_hjb_cfl(grid, dyn, cfg, lip)
 
     solve, _ = implicit_diffusion(grid, dyn, dt)
@@ -209,7 +207,7 @@ def pde_residual(u: ValuePath, dyn: DynamicsSpec, coupling: CouplingSpec,
         dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * u.dt)
         # epsilon multiplies the full (nondegenerate) Laplacian
         lap = diff2(u.values[k], grid.dx1, 0) + diff2(u.values[k], grid.dx2, 1)
-        ham = hamiltonian(degenerate_gradient(slice_k, dyn)).values
+        ham = hamiltonian(degenerate_gradient(slice_k, dyn))
         lu = apply_L(slice_k, dyn).values
         f_k = coupling.running_cost(m_path.slice(k)).values
         res = -dudt - dyn.epsilon * lap - lu + ham - f_k

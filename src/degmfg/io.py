@@ -143,7 +143,10 @@ def write_json(path, obj):
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError("%s is not valid JSON: %s" % (path, exc))
 
 
 def _write_path(dirname, grid, values_3d):

@@ -278,6 +278,9 @@ class GridDistance:
     """
 
     def __init__(self, grid, max_points=320):
+        if max_points < 1:
+            raise ConfigurationError(
+                "max_points must be >= 1 (got %d)" % max_points)
         self.grid = grid
         self.block = 1
         n = grid.n_nodes

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import Grid2D, ScalarField, VectorField
+from .grid import Grid2D, ScalarField
 
 DEFAULT_BOUNDARY_FRAME = 0.1
 
@@ -42,12 +42,12 @@ def diff2(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def degenerate_gradient(u: ScalarField, dyn: DynamicsSpec) -> VectorField:
-    """(d/dx1 u, h(x1) d/dx2 u)."""
+def degenerate_gradient(u: ScalarField, dyn: DynamicsSpec):
+    """The pair of arrays (d/dx1 u, h(x1) d/dx2 u)."""
     grid = u.grid
     p1 = diff1(u.values, grid.dx1, axis=0)
     p2 = dyn.h_grid(grid) * diff1(u.values, grid.dx2, axis=1)
-    return VectorField(grid, p1, p2)
+    return p1, p2
 
 
 def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
@@ -59,9 +59,18 @@ def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def hamiltonian(p: VectorField) -> ScalarField:
-    """Pointwise (1/2)|p|^2."""
-    return ScalarField(p.grid, 0.5 * (p.v1 ** 2 + p.v2 ** 2))
+def hamiltonian(p) -> np.ndarray:
+    """Pointwise (1/2)|p|^2 of a pair of arrays p = (p1, p2)."""
+    p1, p2 = p
+    return 0.5 * (p1 * p1 + p2 * p2)
+
+
+def check_boundary_frame(frame: float):
+    """A boundary frame, the fraction of each axis trimmed on each side,
+    lies in [0, 0.5)."""
+    if not 0.0 <= frame < 0.5:
+        raise ConfigurationError(
+            "boundary_frame must lie in [0, 0.5) (got %r)" % frame)
 
 
 def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:
@@ -70,8 +79,7 @@ def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> 
     ``frame`` is the fraction of each axis removed on each side; 0 is a
     no-op. Restriction can only shrink sup-type estimates.
     """
-    if not 0.0 <= frame < 0.5:
-        raise ConfigurationError("boundary frame must lie in [0, 0.5)")
+    check_boundary_frame(frame)
     g = u.grid
     k1 = int(round(frame * g.n1))
     k2 = int(round(frame * g.n2))

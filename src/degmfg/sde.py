@@ -37,6 +37,8 @@ class EnsembleConfig:
         problems = []
         if self.n_particles < 1:
             problems.append("n_particles must be >= 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.dt_sde <= 0:
             problems.append("dt_sde must be positive")
         if problems:
@@ -136,24 +138,25 @@ def sample_density(m: DensityField, n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _step_count(u_path: ValuePath, x0, t0: float, cfg: EnsembleConfig) -> int:
-    """Check the start of a simulation; return the number of SDE steps."""
-    if not 0.0 <= t0 < u_path.horizon:
+def step_count(T: float, dt: float, x0, t0: float, cfg: EnsembleConfig) -> int:
+    """Check the start of a simulation on a value path with horizon T and
+    mesh dt; return the number of SDE steps."""
+    if not 0.0 <= t0 < T:
         raise ConfigurationError("t0 must lie in [0, T)")
-    if cfg.dt_sde > u_path.dt + 1e-12:
+    if cfg.dt_sde > dt + 1e-12:
         raise ConfigurationError(
             "dt_sde=%g exceeds the value-path mesh dt=%g: the feedback "
-            "control would be stale" % (cfg.dt_sde, u_path.dt))
+            "control would be stale" % (cfg.dt_sde, dt))
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 2 and x0.shape != (cfg.n_particles, 2):
         raise ConfigurationError(
             "array x0 must have shape (n_particles, 2)")
-    n = (u_path.horizon - t0) / cfg.dt_sde
+    n = (T - t0) / cfg.dt_sde
     n_steps = int(round(n))
     if n_steps < 1 or abs(n - n_steps) > 1e-9:
         raise ConfigurationError(
             "dt_sde=%g must tile the interval [%g, %g] with a whole number "
-            "of steps" % (cfg.dt_sde, t0, u_path.horizon))
+            "of steps" % (cfg.dt_sde, t0, T))
     return n_steps
 
 
@@ -171,9 +174,9 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     a1_slices = np.empty((u_path.nt,) + grid.shape)
     a2_slices = np.empty_like(a1_slices)
     for k in range(u_path.nt):
-        g = degenerate_gradient(u_path.slice(k), dyn)
-        a1_slices[k] = -g.v1
-        a2_slices[k] = -g.v2
+        p1, p2 = degenerate_gradient(u_path.slice(k), dyn)
+        a1_slices[k] = -p1
+        a2_slices[k] = -p2
     alpha1 = _SlicedField(grid, u_path.dt, a1_slices)
     alpha2 = _SlicedField(grid, u_path.dt, a2_slices)
     sq_dt = math.sqrt(cfg.dt_sde)
@@ -212,7 +215,7 @@ def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     (n_particles, 2) array of initial positions. The positions are kept at
     every step, the start included.
     """
-    n_steps = _step_count(u_path, x0, t0, cfg)
+    n_steps = step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
     positions = np.empty((n_steps + 1, cfg.n_particles, 2))
 
     def store(lo, hi, step, t, x, a1, a2):
@@ -234,7 +237,7 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     """
     if m_path.grid != u_path.grid or m_path.nt != u_path.nt:
         raise ConfigurationError("m_path and u_path must share the mesh")
-    n_steps = _step_count(u_path, x0, t0, cfg)
+    n_steps = step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
     grid = u_path.grid
     f = _SlicedField(grid, u_path.dt, np.array(
         [coupling.running_cost(m_path.slice(k)).values

@@ -1,7 +1,7 @@
 """Named, runnable property checks on solved fields.
 
 Each estimator measures a regularity constant (spatial/temporal Lipschitz,
-directional semiconcavity, third differences, a.e. PDE residual) and the
+directional semiconcavity, a.e. PDE residual) and the
 suite aggregates them into a machine-readable pass/fail report against
 config-visible thresholds. Sup-type estimators exclude a boundary frame
 (default 10% of each axis) because artificial-boundary effects are not part
@@ -18,8 +18,8 @@ import numpy as np
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
 from .grid import DensityPath, Direction, Grid2D, ScalarField, ValuePath
-from .operators import DEFAULT_BOUNDARY_FRAME, interior_restrict, \
-    lipschitz_estimate
+from .operators import DEFAULT_BOUNDARY_FRAME, check_boundary_frame, \
+    interior_restrict, lipschitz_estimate
 
 AXES_AND_DIAGONALS = (
     Direction(1.0, 0.0),
@@ -90,7 +90,11 @@ def _interp_samples(u: ScalarField, eta: Direction, s: float):
 
 
 def _directional_stencils(u: ScalarField, eta: Direction):
-    """Yield (s, [five sample arrays]) for stencil scales j in {1, 2}."""
+    """Yield (s, [five sample arrays]) for stencil scales j in {1, 2}.
+
+    Semiconcavity reads the middle three samples; the five-point span
+    fixes the set of nodes it is evaluated at.
+    """
     lattice = _lattice_vector(eta, u.grid)
     for j in (1, 2):
         if lattice is not None:
@@ -113,21 +117,8 @@ def semiconcavity_estimate(u: ScalarField, eta: Direction,
     if boundary_frame > 0.0:
         u = interior_restrict(u, boundary_frame)
     best = -math.inf
-    for s, (m2, m1, c, p1, p2) in _directional_stencils(u, eta):
+    for s, (_, m1, c, p1, _) in _directional_stencils(u, eta):
         best = max(best, float(((p1 - 2.0 * c + m1) / s ** 2).max()))
-    return best
-
-
-def third_difference_estimate(u: ScalarField, eta: Direction,
-                              boundary_frame: float = 0.0) -> float:
-    """Max |third centered difference| along eta divided by s^3."""
-    if boundary_frame > 0.0:
-        u = interior_restrict(u, boundary_frame)
-    best = 0.0
-    for s, (m2, m1, c, p1, p2) in _directional_stencils(u, eta):
-        # u(x+2s) - 2u(x+s) + 2u(x-s) - u(x-2s) over 2 s^3
-        d3 = (p2 - 2.0 * p1 + 2.0 * m1 - m2) / (2.0 * s ** 3)
-        best = max(best, float(np.abs(d3).max()))
     return best
 
 
@@ -179,6 +170,9 @@ class VerifyThresholds:
     boundary_frame: float = DEFAULT_BOUNDARY_FRAME
     boundary_mass_budget: float = 1e-6
 
+    def __post_init__(self):
+        check_boundary_frame(self.boundary_frame)
+
 
 @dataclass
 class PropertyResult:
@@ -218,15 +212,13 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
         "positivity", min_density >= th.negativity_floor,
         min_density, th.negativity_floor))
 
-    w = m.grid.cell_weights()
-    masses = np.array([float(np.sum(w * m.values[k])) for k in range(m.nt)])
+    g = m.grid
+    masses = np.array([g.integrate(v) for v in m.values])
     drift = float(np.abs(masses - 1.0).max())
     results.append(PropertyResult(
         "mass_conservation", drift <= th.mass_drift_max, drift, th.mass_drift_max))
 
-    x1g, x2g = m.grid.meshgrid()
-    sq = x1g ** 2 + x2g ** 2
-    moments = np.array([float(np.sum(w * m.values[k] * sq)) for k in range(m.nt)])
+    moments = np.array([g.second_moment(v) for v in m.values])
     bound = th.second_moment_factor * (moments[0] + 1.0)
     results.append(PropertyResult(
         "second_moment_bound", float(moments.max()) <= bound,
@@ -256,20 +248,12 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
                 "ae_residual_fraction", False, 0.0,
                 th.residual_fraction_min, "not evaluable: %s" % exc))
 
-    bmass = max(float(np.sum((w * m.values[k])[_boundary_mask(m.grid)]))
-                for k in range(m.nt))
+    bmass = max(g.boundary_mass(v) for v in m.values)
     results.append(PropertyResult(
         "boundary_mass", bmass <= th.boundary_mass_budget,
         bmass, th.boundary_mass_budget, "max over time of mass on edge nodes"))
 
     return results
-
-
-def _boundary_mask(grid: Grid2D):
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[[0, -1], :] = True
-    mask[:, [0, -1]] = True
-    return mask
 
 
 def report_to_dict(results: list[PropertyResult]) -> dict:

@@ -159,6 +159,61 @@ class TestSmallTools:
                      "--n", "10"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--t0", "0.51"], "dt_sde=0.03125 must tile the interval [0.51, 1]"),
+        (["--t0", "1.0"], "t0 must lie in [0, T)"),
+        (["--t0", "-0.25"], "t0 must lie in [0, T)"),
+        (["--n", "0"], "n_particles must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0")])
+    def test_mc_validate_checks_arguments_before_the_solve(
+            self, monkeypatch, capsys, argv, message):
+        def no_solve(*args):
+            raise AssertionError("an argument was not checked before the solve")
+
+        monkeypatch.setattr(cli, "_solve_mfg", no_solve)
+        assert main(["mc-validate", "--config", ZERO_CFG, "--x0", "0,0"]
+                    + argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"time": {"nt": 33.0}}, {"fixed_point": {"n_check_slices": 3.5}},
+        {"fixed_point": {"lp_check_points": -1}}, {"mc": {"seed": -1}},
+        {"mc": {"n_particles": 100.0}}])
+    def test_bad_number_fails_at_parse(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(dio.read_json(ZERO_CFG), **config)))
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        section = next(iter(config))
+        assert ("configuration error: %s: " % section
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("tol, message", [
+        ({"lipschitz_max": "abc"},
+         "tol-file: lipschitz_max must be a number (got 'abc')"),
+        ([1], "section 'tol-file' must be a JSON object"),
+        ({"boundary_frame": 0.5},
+         "tol-file: boundary_frame must lie in [0, 0.5) (got 0.5)"),
+        ({"nonsense_key": 1.0}, "unknown key 'nonsense_key' in section "
+                                "'tol-file'"),
+        ('{"lipschitz_max": ', "is not valid JSON")])
+    def test_tol_file_checked_before_the_run_is_read(self, tmp_path, capsys,
+                                                     tol, message):
+        path = tmp_path / "tol.json"
+        path.write_text(tol if isinstance(tol, str) else json.dumps(tol))
+        assert main(["verify", "--run", str(tmp_path / "no_run"),
+                     "--tol-file", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_w1_rejects_nonpositive_max_points(self, tmp_path, capsys):
+        a = str(tmp_path / "a.csv")
+        grid = default_grid(n1=32, n2=32)
+        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
+        assert main(["w1", "--a", a, "--b", a,
+                     "--max-points", "-1"]) == EXIT_CONFIG
+        assert "max_points must be >= 1" in capsys.readouterr().err
+
     def test_w1_exact_zero_for_identical_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "fpe")
         assert main(["solve-fpe", "--config", ZERO_CFG,

@@ -64,3 +64,25 @@ def test_missing_slice_fails(two_runs, tmp_path):
     proc = _compare(a, short)
     assert proc.returncode == 1
     assert "u/: the runs hold different slices" in proc.stdout
+
+
+def test_run_summary_compared_except_timings(two_runs, tmp_path):
+    a, b = two_runs
+    # the two runs' timings differ; nothing else does
+    proc = _compare(a, b)
+    assert "run_summary.json: equal (timings left out)\n" in proc.stdout
+    assert "summary.json: equal\n" in proc.stdout
+    changed = str(tmp_path / "changed")
+    shutil.copytree(b, changed)
+    path = os.path.join(changed, "run_summary.json")
+    summary = dio.read_json(path)
+    summary["verify"]["properties"][0]["passed"] = False
+    summary["mc_validate"]["mc_stderr"] = 0.5
+    dio.write_json(path, summary)
+    proc = _compare(a, changed)
+    assert proc.returncode == 0, proc.stderr
+    assert ("run_summary.json verify.properties[0].passed: True vs False\n"
+            in proc.stdout)
+    assert "run_summary.json mc_validate.mc_stderr: 0.0 vs 0.5\n" in proc.stdout
+    assert ("run_summary.json: 2 values differ (timings left out)\n"
+            in proc.stdout)

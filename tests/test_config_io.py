@@ -113,12 +113,35 @@ class TestParseConfig:
         ("time", {"T": 0.0}, "time: time horizon T must be > 0"),
         ("fixed_point", {"theta": 0.0},
          "fixed_point: damping theta must lie in (0, 1]"),
-        ("mc", {"n_particles": 0}, "mc: n_particles must be >= 1")])
+        ("mc", {"n_particles": 0}, "mc: n_particles must be >= 1"),
+        ("fixed_point", {"lp_check_points": -1},
+         "fixed_point: lp_check_points must be >= 1"),
+        ("fixed_point", {"lp_check_points": 0},
+         "fixed_point: lp_check_points must be >= 1"),
+        ("mc", {"seed": -1}, "mc: seed must be >= 0"),
+        # a number field takes a JSON number of its default's type
+        ("time", {"nt": 33.0}, "time: nt must be an integer (got 33.0)"),
+        ("grid", {"n1": 32.0}, "grid: n1 must be an integer (got 32.0)"),
+        ("fixed_point", {"max_outer_iters": 2.5},
+         "fixed_point: max_outer_iters must be an integer (got 2.5)"),
+        ("fixed_point", {"n_check_slices": 3.5},
+         "fixed_point: n_check_slices must be an integer (got 3.5)"),
+        ("mc", {"n_particles": 100.0},
+         "mc: n_particles must be an integer (got 100.0)"),
+        ("mc", {"n_particles": True},
+         "mc: n_particles must be an integer (got True)"),
+        ("mc", {"seed": 1.5}, "mc: seed must be an integer (got 1.5)"),
+        ("mc", {"dt_sde": "abc"}, "mc: dt_sde must be a number (got 'abc')"),
+        ("time", {"T": False}, "time: T must be a number (got False)")])
     def test_section_checks_itself(self, section, raw, problem):
-        # the solver object's own rule, prefixed by the section name
+        # the section's own rule, prefixed by the section name
         with pytest.raises(ConfigurationError) as exc:
             parse_config(json.dumps({section: raw}))
         assert exc.value.problems == [problem]
+
+    def test_float_field_takes_an_int(self):
+        cfg = parse_config(json.dumps({"time": {"T": 2, "nt": 65}}))
+        assert cfg.time == HjbConfig(T=2.0, nt=65)
 
     def test_section_keys_replace_the_defaults(self):
         cfg = parse_config(json.dumps({"mc": {"seed": 7},

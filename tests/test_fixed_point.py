@@ -130,8 +130,7 @@ class TestCoupled:
         from degmfg.coupling import CouplingSpec
         coupling = CouplingSpec(F=lambda a, b, m: 0.0 * a,
                                 G=lambda a, b, m: 0.0 * a,
-                                monotone=False, lipschitz_in_m=0.0,
-                                name="nm")
+                                monotone=False, name="nm")
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         with pytest.warns(UserWarning):
             picard_solve(dyn, coupling, M0, HJB,

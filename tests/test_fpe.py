@@ -106,7 +106,7 @@ class TestHeatKernelOracle:
             exact = np.exp(-(x1g ** 2 + x2g ** 2) / (2.0 * v)) / (2.0 * np.pi * v)
             l1 = float(np.sum(w * np.abs(m.values[k] - exact)))
             assert l1 < 2e-2  # measured 5.6e-3 at 64^2
-        assert m.slice(m.nt - 1).boundary_mass() < 1e-6
+        assert grid.boundary_mass(m.values[-1]) < 1e-6
 
     def test_variance_growth_matches_moments(self):
         eps, s, v0 = 0.05, 0.5, 0.25
@@ -115,7 +115,7 @@ class TestHeatKernelOracle:
         m = solve_fpe_forward(truncated_gaussian(grid, variance=v0),
                               _zero_upath(grid, cfg),
                               dynamics_preset("grushin_exp", epsilon=eps), cfg)
-        got = m.slice(m.nt - 1).second_moment()
+        got = grid.second_moment(m.values[-1])
         expected = 2.0 * (v0 + (2.0 * eps + s ** 2) * cfg.T)
         assert abs(got - expected) < 0.05 * expected
 
@@ -293,17 +293,19 @@ class TestSecondMoment:
     def test_narrow_gaussian(self):
         grid = _box(2.0, 256)
         m = truncated_gaussian(grid, variance=1e-4)
-        assert abs(m.second_moment() - 2e-4) < 0.05 * 2e-4
+        assert abs(grid.second_moment(m.values) - 2e-4) < 0.05 * 2e-4
 
     def test_uniform_on_unit_box(self):
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 128, 128)
-        assert abs(uniform_density(grid).second_moment() - 2.0 / 3.0) < 1e-3
+        assert abs(grid.second_moment(uniform_density(grid).values)
+                   - 2.0 / 3.0) < 1e-3
 
     def test_parallel_axis_translation(self):
         grid = _box(5.0, 128)
         centered = truncated_gaussian(grid, variance=0.2)
         shifted = truncated_gaussian(grid, center=(1.0, 0.0), variance=0.2)
-        assert abs(shifted.second_moment() - centered.second_moment() - 1.0) < 1e-6
+        assert abs(grid.second_moment(shifted.values)
+                   - grid.second_moment(centered.values) - 1.0) < 1e-6
 
 
 class TestErrors:

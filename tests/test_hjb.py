@@ -25,7 +25,7 @@ def _const_coupling(f_val=0.0, g_val=0.0):
     return CouplingSpec(
         F=lambda x1, x2, m: np.full_like(x1, f_val),
         G=lambda x1, x2, m: np.full_like(x1, g_val),
-        monotone=True, lipschitz_in_m=0.0)
+        monotone=True)
 
 
 def _frozen_path(grid, cfg):
@@ -100,7 +100,7 @@ class TestHopfLaxOracle:
             return np.minimum((x1 - a) ** 2 + x2 ** 2,
                               (x1 + a) ** 2 + x2 ** 2) / 2.0
 
-        coup = CouplingSpec(F=_zeros, G=G, monotone=True, lipschitz_in_m=0.0)
+        coup = CouplingSpec(F=_zeros, G=G, monotone=True)
         dyn = dynamics_preset("zero", epsilon=0.0)
         n, nt = 64, 128
         grid = _box(3.0, n)
@@ -136,11 +136,11 @@ class TestSchemeProperties:
         def bump(x1, x2, m):
             return np.exp(-(x1 ** 2 + x2 ** 2))
 
-        lo = CouplingSpec(F=_zeros, G=bump, monotone=True, lipschitz_in_m=0.0)
+        lo = CouplingSpec(F=_zeros, G=bump, monotone=True)
         hi = CouplingSpec(
             F=lambda x1, x2, m: 0.3 * np.ones_like(x1),
             G=lambda x1, x2, m: bump(x1, x2, m) + 0.1 * x1 ** 2,
-            monotone=True, lipschitz_in_m=0.0)
+            monotone=True)
         u1 = solve_hjb_backward(dyn, lo, m_path, cfg)
         u2 = solve_hjb_backward(dyn, hi, m_path, cfg)
         assert (u1.values <= u2.values + 1e-8).all()
@@ -175,7 +175,7 @@ class TestSchemeProperties:
         cfg = HjbConfig(T=1.0, nt=5)
         coup = CouplingSpec(
             F=_zeros, G=lambda x1, x2, m: 10.0 * (x1 ** 2 + x2 ** 2),
-            monotone=True, lipschitz_in_m=0.0)
+            monotone=True)
         with pytest.raises(ConfigurationError):
             solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
                                coup, _frozen_path(grid, cfg), cfg)

@@ -242,6 +242,12 @@ class TestGridDistance:
         assert GridDistance(grid).block == 1
         assert abs(approx - exact) <= 1e-9
 
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_support_size_must_be_positive(self, max_points):
+        # -1 made the block search loop forever; 0 gave one point per slice
+        with pytest.raises(ConfigurationError, match="max_points must be >= 1"):
+            GridDistance(default_grid(n1=32, n2=32), max_points)
+
 
 class TestHolder:
     def test_static_path(self):

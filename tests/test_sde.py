@@ -24,7 +24,7 @@ def _const_m_path(grid, nt, T):
 def _zero_coupling(f_const=0.0, g_const=0.0):
     return CouplingSpec(F=lambda x1, x2, m: 0.0 * x1 + f_const,
                         G=lambda x1, x2, m: 0.0 * x1 + g_const,
-                        monotone=True, lipschitz_in_m=0.0, name="const")
+                        monotone=True, name="const")
 
 
 GRID = default_grid(n1=33, n2=33)
@@ -165,8 +165,7 @@ class TestMcValue:
             return 0.5 * (x1 ** 2 + x2 ** 2) / (1.0 + 0.25 * (x1 ** 2 + x2 ** 2))
 
         coupling = CouplingSpec(F=lambda a, b, m: 0.0 * a, G=g_fun,
-                                monotone=True, lipschitz_in_m=0.0,
-                                name="quad_sat")
+                                monotone=True, name="quad_sat")
         m0 = truncated_gaussian(grid)
         mp = DensityPath(grid, T / (nt - 1), np.tile(m0.values, (nt, 1, 1)))
         cfg_h = HjbConfig(T=T, nt=nt)
@@ -224,7 +223,7 @@ class TestMcValue:
         up = _const_u_path(GRID, NT, T)
         coupling = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
                                 G=lambda x1, x2, m: x1 + 0.0 * x2,
-                                monotone=True, lipschitz_in_m=0.0)
+                                monotone=True)
         cfg = sde.EnsembleConfig(n_particles=5000, seed=4, dt_sde=0.05)
         est = sde.mc_value(dyn, coupling, _const_m_path(GRID, NT, T), up,
                            (0.3, -0.2), 0.0, cfg)

@@ -15,7 +15,7 @@ from degmfg.hjb import HjbConfig, solve_hjb_backward
 from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
                            interior_restrict, lipschitz_estimate,
                            property_checks, report_to_dict,
-                           semiconcavity_estimate, third_difference_estimate,
+                           semiconcavity_estimate,
                            time_lipschitz_estimate, VerifyThresholds)
 
 DIAG = Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -78,18 +78,6 @@ class TestSemiconcavity:
         assert abs(semiconcavity_estimate(u, Direction(1.0, 0.0))) < 1e-12
 
 
-class TestThirdDifference:
-    def test_cubic_along_x1(self):
-        u = _field(_box(3.0, 64), lambda x1, x2: x1 ** 3)
-        est = third_difference_estimate(u, Direction(1.0, 0.0))
-        assert abs(est - 6.0) < 1e-9  # exact for a cubic on the lattice
-
-    def test_quadratic_is_zero(self):
-        u = _field(_box(3.0, 64), lambda x1, x2: x1 ** 2 + 0.5 * x2 ** 2)
-        for eta in AXES_AND_DIAGONALS:
-            assert third_difference_estimate(u, eta) < 1e-10
-
-
 class TestRestrictionMonotonicity:
     def test_estimates_never_increase_on_subbox(self):
         rng = np.random.default_rng(7)
@@ -102,8 +90,6 @@ class TestRestrictionMonotonicity:
             for eta in AXES_AND_DIAGONALS:
                 assert (semiconcavity_estimate(u, eta, frame)
                         <= semiconcavity_estimate(u, eta) + 1e-14)
-                assert (third_difference_estimate(u, eta, frame)
-                        <= third_difference_estimate(u, eta) + 1e-14)
 
     def test_frame_bounds_validated(self):
         u = _field(_box(3.0, 32), lambda x1, x2: x1)
@@ -118,7 +104,7 @@ class TestAeResidual:
         return CouplingSpec(
             F=lambda x1, x2, m: np.full_like(x1, f_val),
             G=lambda x1, x2, m: np.full_like(x1, g_val),
-            monotone=True, lipschitz_in_m=0.0)
+            monotone=True)
 
     def test_exact_constant_solution_fraction_one(self):
         grid = _box(3.0, 16)
@@ -209,7 +195,7 @@ class TestPropertySuite:
         coup = CouplingSpec(
             F=lambda a, b, mm: np.zeros_like(a),
             G=lambda a, b, mm: np.zeros_like(a),
-            monotone=True, lipschitz_in_m=0.0)
+            monotone=True)
         results = property_checks(u, m, dyn, coup)
         by_name = {r.name: r for r in results}
         assert not by_name["positivity"].passed
