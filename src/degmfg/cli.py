@@ -20,11 +20,11 @@ import numpy as np
 
 from . import io as dio
 from . import sde
-from .config import RunConfig, load_config, parse_section, serialize_config
+from .config import RunConfig, load_config, parse_section
 from .errors import ConfigurationError, SolverError
 from .fixed_point import eps_sweep, picard_solve
 from .fpe import FpeReport, solve_fpe_forward
-from .grid import DensityField, DensityPath, ValuePath
+from .grid import DensityField, DensityPath
 from .hjb import solve_hjb_backward
 from .measures import SINKHORN_REG_FACTOR, GridDistance, sinkhorn_points, \
     wasserstein1_points
@@ -68,7 +68,7 @@ def _cmd_solve_hjb(args) -> int:
     rep = ae_residual_report(u, dyn, coupling, m_path)
     summary = {
         "sup_norm": float(np.max(np.abs(u.values))),
-        "lipschitz_estimate": lipschitz_estimate(u.slice(0)),
+        "lipschitz_estimate": lipschitz_estimate(u.values[0], u.grid),
         "residual_median": rep.quantiles[0],
     }
     dio.save_run(out, cfg, u, m_path, summary)
@@ -169,6 +169,24 @@ def _start_point(text: str, grid) -> tuple:
     return x0
 
 
+def _mc_summary(cfg: RunConfig, sol, x0, t0: float, ens_cfg) -> dict:
+    """Monte Carlo estimate of u(x0, t0) against the PDE value at the node
+    nearest (x0, t0)."""
+    est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
+                       sol.m, sol.u, x0, t0, ens_cfg)
+    grid = sol.u.grid
+    i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
+    i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
+    pde_value = float(sol.u.values[int(round(t0 / sol.u.dt)), i1, i2])
+    return {
+        "mc_mean": est.mean,
+        "mc_stderr": est.std_error,
+        "pde_value": pde_value,
+        "abs_diff": abs(est.mean - pde_value),
+        "pass": est.agrees_with(pde_value),
+    }
+
+
 def _cmd_mc_validate(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.make_grid()
@@ -179,20 +197,7 @@ def _cmd_mc_validate(args) -> int:
         seed=args.seed if args.seed is not None else cfg.mc.seed)
     hjb_cfg = cfg.make_hjb_config()
     sde.step_count(hjb_cfg.T, hjb_cfg.dt, x0, args.t0, ens_cfg)
-    sol = _solve_mfg(cfg, None)
-    est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
-                       sol.m, sol.u, x0, args.t0, ens_cfg)
-    i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
-    i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
-    k = int(round(args.t0 / sol.u.dt))
-    pde_value = float(sol.u.values[k, i1, i2])
-    summary = {
-        "mc_mean": est.mean,
-        "mc_stderr": est.std_error,
-        "pde_value": pde_value,
-        "abs_diff": abs(est.mean - pde_value),
-        "pass": est.agrees_with(pde_value),
-    }
+    summary = _mc_summary(cfg, _solve_mfg(cfg, None), x0, args.t0, ens_cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         dio.write_json(os.path.join(args.out, "mc_validate.json"), summary)
@@ -252,17 +257,7 @@ def _cmd_run(args) -> int:
     t0 = time.monotonic()
     grid = sol.u.grid
     x0 = (grid.x1[grid.n1 // 2 + 2], grid.x2[grid.n2 // 2 - 2])
-    ens_cfg = cfg.make_ensemble()
-    est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(), sol.m, sol.u,
-                       x0, 0.0, ens_cfg)
-    pde_value = float(sol.u.values[0, grid.n1 // 2 + 2, grid.n2 // 2 - 2])
-    mc_summary = {
-        "mc_mean": est.mean,
-        "mc_stderr": est.std_error,
-        "pde_value": pde_value,
-        "abs_diff": abs(est.mean - pde_value),
-        "pass": est.agrees_with(pde_value),
-    }
+    mc_summary = _mc_summary(cfg, sol, x0, 0.0, cfg.make_ensemble())
     timings["mc_validate"] = time.monotonic() - t0
 
     t0 = time.monotonic()

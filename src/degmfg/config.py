@@ -164,10 +164,8 @@ def _validate(cfg: RunConfig, failed: set) -> list:
         # the HJB residual check differences three consecutive time slices
         if cfg.time.nt < 3:
             problems.append("time.nt must be >= 3")
-        # a coarser SDE step would use a stale feedback control
-        if "mc" not in failed and cfg.mc.dt_sde > cfg.time.dt + 1e-12:
-            problems.append("mc.dt_sde=%g exceeds the time mesh dt=%g"
-                            % (cfg.mc.dt_sde, cfg.time.dt))
+        if "mc" not in failed:
+            _build("mc", lambda: cfg.mc.check_step(cfg.time.dt), problems)
     return problems
 
 
@@ -217,6 +215,18 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
+def read_text(path) -> str:
+    """The text of an input file, or a ConfigurationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError("cannot read %s: %s"
+                                 % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError("%s: not a text file: %s"
+                                 % (path, exc)) from None
+
+
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))

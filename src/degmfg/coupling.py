@@ -14,15 +14,15 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError
-from .grid import DensityField, ScalarField
+from .grid import DensityField, DensityPath, ScalarField
 
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """F, G take (x1 grid, x2 grid, density values) and return an array.
+    """F, G take (x1 grid, x2 grid, density) and return an array.
 
-    The density argument is the raw value array of a DensityField on the
-    same grid; couplings must be usable on any grid.
+    F receives a validated DensityPath, G the terminal DensityField; both
+    read its ``grid`` and ``values``, so couplings work on any grid.
     """
 
     F: Callable
@@ -31,27 +31,35 @@ class CouplingSpec:
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
-    def running_cost(self, m: DensityField) -> ScalarField:
-        x1g, x2g = m.grid.meshgrid()
-        vals = np.broadcast_to(
-            np.asarray(self.F(x1g, x2g, m), dtype=float), m.grid.shape).copy()
-        return ScalarField(m.grid, vals)
+    def running_cost(self, m_path: DensityPath) -> np.ndarray:
+        """F on every slice of a density path, one (nt, n1, n2) array; the
+        density rule runs once over the stack of an unvalidated path."""
+        if not m_path.validate_slices:
+            m_path = DensityPath(m_path.grid, m_path.dt, m_path.values)
+        return _evaluate(self.F, m_path)
 
     def terminal_cost(self, m_T: DensityField) -> ScalarField:
-        x1g, x2g = m_T.grid.meshgrid()
-        vals = np.broadcast_to(
-            np.asarray(self.G(x1g, x2g, m_T), dtype=float), m_T.grid.shape).copy()
-        return ScalarField(m_T.grid, vals)
+        return ScalarField(m_T.grid, _evaluate(self.G, m_T))
 
 
-def smooth_measure(m: DensityField, delta: float) -> np.ndarray:
-    """Gaussian-kernel smoothing (K_delta * m)(x) on the grid of m.
+def _evaluate(cost: Callable, m) -> np.ndarray:
+    """``cost`` of the density ``m`` as a fresh array of its shape (a
+    broadcast or read-only result, m's own values say, is copied)."""
+    out = np.asarray(cost(*m.grid.meshgrid(), m), dtype=float)
+    if out.shape != m.values.shape or not out.flags.writeable:
+        out = np.broadcast_to(out, m.values.shape).copy()
+    return out
+
+
+def smooth_measure(m, delta: float) -> np.ndarray:
+    """Gaussian-kernel smoothing (K_delta * m)(x) of a DensityField, or of
+    every slice of a DensityPath in one filter call.
 
     Nonnegative kernel, so the map m -> K_delta * m is monotone.
     """
     grid = m.grid
-    return gaussian_filter(m.values, sigma=(delta / grid.dx1, delta / grid.dx2),
-                           mode="constant")
+    sigma = (0.0,) * (m.values.ndim - 2) + (delta / grid.dx1, delta / grid.dx2)
+    return gaussian_filter(m.values, sigma=sigma, mode="constant")
 
 
 def _bowl(x1g, x2g, amp, width):
@@ -78,13 +86,16 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
         if problems:
             raise ConfigurationError(problems)
 
-        def F(x1g, x2g, m):
-            return c1 * smooth_measure(m, delta) + _bowl(x1g, x2g, f_amp, width)
+        def smoothed(c, amp):
+            def cost(x1g, x2g, m):
+                out = smooth_measure(m, delta)  # c * (K * m) + bowl, in place
+                out *= c
+                out += _bowl(x1g, x2g, amp, width)
+                return out
+            return cost
 
-        def G(x1g, x2g, m):
-            return cg * smooth_measure(m, delta) + _bowl(x1g, x2g, g_amp, width)
-
-        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
+        return CouplingSpec(F=smoothed(c1, f_amp), G=smoothed(cg, g_amp),
+                            monotone=True, name=name, params=params)
 
     if name == "local_power":
         c1 = float(params.setdefault("c1", 0.5))

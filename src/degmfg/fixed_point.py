@@ -16,13 +16,13 @@ the coarsening, not the error of an approximate solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError
 from .fpe import solve_fpe_forward
 from .grid import DensityField, DensityPath, ValuePath
 from .hjb import HjbConfig, solve_hjb_backward

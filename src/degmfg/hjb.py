@@ -22,7 +22,7 @@ from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityPath, Grid2D, ScalarField, ValuePath
 from .operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
-    lipschitz_estimate
+    lipschitz_estimate, sup_norm
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,6 @@ def numerical_hamiltonian(u: np.ndarray, grid: Grid2D,
     return hamiltonian(upwind_slopes(u, grid, hg))
 
 
-def _lip_bound(values, grid):
-    return lipschitz_estimate(ScalarField(grid, values))
-
-
-def transport_speed_bound(grid: Grid2D, g_vals, f_max_lip, T: float) -> float:
-    """A-priori slope bound: Lip(G) + T * Lip(F) (value-function estimate)."""
-    return _lip_bound(g_vals, grid) + T * f_max_lip
-
-
 def check_hjb_cfl(grid: Grid2D, dyn: DynamicsSpec, cfg: HjbConfig,
                   lip_bound: float):
     """Transport CFL of the explicit Hamiltonian step (diffusion is implicit)."""
@@ -151,12 +142,11 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
             "measure path time mesh (nt=%d, dt=%g) does not match config "
             "(nt=%d, dt=%g)" % (m_path.nt, m_path.dt, cfg.nt, cfg.dt))
     dt = cfg.dt
-    f_slices = np.array([coupling.running_cost(m_path.slice(k)).values
-                         for k in range(cfg.nt)])
+    f = coupling.running_cost(m_path)
     g_vals = coupling.terminal_cost(m_path.slice(cfg.nt - 1)).values
-    f_max_lip = max(_lip_bound(f_slices[k], grid) for k in range(cfg.nt))
-    lip = transport_speed_bound(grid, g_vals, f_max_lip, cfg.T)
-    check_hjb_cfl(grid, dyn, cfg, lip)
+    # a-priori slope bound of the value function: Lip(G) + T * Lip(F)
+    check_hjb_cfl(grid, dyn, cfg, lipschitz_estimate(g_vals, grid)
+                  + cfg.T * lipschitz_estimate(f, grid))
 
     solve, _ = implicit_diffusion(grid, dyn, dt)
     hg = dyn.h_grid(grid)
@@ -164,13 +154,14 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):
         ham = numerical_hamiltonian(u[k + 1], grid, hg)
-        rhs = u[k + 1] - dt * ham + dt * f_slices[k]
+        rhs = u[k + 1] - dt * ham + dt * f[k]
         u[k] = solve(rhs.ravel()).reshape(grid.shape)
         if not np.all(np.isfinite(u[k])):
             raise SolverError("HJB backward step %d produced non-finite values" % k)
 
-    bound = np.abs(g_vals).max() + cfg.T * np.abs(f_slices).max() + 1e-6
-    sup = np.abs(u).max()
+    bound = sup_norm(g_vals) + cfg.T * sup_norm(f) + 1e-6
+    del f  # ValuePath copies u; two path-sized arrays at a time
+    sup = sup_norm(u)
     if sup > bound:
         raise SolverError(
             "maximum-principle bound violated: ||u||=%.6g > %.6g" % (sup, bound))
@@ -196,20 +187,20 @@ def hopf_lax_oracle(g_terminal: ScalarField, t: float, T: float) -> ScalarField:
 
 
 def pde_residual(u: ValuePath, dyn: DynamicsSpec, coupling: CouplingSpec,
-                 m_path: DensityPath) -> list[ScalarField]:
-    """Pointwise HJE residual at interior time slices (centered in time)."""
+                 m_path: DensityPath) -> np.ndarray:
+    """Pointwise HJE residual at the interior time slices 1..nt-2 (centered
+    in time), one (nt-2, n1, n2) array."""
     if u.nt < 3:
         raise ConfigurationError("pde_residual needs at least 3 time slices")
     grid = u.grid
-    out = []
-    for k in range(1, u.nt - 1):
-        slice_k = u.slice(k)
+    f = coupling.running_cost(m_path)
+    out = np.empty((u.nt - 2,) + grid.shape)
+    for k in range(1, u.nt - 1):  # slice by slice: slice-sized temporaries
+        v = u.values[k]
         dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * u.dt)
         # epsilon multiplies the full (nondegenerate) Laplacian
-        lap = diff2(u.values[k], grid.dx1, 0) + diff2(u.values[k], grid.dx2, 1)
-        ham = hamiltonian(degenerate_gradient(slice_k, dyn))
-        lu = apply_L(slice_k, dyn).values
-        f_k = coupling.running_cost(m_path.slice(k)).values
-        res = -dudt - dyn.epsilon * lap - lu + ham - f_k
-        out.append(ScalarField(grid, res))
+        lap = diff2(v, grid.dx1, -2) + diff2(v, grid.dx2, -1)
+        ham = hamiltonian(degenerate_gradient(v, grid, dyn))
+        out[k - 1] = (-dudt - dyn.epsilon * lap - apply_L(v, grid, dyn)
+                      + ham - f[k])
     return out

@@ -18,7 +18,8 @@ import os
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, parse_config, serialize_config
+from .config import RunConfig, config_to_dict, load_config, read_text, \
+    serialize_config
 from .errors import ConfigurationError
 from .grid import DensityPath, Grid2D, ValuePath
 
@@ -89,16 +90,11 @@ def read_field_csv(path):
     The grid is reconstructed from the coordinate columns; spacing must be
     uniform per axis, and every node must appear exactly once.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:  # \r\n reads as \n
-            header = fh.readline().rstrip("\n")
-            if header != _HEADER:
-                raise ConfigurationError("%s: expected header %s, got %r"
-                                         % (path, _HEADER, header))
-            rows = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError("%s: not a text file: %s"
-                                 % (path, exc)) from None
+    header, _, rest = read_text(path).partition("\n")  # \r\n reads as \n
+    if header != _HEADER:
+        raise ConfigurationError("%s: expected header %s, got %r"
+                                 % (path, _HEADER, header))
+    rows = rest.splitlines()
     if not rows:
         raise ConfigurationError("%s: no data rows" % path)
     arr = _parse_rows(path, rows)
@@ -142,11 +138,10 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError("%s is not valid JSON: %s" % (path, exc))
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError("%s is not valid JSON: %s" % (path, exc))
 
 
 def _write_path(dirname, grid, values_3d):
@@ -156,8 +151,12 @@ def _write_path(dirname, grid, values_3d):
 
 
 def _read_path(dirname):
-    names = sorted(n for n in os.listdir(dirname)
-                   if n.startswith("slice_") and n.endswith(".csv"))
+    try:
+        names = sorted(n for n in os.listdir(dirname)
+                       if n.startswith("slice_") and n.endswith(".csv"))
+    except OSError as exc:
+        raise ConfigurationError("cannot read %s: %s"
+                                 % (dirname, exc.strerror or exc)) from None
     if not names:
         raise ConfigurationError("%s: no slice CSVs found" % dirname)
     grid = None
@@ -191,11 +190,7 @@ def save_run(run_dir, cfg: RunConfig, u_path: ValuePath, m_path: DensityPath,
 
 def load_run(run_dir):
     """Read a run directory back: (u_path, m_path, dynamics, coupling)."""
-    cfg_path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(cfg_path):
-        raise ConfigurationError("%s: missing config.json" % run_dir)
-    with open(cfg_path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+    cfg = load_config(os.path.join(run_dir, "config.json"))
     summary = read_json(os.path.join(run_dir, "summary.json"))
     dt = float(summary["dt"])
     gu, uv = _read_path(os.path.join(run_dir, "u"))

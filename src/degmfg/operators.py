@@ -1,12 +1,13 @@
-"""Degenerate differential operators on grid fields.
+"""Degenerate differential operators on the trailing (n1, n2) axes of an
+array, so that one call serves a slice or a whole (nt, n1, n2) path.
 
 Interior nodes use centered differences, boundary nodes second-order
 one-sided differences. The x2 derivative of the gradient is weighted by
 h(x1). These are the pointwise operators of the residual check, the
 feedback and the property suite; the solvers' stencils live in ``hjb``
-(the FPE uses their W-adjoints). The difference-quotient Lipschitz
-estimate lives here too, below both the HJB solver (its a-priori CFL
-bound) and the property suite.
+(the FPE uses their W-adjoints). The boundary-frame rule and the
+difference-quotient Lipschitz estimate live here too, below both the HJB
+solver (its a-priori CFL bound) and the property suite.
 """
 
 from __future__ import annotations
@@ -42,21 +43,18 @@ def diff2(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def degenerate_gradient(u: ScalarField, dyn: DynamicsSpec):
+def degenerate_gradient(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec):
     """The pair of arrays (d/dx1 u, h(x1) d/dx2 u)."""
-    grid = u.grid
-    p1 = diff1(u.values, grid.dx1, axis=0)
-    p2 = dyn.h_grid(grid) * diff1(u.values, grid.dx2, axis=1)
-    return p1, p2
+    p2 = diff1(u, grid.dx2, axis=-1)
+    p2 *= dyn.h_grid(grid)
+    return diff1(u, grid.dx1, axis=-2), p2
 
 
-def apply_L(u: ScalarField, dyn: DynamicsSpec) -> ScalarField:
+def apply_L(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec) -> np.ndarray:
     """(1/2)(sigma1^2 d^2/dx1^2 + sigma2^2 d^2/dx2^2) u (diagonal sigma)."""
-    grid = u.grid
     x1g, x2g = grid.meshgrid()
-    out = 0.5 * dyn.sigma1_sq(x1g, x2g) * diff2(u.values, grid.dx1, axis=0) \
-        + 0.5 * dyn.sigma2_sq(x1g, x2g) * diff2(u.values, grid.dx2, axis=1)
-    return ScalarField(grid, out)
+    return 0.5 * dyn.sigma1_sq(x1g, x2g) * diff2(u, grid.dx1, axis=-2) \
+        + 0.5 * dyn.sigma2_sq(x1g, x2g) * diff2(u, grid.dx2, axis=-1)
 
 
 def hamiltonian(p) -> np.ndarray:
@@ -73,39 +71,45 @@ def check_boundary_frame(frame: float):
             "boundary_frame must lie in [0, 0.5) (got %r)" % frame)
 
 
+def interior_box(grid: Grid2D, frame: float):
+    """``(index, sub_grid)`` of the nodes left when a boundary frame, the
+    fraction ``frame`` of each axis on each side, is trimmed: ``index``
+    selects them on the trailing axes. At least 4 nodes per axis remain.
+    """
+    check_boundary_frame(frame)
+    k1 = int(round(frame * grid.n1))
+    k2 = int(round(frame * grid.n2))
+    if grid.n1 - 2 * k1 < 4 or grid.n2 - 2 * k2 < 4:
+        raise ConfigurationError("boundary frame leaves fewer than 4 nodes per axis")
+    rows, cols = slice(k1, grid.n1 - k1), slice(k2, grid.n2 - k2)
+    x1, x2 = grid.x1[rows], grid.x2[cols]
+    sub = Grid2D(x1[0], x1[-1], x2[0], x2[-1], len(x1), len(x2))
+    return (..., rows, cols), sub
+
+
 def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:
     """Restrict a field to the sub-box obtained by trimming a boundary frame.
 
-    ``frame`` is the fraction of each axis removed on each side; 0 is a
-    no-op. Restriction can only shrink sup-type estimates.
+    Restriction can only shrink sup-type estimates.
     """
-    check_boundary_frame(frame)
-    g = u.grid
-    k1 = int(round(frame * g.n1))
-    k2 = int(round(frame * g.n2))
-    if k1 == 0 and k2 == 0:
-        return u
-    if g.n1 - 2 * k1 < 4 or g.n2 - 2 * k2 < 4:
-        raise ConfigurationError("boundary frame leaves fewer than 4 nodes per axis")
-    x1 = g.x1[k1:g.n1 - k1]
-    x2 = g.x2[k2:g.n2 - k2]
-    sub = Grid2D(x1[0], x1[-1], x2[0], x2[-1], len(x1), len(x2))
-    return ScalarField(sub, u.values[k1:g.n1 - k1, k2:g.n2 - k2])
+    index, sub = interior_box(u.grid, frame)
+    return ScalarField(sub, u.values[index])
 
 
-def lipschitz_estimate(u: ScalarField, boundary_frame: float = 0.0) -> float:
-    """Max |u(x)-u(y)|/|x-y| over adjacent node pairs, axes and diagonals."""
-    if boundary_frame > 0.0:
-        u = interior_restrict(u, boundary_frame)
-    v = u.values
-    dx1, dx2 = u.grid.dx1, u.grid.dx2
-    ddiag = math.hypot(dx1, dx2)
-    best = 0.0
-    if v.shape[0] > 1:
-        best = max(best, float(np.abs(np.diff(v, axis=0)).max()) / dx1)
-    if v.shape[1] > 1:
-        best = max(best, float(np.abs(np.diff(v, axis=1)).max()) / dx2)
-    if v.shape[0] > 1 and v.shape[1] > 1:
-        best = max(best, float(np.abs(v[1:, 1:] - v[:-1, :-1]).max()) / ddiag)
-        best = max(best, float(np.abs(v[1:, :-1] - v[:-1, 1:]).max()) / ddiag)
-    return best
+def sup_norm(a: np.ndarray) -> float:
+    """max |a|, without an |a| temporary."""
+    return float(max(a.max(), -a.min()))
+
+
+def lipschitz_estimate(u: np.ndarray, grid: Grid2D,
+                       boundary_frame: float = 0.0) -> float:
+    """Max |u(x)-u(y)|/|x-y| over adjacent node pairs, axes and diagonals,
+    of one slice or of every slice of a path."""
+    index, sub = interior_box(grid, boundary_frame)
+    v = np.asarray(u)[index]
+    ddiag = math.hypot(sub.dx1, sub.dx2)
+    # one difference array is alive at a time
+    return max(sup_norm(np.diff(v, axis=-2)) / sub.dx1,
+               sup_norm(np.diff(v, axis=-1)) / sub.dx2,
+               sup_norm(v[..., 1:, 1:] - v[..., :-1, :-1]) / ddiag,
+               sup_norm(v[..., 1:, :-1] - v[..., :-1, 1:]) / ddiag)

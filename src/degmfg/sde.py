@@ -24,6 +24,7 @@ from .grid import DensityField, DensityPath, Grid2D, ValuePath
 from .operators import degenerate_gradient
 
 PARTICLE_BLOCK = 4096
+SEED_LIMIT = 2 ** 44  # a block's Philox key is seed * 2**20 + block, in 64 bits
 MC_SLACK = 0.05  # absolute slack of the Monte Carlo pass rule (discretization bias)
 
 
@@ -39,10 +40,19 @@ class EnsembleConfig:
             problems.append("n_particles must be >= 1")
         if self.seed < 0:
             problems.append("seed must be >= 0")
+        if self.seed >= SEED_LIMIT:
+            problems.append("seed must be < 2**44 (got %d)" % self.seed)
         if self.dt_sde <= 0:
             problems.append("dt_sde must be positive")
         if problems:
             raise ConfigurationError(problems)
+
+    def check_step(self, dt: float):
+        """The SDE step must not exceed the value-path mesh dt."""
+        if self.dt_sde > dt + 1e-12:
+            raise ConfigurationError(
+                "dt_sde=%g exceeds the value-path mesh dt=%g: the feedback "
+                "control would be stale" % (self.dt_sde, dt))
 
 
 @dataclass
@@ -143,10 +153,7 @@ def step_count(T: float, dt: float, x0, t0: float, cfg: EnsembleConfig) -> int:
     mesh dt; return the number of SDE steps."""
     if not 0.0 <= t0 < T:
         raise ConfigurationError("t0 must lie in [0, T)")
-    if cfg.dt_sde > dt + 1e-12:
-        raise ConfigurationError(
-            "dt_sde=%g exceeds the value-path mesh dt=%g: the feedback "
-            "control would be stale" % (cfg.dt_sde, dt))
+    cfg.check_step(dt)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 2 and x0.shape != (cfg.n_particles, 2):
         raise ConfigurationError(
@@ -171,14 +178,9 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     positions, shape (n_particles, 2).
     """
     grid = u_path.grid
-    a1_slices = np.empty((u_path.nt,) + grid.shape)
-    a2_slices = np.empty_like(a1_slices)
-    for k in range(u_path.nt):
-        p1, p2 = degenerate_gradient(u_path.slice(k), dyn)
-        a1_slices[k] = -p1
-        a2_slices[k] = -p2
-    alpha1 = _SlicedField(grid, u_path.dt, a1_slices)
-    alpha2 = _SlicedField(grid, u_path.dt, a2_slices)
+    # the feedback -(p1, p2), negated in place: two path-sized arrays
+    alpha1, alpha2 = (_SlicedField(grid, u_path.dt, np.negative(p, out=p))
+                      for p in degenerate_gradient(u_path.values, grid, dyn))
     sq_dt = math.sqrt(cfg.dt_sde)
     x0 = np.asarray(x0, dtype=float)
     final = np.empty((cfg.n_particles, 2))
@@ -239,9 +241,7 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
         raise ConfigurationError("m_path and u_path must share the mesh")
     n_steps = step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
     grid = u_path.grid
-    f = _SlicedField(grid, u_path.dt, np.array(
-        [coupling.running_cost(m_path.slice(k)).values
-         for k in range(m_path.nt)]))
+    f = _SlicedField(grid, u_path.dt, coupling.running_cost(m_path))
     g_vals = coupling.terminal_cost(m_path.slice(m_path.nt - 1)).values
     run = np.zeros(cfg.n_particles)
 

@@ -11,7 +11,7 @@ of the properties under test.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
 from .grid import DensityPath, Direction, Grid2D, ScalarField, ValuePath
 from .operators import DEFAULT_BOUNDARY_FRAME, check_boundary_frame, \
-    interior_restrict, lipschitz_estimate
+    interior_box, interior_restrict, lipschitz_estimate, sup_norm
 
 AXES_AND_DIAGONALS = (
     Direction(1.0, 0.0),
@@ -31,13 +31,8 @@ AXES_AND_DIAGONALS = (
 
 def time_lipschitz_estimate(u: ValuePath, boundary_frame: float = 0.0) -> float:
     """Max over nodes and adjacent time slices of |u_{k+1}-u_k|/dt."""
-    vals = u.values
-    if boundary_frame > 0.0:
-        g = u.grid
-        k1 = int(round(boundary_frame * g.n1))
-        k2 = int(round(boundary_frame * g.n2))
-        vals = vals[:, k1:g.n1 - k1 or None, k2:g.n2 - k2 or None]
-    return float(np.abs(np.diff(vals, axis=0)).max()) / u.dt
+    vals = u.values[interior_box(u.grid, boundary_frame)[0]]
+    return sup_norm(np.diff(vals, axis=0)) / u.dt
 
 
 def _lattice_vector(eta: Direction, grid: Grid2D):
@@ -143,11 +138,8 @@ def ae_residual_report(u: ValuePath, dyn: DynamicsSpec, coupling, m_path: Densit
     g = u.grid
     if tol is None:
         tol = 5.0 * (max(g.dx1, g.dx2) + u.dt)
-    slices = pde_residual(u, dyn, coupling, m_path)
-    vals = []
-    for r in slices:
-        vals.append(interior_restrict(r, boundary_frame).values.ravel())
-    allv = np.abs(np.concatenate(vals))
+    allv = np.abs(pde_residual(u, dyn, coupling, m_path)
+                  [interior_box(g, boundary_frame)[0]]).ravel()
     q = np.quantile(allv, [0.5, 0.9, 0.99])
     return ResidualReport(
         fraction_below_tol=float(np.mean(allv <= tol)),
@@ -190,7 +182,7 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
     frame = th.boundary_frame
     results = []
 
-    lip = max(lipschitz_estimate(u.slice(k), frame) for k in range(u.nt))
+    lip = lipschitz_estimate(u.values, u.grid, frame)
     results.append(PropertyResult(
         "spatial_lipschitz", lip <= th.lipschitz_max and math.isfinite(lip),
         lip, th.lipschitz_max, "max over time slices"))

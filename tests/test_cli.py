@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -54,6 +55,39 @@ class TestExitCodes:
         bad.write_text("x1,x2,value\n0,0,1\n%s\n1,0,3\n1,1,4\n" % row)
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hjb_run(tmp_path_factory):
+    """A finished solve-hjb run directory of the decoupled_zero config."""
+    out = str(tmp_path_factory.mktemp("hjb") / "run")
+    assert main(["solve-hjb", "--config", ZERO_CFG, "--out", out]) == EXIT_OK
+    return out
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("argv, missing", [
+        (["run", "--config", "{gone}"], "{gone}"),
+        (["verify", "--run", "{run}", "--tol-file", "{gone}"], "{gone}"),
+        (["solve-hjb", "--config", ZERO_CFG, "--m-path", "{gone}"], "{gone}"),
+        (["w1", "--a", "{gone}", "--b", "{gone}"], "{gone}"),
+        (["verify", "--run", "{run}"], "{run}/summary.json"),
+        (["verify", "--run", "{run}"], "{run}/u")])
+    def test_missing_input_is_exit_2(self, tmp_path, capsys, hjb_run,
+                                     argv, missing):
+        run = str(tmp_path / "run")
+        shutil.copytree(hjb_run, run)
+        gone = str(tmp_path / "no_such_file")
+        if missing == "{run}/summary.json":
+            os.remove(os.path.join(run, "summary.json"))
+        if missing == "{run}/u":
+            shutil.rmtree(os.path.join(run, "u"))
+        fill = {"gone": gone, "run": run}
+        argv = [a.format(**fill) for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("configuration error: cannot read %s: No such file or "
+                "directory" % missing.format(**fill)) in err
 
 
 class TestSolveAndVerify:
@@ -164,7 +198,8 @@ class TestSmallTools:
         (["--t0", "1.0"], "t0 must lie in [0, T)"),
         (["--t0", "-0.25"], "t0 must lie in [0, T)"),
         (["--n", "0"], "n_particles must be >= 1"),
-        (["--seed", "-1"], "seed must be >= 0")])
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--seed", "17592186044416"], "seed must be < 2**44")])
     def test_mc_validate_checks_arguments_before_the_solve(
             self, monkeypatch, capsys, argv, message):
         def no_solve(*args):
@@ -178,7 +213,7 @@ class TestSmallTools:
     @pytest.mark.parametrize("config", [
         {"time": {"nt": 33.0}}, {"fixed_point": {"n_check_slices": 3.5}},
         {"fixed_point": {"lp_check_points": -1}}, {"mc": {"seed": -1}},
-        {"mc": {"n_particles": 100.0}}])
+        {"mc": {"n_particles": 100.0}}, {"mc": {"seed": 17592186044416}}])
     def test_bad_number_fails_at_parse(self, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(dio.read_json(ZERO_CFG), **config)))

@@ -132,7 +132,9 @@ class TestParseConfig:
          "mc: n_particles must be an integer (got True)"),
         ("mc", {"seed": 1.5}, "mc: seed must be an integer (got 1.5)"),
         ("mc", {"dt_sde": "abc"}, "mc: dt_sde must be a number (got 'abc')"),
-        ("time", {"T": False}, "time: T must be a number (got False)")])
+        ("time", {"T": False}, "time: T must be a number (got False)"),
+        ("mc", {"seed": 2 ** 44},
+         "mc: seed must be < 2**44 (got 17592186044416)")])
     def test_section_checks_itself(self, section, raw, problem):
         # the section's own rule, prefixed by the section name
         with pytest.raises(ConfigurationError) as exc:
@@ -183,7 +185,14 @@ class TestParseConfig:
                            "mc": {"dt_sde": 0.5}})
         with pytest.raises(ConfigurationError) as exc:
             parse_config(text)
-        assert any("dt_sde" in p for p in exc.value.problems)
+        # the rule of EnsembleConfig.check_step, prefixed by its section
+        assert exc.value.problems == [
+            "mc: dt_sde=0.5 exceeds the value-path mesh dt=0.1: the "
+            "feedback control would be stale"]
+
+    def test_largest_seed_accepted(self):
+        assert parse_config(json.dumps(
+            {"mc": {"seed": 2 ** 44 - 1}})).mc.seed == 2 ** 44 - 1
 
 
 class TestFieldCsv:

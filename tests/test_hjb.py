@@ -15,6 +15,7 @@ from degmfg.errors import ConfigurationError
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, uniform_density
 from degmfg.hjb import (HjbConfig, hopf_lax_oracle, numerical_hamiltonian,
                         pde_residual, solve_hjb_backward, upwind_slopes)
+from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian
 
 
 def _zeros(x1, x2, m):
@@ -122,8 +123,7 @@ class TestSchemeProperties:
         u = solve_hjb_backward(dynamics_preset("grushin_exp", epsilon=0.05),
                                coup, m_path, cfg)
         g_sup = np.abs(coup.terminal_cost(m_path.slice(cfg.nt - 1)).values).max()
-        f_sup = max(np.abs(coup.running_cost(m_path.slice(k)).values).max()
-                    for k in range(cfg.nt))
+        f_sup = np.abs(coup.running_cost(m_path)).max()
         assert np.abs(u.values).max() <= g_sup + cfg.T * f_sup + 1e-6
 
     def test_comparison_monotonicity(self):
@@ -256,8 +256,8 @@ class TestPdeResidual:
         u = ValuePath(grid, cfg.dt, np.full((cfg.nt,) + grid.shape, 1.5))
         res = pde_residual(u, dynamics_preset("grushin_exp", epsilon=0.1),
                            _const_coupling(0.0, 1.5), _frozen_path(grid, cfg))
-        assert len(res) == cfg.nt - 2
-        assert max(np.abs(r.values).max() for r in res) < 1e-10
+        assert res.shape == (cfg.nt - 2,) + grid.shape
+        assert np.abs(res).max() < 1e-10
 
     def test_T_minus_t_zero_residual(self):
         grid = _box(3.0, 16)
@@ -268,7 +268,7 @@ class TestPdeResidual:
         u = ValuePath(grid, cfg.dt, vals)
         res = pde_residual(u, dynamics_preset("zero", epsilon=0.0),
                            _const_coupling(1.0, 0.0), _frozen_path(grid, cfg))
-        assert max(np.abs(r.values).max() for r in res) < 1e-10
+        assert np.abs(res).max() < 1e-10
 
     def test_median_residual_decreases_under_refinement(self):
         coup = builtin_coupling("nonlocal_smooth")
@@ -280,8 +280,34 @@ class TestPdeResidual:
             m_path = _frozen_path(grid, cfg)
             u = solve_hjb_backward(dyn, coup, m_path, cfg)
             res = pde_residual(u, dyn, coup, m_path)
-            medians.append(np.median(np.abs(np.stack([r.values for r in res]))))
+            medians.append(np.median(np.abs(res)))
         assert medians[1] < medians[0]
+
+    @pytest.mark.parametrize("n1, n2", [(32, 32), (17, 9)])
+    def test_equals_per_slice_reference(self, n1, n2):
+        # the residual of each interior slice, written out with F of that
+        # slice alone
+        grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
+        cfg = HjbConfig(T=1.0, nt=7)
+        dyn = dynamics_preset("grushin_exp", epsilon=0.1)
+        coup = builtin_coupling("nonlocal_smooth")
+        rng = np.random.default_rng(5)
+        u = ValuePath(grid, cfg.dt, rng.normal(size=(cfg.nt,) + grid.shape))
+        m = rng.uniform(0.5, 1.5, size=(cfg.nt,) + grid.shape)
+        m /= np.array([grid.integrate(v) for v in m])[:, None, None]
+        m_path = DensityPath(grid, cfg.dt, m)
+        res = pde_residual(u, dyn, coup, m_path)
+        assert res.shape == (cfg.nt - 2,) + grid.shape
+        x1g, x2g = grid.meshgrid()
+        for k in range(1, cfg.nt - 1):
+            v = u.values[k]
+            dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * cfg.dt)
+            lap = diff2(v, grid.dx1, 0) + diff2(v, grid.dx2, 1)
+            ham = hamiltonian(degenerate_gradient(v, grid, dyn))
+            f_k = coup.F(x1g, x2g, m_path.slice(k))
+            ref = (-dudt - dyn.epsilon * lap - apply_L(v, grid, dyn) + ham
+                   - f_k)
+            assert np.array_equal(res[k - 1], ref), k
 
     def test_too_few_slices_rejected(self):
         grid = _box(3.0, 16)

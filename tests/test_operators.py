@@ -5,7 +5,8 @@ from degmfg.dynamics import DynamicsSpec, dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import assemble_dual_diffusion
 from degmfg.grid import DensityField, Grid2D, ScalarField, truncated_gaussian
-from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian
+from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
+    lipschitz_estimate
 from test_fpe import conservative_diff2
 
 
@@ -33,8 +34,7 @@ class TestGradient:
     def test_linear_in_x1(self):
         grid = make_grid()
         x1g, x2g = grid.meshgrid()
-        p1, p2 = degenerate_gradient(ScalarField(grid, x1g),
-                                     dynamics_preset("grushin_exp"))
+        p1, p2 = degenerate_gradient(x1g, grid, dynamics_preset("grushin_exp"))
         np.testing.assert_allclose(p1, 1.0, atol=1e-12)
         np.testing.assert_allclose(p2, 0.0, atol=1e-12)
 
@@ -42,8 +42,7 @@ class TestGradient:
         # n1 odd so x1 = 0 is a node; h(0) = 0 there
         grid = make_grid(n1=33, n2=32)
         x1g, x2g = grid.meshgrid()
-        p1, p2 = degenerate_gradient(ScalarField(grid, x2g),
-                                     dynamics_preset("grushin_exp"))
+        p1, p2 = degenerate_gradient(x2g, grid, dynamics_preset("grushin_exp"))
         i0 = np.argmin(np.abs(grid.x1))
         assert grid.x1[i0] == 0.0
         np.testing.assert_allclose(p1[i0], 0.0, atol=1e-12)
@@ -52,7 +51,7 @@ class TestGradient:
     def test_h_one_full_gradient(self):
         grid = make_grid()
         x1g, x2g = grid.meshgrid()
-        p1, p2 = degenerate_gradient(ScalarField(grid, x1g + x2g), const_dyn())
+        p1, p2 = degenerate_gradient(x1g + x2g, grid, const_dyn())
         np.testing.assert_allclose(p1, 1.0, atol=1e-12)
         np.testing.assert_allclose(p2, 1.0, atol=1e-12)
 
@@ -60,8 +59,37 @@ class TestGradient:
         grid = make_grid()
         bad = np.zeros(grid.shape)
         bad[3, 3] = np.nan
+        # a field cannot hold a NaN, so no operator ever sees one
         with pytest.raises(ConfigurationError):
-            degenerate_gradient(ScalarField(grid, bad), const_dyn())
+            degenerate_gradient(ScalarField(grid, bad).values, grid, const_dyn())
+
+
+class TestPathEqualsSlices:
+    """On a (nt, n1, n2) path each operator gives its per-slice values."""
+
+    @staticmethod
+    def _path(grid, nt=5):
+        rng = np.random.default_rng(11)
+        return rng.normal(size=(nt,) + grid.shape).cumsum(axis=1).cumsum(axis=2)
+
+    @pytest.mark.parametrize("n1, n2", [(32, 32), (17, 9)])
+    def test_gradient_and_L(self, n1, n2):
+        grid = make_grid(n1, n2)
+        dyn = dynamics_preset("grushin_exp", epsilon=0.1)
+        path = self._path(grid)
+        p1, p2 = degenerate_gradient(path, grid, dyn)
+        lu = apply_L(path, grid, dyn)
+        for k in range(len(path)):
+            q1, q2 = degenerate_gradient(path[k], grid, dyn)
+            assert np.array_equal(p1[k], q1) and np.array_equal(p2[k], q2)
+            assert np.array_equal(lu[k], apply_L(path[k], grid, dyn))
+
+    @pytest.mark.parametrize("frame", [0.0, 0.2])
+    def test_lipschitz_is_the_max_over_slices(self, frame):
+        grid = make_grid(17, 9)
+        path = self._path(grid)
+        assert lipschitz_estimate(path, grid, frame) == max(
+            lipschitz_estimate(v, grid, frame) for v in path)
 
 
 class TestDiff2:
@@ -100,23 +128,23 @@ class TestL:
     def test_unit_sigma_quadratic(self):
         grid = make_grid()
         x1g, x2g = grid.meshgrid()
-        out = apply_L(ScalarField(grid, 0.5 * (x1g ** 2 + x2g ** 2)), const_dyn())
-        np.testing.assert_allclose(out.values, 1.0, atol=1e-10)
+        out = apply_L(0.5 * (x1g ** 2 + x2g ** 2), grid, const_dyn())
+        np.testing.assert_allclose(out, 1.0, atol=1e-10)
 
     def test_zero_sigma(self):
         grid = make_grid()
         x1g, x2g = grid.meshgrid()
-        out = apply_L(ScalarField(grid, np.sin(x1g * x2g)), const_dyn(0.0, 0.0))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+        out = apply_L(np.sin(x1g * x2g), grid, const_dyn(0.0, 0.0))
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_sin_sigma_vanishes_at_pi(self):
         grid = Grid2D(0.0, 2 * np.pi, -1.0, 1.0, 33, 16)
         x1g, x2g = grid.meshgrid()
         dyn = dynamics_preset("sin_sigma")
-        out = apply_L(ScalarField(grid, 0.5 * x1g ** 2), dyn)
+        out = apply_L(0.5 * x1g ** 2, grid, dyn)
         # sigma1 = sin(x1) vanishes at x1 = pi: 0.5 * sin(pi)^2 * 1 = 0
         i_pi = np.argmin(np.abs(grid.x1 - np.pi))
-        np.testing.assert_allclose(out.values[i_pi], 0.0, atol=1e-10)
+        np.testing.assert_allclose(out[i_pi], 0.0, atol=1e-10)
 
 
 class TestLStar:
@@ -125,10 +153,10 @@ class TestLStar:
         m = truncated_gaussian(grid, variance=0.4)
         dyn = const_dyn(0.7, 1.3)
         lstar = apply_L_star(m, dyn)
-        lu = apply_L(ScalarField(grid, m.values), dyn)
+        lu = apply_L(m.values, grid, dyn)
         # flux form and centered form agree away from the boundary closure
         np.testing.assert_allclose(lstar.values[1:-1, 1:-1],
-                                   lu.values[1:-1, 1:-1], atol=1e-10)
+                                   lu[1:-1, 1:-1], atol=1e-10)
 
     def test_constant_density_unit_sigma(self):
         grid = make_grid()
@@ -165,7 +193,7 @@ class TestLStar:
         mvals /= grid.integrate(mvals)
         m = DensityField(grid, mvals)
         w = grid.cell_weights()
-        lhs = np.sum(w * apply_L(ScalarField(grid, u), dyn).values * m.values)
+        lhs = np.sum(w * apply_L(u, grid, dyn) * m.values)
         rhs = np.sum(w * u * apply_L_star(m, dyn).values)
         assert abs(lhs - rhs) < 1e-8
 

@@ -9,6 +9,7 @@ from degmfg.errors import ConfigurationError
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, \
     default_grid, truncated_gaussian
 from degmfg.hjb import HjbConfig, hopf_lax_oracle, solve_hjb_backward
+from degmfg.operators import degenerate_gradient
 from degmfg import sde
 
 
@@ -125,6 +126,34 @@ class TestSimulatePaths:
             sde.EnsembleConfig(n_particles=0)
         with pytest.raises(ConfigurationError):
             sde.EnsembleConfig(dt_sde=-0.1)
+
+    def test_feedback_equals_per_slice_gradient(self):
+        # the kernel's feedback is minus the degenerate gradient of each
+        # slice, linear in time between slices
+        grid = Grid2D(-3.0, 3.0, -2.0, 2.0, 17, 9)
+        rng = np.random.default_rng(2)
+        up = ValuePath(grid, 0.1, rng.normal(size=(11,) + grid.shape))
+        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
+        cfg = sde.EnsembleConfig(n_particles=50, seed=3, dt_sde=0.05)
+        seen = []
+        sde._euler_maruyama(dyn, up, (0.2, -0.1), 0.0, cfg, 20,
+                            lambda lo, hi, step, t, x, a1, a2:
+                            seen.append((t, x.copy(), a1, a2)))
+        slopes = [degenerate_gradient(v, grid, dyn) for v in up.values]
+        alpha1, alpha2 = (sde._SlicedField(grid, up.dt, -np.array(p))
+                          for p in zip(*slopes))
+        for t, x, a1, a2 in seen:
+            assert np.array_equal(a1, alpha1.at(x, t))
+            assert np.array_equal(a2, alpha2.at(x, t))
+
+    def test_seed_range(self):
+        # a block's Philox key is seed * 2**20 + block in 64 bits: 2**44
+        # would wrap onto seed 0's stream
+        sde.EnsembleConfig(seed=2 ** 44 - 1)
+        assert not np.array_equal(sde._block_normals(2 ** 44 - 1, 0, (3,)),
+                                  sde._block_normals(0, 0, (3,)))
+        with pytest.raises(ConfigurationError, match=r"seed must be < 2\*\*44"):
+            sde.EnsembleConfig(seed=2 ** 44)
 
 
 class TestMcValue:

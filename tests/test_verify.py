@@ -1,6 +1,7 @@
 """Property estimators: polynomial exactness, restriction monotonicity, suite."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,16 +34,16 @@ def _field(grid, fn):
 class TestLipschitz:
     def test_linear_3x1(self):
         u = _field(_box(3.0, 32), lambda x1, x2: 3.0 * x1)
-        assert abs(lipschitz_estimate(u) - 3.0) < 1e-12
+        assert abs(lipschitz_estimate(u.values, u.grid) - 3.0) < 1e-12
 
     def test_constant_is_zero(self):
         u = _field(_box(3.0, 32), lambda x1, x2: 0.0 * x1 + 7.0)
-        assert lipschitz_estimate(u) == 0.0
+        assert lipschitz_estimate(u.values, u.grid) == 0.0
 
     def test_diagonal_pairs_detected(self):
         # u = x1 + x2 has gradient norm sqrt(2), attained along the diagonal
         u = _field(_box(3.0, 32), lambda x1, x2: x1 + x2)
-        assert abs(lipschitz_estimate(u) - math.sqrt(2.0)) < 1e-12
+        assert abs(lipschitz_estimate(u.values, u.grid) - math.sqrt(2.0)) < 1e-12
 
 
 class TestTimeLipschitz:
@@ -86,7 +87,8 @@ class TestRestrictionMonotonicity:
         vals /= np.abs(vals).max()
         u = ScalarField(grid, vals)
         for frame in (0.1, 0.2):
-            assert lipschitz_estimate(u, frame) <= lipschitz_estimate(u) + 1e-14
+            assert (lipschitz_estimate(u.values, grid, frame)
+                    <= lipschitz_estimate(u.values, grid) + 1e-14)
             for eta in AXES_AND_DIAGONALS:
                 assert (semiconcavity_estimate(u, eta, frame)
                         <= semiconcavity_estimate(u, eta) + 1e-14)
@@ -97,6 +99,26 @@ class TestRestrictionMonotonicity:
             interior_restrict(u, 0.5)
         with pytest.raises(ConfigurationError):
             interior_restrict(u, 0.49)  # leaves fewer than 4 nodes
+
+    @pytest.mark.parametrize("frame, message", [
+        (0.5, "boundary_frame must lie in [0, 0.5) (got 0.5)"),
+        (-0.1, "boundary_frame must lie in [0, 0.5) (got -0.1)"),
+        (0.45, "boundary frame leaves fewer than 4 nodes per axis")])
+    def test_one_frame_rule_for_every_estimate(self, frame, message):
+        grid = _box(3.0, 8)
+        u = ValuePath(grid, 0.1, np.ones((5,) + grid.shape))
+        m = DensityPath(grid, 0.1, np.repeat(
+            uniform_density(grid).values[None], 5, axis=0))
+        zero = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
+                            G=lambda x1, x2, m: 0.0 * x1, monotone=True)
+        for estimate in (lambda: interior_restrict(u.slice(0), frame),
+                         lambda: lipschitz_estimate(u.values, grid, frame),
+                         lambda: time_lipschitz_estimate(u, frame),
+                         lambda: ae_residual_report(
+                             u, dynamics_preset("zero", epsilon=0.0), zero, m,
+                             boundary_frame=frame)):
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                estimate()
 
 
 class TestAeResidual:
