@@ -12,7 +12,8 @@ summary.json with Picard ``iters`` and ``residuals``, those are compared
 too. Then every value of summary.json and of run_summary.json (``timings``
 left out) is compared exactly: one line per value that differs and one
 line per file. Exits 0 when both runs hold the same slices on the same
-grid, 1 otherwise.
+grid, 1 otherwise (also, after one line naming it, when a run has no u/ or
+m/ directory).
 """
 
 import argparse
@@ -118,6 +119,11 @@ def main(argv=None):
     p.add_argument("a", help="first run directory")
     p.add_argument("b", help="second run directory")
     args = p.parse_args(argv)
+    for run in (args.a, args.b):
+        for f in ("u", "m"):
+            if not os.path.isdir(os.path.join(run, f)):
+                print("%s: no %s/ directory" % (run, f))
+                return 1
     ok = all([compare_field(args.a, args.b, f) is not None
               for f in ("u", "m")])
     compare_picard(args.a, args.b)

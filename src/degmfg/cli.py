@@ -38,9 +38,9 @@ EXIT_SOLVER = 3
 
 
 def _constant_path(m0: DensityField, dt: float, nt: int) -> DensityPath:
-    return DensityPath(m0.grid, dt,
-                       np.repeat(m0.values[None], nt, axis=0),
-                       validate_slices=False)
+    """m0 held constant in time, validated once here so that no consumer
+    re-runs the density rule on it."""
+    return DensityPath(m0.grid, dt, np.repeat(m0.values[None], nt, axis=0))
 
 
 def _load_m_path(args, cfg: RunConfig) -> DensityPath:

@@ -9,6 +9,7 @@ of width dx (interior) and dx/2 (boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,11 @@ MASS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform rectangular discretization of the truncated domain."""
+    """Uniform rectangular discretization of the truncated domain.
+
+    The node coordinates and the quadrature tables are computed once per
+    grid and are read-only.
+    """
 
     x1_min: float
     x1_max: float
@@ -50,13 +55,13 @@ class Grid2D:
     def dx2(self) -> float:
         return (self.x2_max - self.x2_min) / (self.n2 - 1)
 
-    @property
+    @cached_property
     def x1(self) -> np.ndarray:
-        return np.linspace(self.x1_min, self.x1_max, self.n1)
+        return _read_only(np.linspace(self.x1_min, self.x1_max, self.n1))
 
-    @property
+    @cached_property
     def x2(self) -> np.ndarray:
-        return np.linspace(self.x2_min, self.x2_max, self.n2)
+        return _read_only(np.linspace(self.x2_min, self.x2_max, self.n2))
 
     def meshgrid(self):
         """(X1, X2) arrays of shape (n1, n2), axis 0 is x1."""
@@ -78,26 +83,37 @@ class Grid2D:
         w2[[0, -1]] = 0.5 * self.dx2
         return w1, w2
 
+    @cached_property
+    def _cell_weights(self) -> np.ndarray:
+        return _read_only(np.outer(*self.axis_widths()))
+
+    @cached_property
+    def _square_radius(self) -> np.ndarray:
+        return _read_only(np.add.outer(self.x1 ** 2, self.x2 ** 2))
+
+    @cached_property
+    def _edge(self) -> np.ndarray:
+        edge = np.ones(self.shape, dtype=bool)
+        edge[1:-1, 1:-1] = False
+        return _read_only(edge)
+
     def cell_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights, shape (n1, n2)."""
-        return np.outer(*self.axis_widths())
+        """Trapezoidal quadrature weights, shape (n1, n2), read-only."""
+        return self._cell_weights
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal integral of a sampled function over the box; of a
         density, its mass."""
-        return float(np.sum(self.cell_weights() * values))
+        return float(np.sum(self._cell_weights * values))
 
     def second_moment(self, values: np.ndarray) -> float:
         """Trapezoidal integral of |x|^2 times a density."""
-        sq = np.add.outer(self.x1 ** 2, self.x2 ** 2)
-        return float(np.sum(self.cell_weights() * values * sq))
+        return float(np.sum(self._cell_weights * values * self._square_radius))
 
     def boundary_mass(self, values: np.ndarray) -> float:
         """Mass of a density on the outermost node layer (truncation
         diagnostic)."""
-        edge = np.ones(self.shape, dtype=bool)
-        edge[1:-1, 1:-1] = False
-        return float(np.sum((self.cell_weights() * values)[edge]))
+        return float(np.sum((self._cell_weights * values)[self._edge]))
 
     @property
     def diameter(self) -> float:

@@ -76,11 +76,18 @@ def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
     W^-1 (I - dt A)^T W m = r (W the trapezoid cell weights) by the transposed
     solve. A 1 = 0 gives <w, m> = <w, r>, and the inverse of the transposed
     M-matrix is nonnegative. Without diffusion both return their input.
+
+    The 5-point matrix is structurally symmetric, so the LU's columns are
+    ordered by minimum degree on A + A^T (George & Liu, SIAM Review 31,
+    1989) rather than SuperLU's default COLAMD: at 128^2 that halves the
+    fill (1.22M -> 0.66M nonzeros in L + U) and with it the cost of both
+    solves.
     """
     diff = assemble_diffusion(grid, dyn)
     if not abs(diff).sum() > 0:
         return (lambda r: r), (lambda r: r)
-    lu = splu(sparse.csc_matrix(sparse.identity(grid.n_nodes) - dt * diff))
+    lu = splu(sparse.csc_matrix(sparse.identity(grid.n_nodes) - dt * diff),
+              permc_spec="MMD_AT_PLUS_A")
     w = grid.cell_weights().ravel()
     return lu.solve, lambda r: lu.solve(w * r, trans="T") / w
 

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from degmfg import cli
+from degmfg import grid as dgrid
 from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from degmfg.grid import default_grid, truncated_gaussian
@@ -126,6 +127,20 @@ class TestSolveAndVerify:
         summary = json.loads(line)
         assert set(summary) >= {"sup_norm", "lipschitz_estimate",
                                 "residual_median"}
+
+    def test_solve_hjb_applies_the_density_rule_once_to_the_path(
+            self, tmp_path, monkeypatch):
+        calls = []
+        rule = dgrid.density_rule
+
+        def counting_rule(g, values):
+            calls.append(values.ndim)
+            return rule(g, values)
+
+        monkeypatch.setattr(dgrid, "density_rule", counting_rule)
+        assert main(["solve-hjb", "--config", ZERO_CFG,
+                     "--out", str(tmp_path / "hjb")]) == EXIT_OK
+        assert calls.count(3) == 1
 
     def test_solve_fpe_summary_keys(self, tmp_path, capsys):
         out = str(tmp_path / "fpe")

@@ -86,3 +86,16 @@ def test_run_summary_compared_except_timings(two_runs, tmp_path):
     assert "run_summary.json mc_validate.mc_stderr: 0.0 vs 0.5\n" in proc.stdout
     assert ("run_summary.json: 2 values differ (timings left out)\n"
             in proc.stdout)
+
+
+@pytest.mark.parametrize("field", ["u", "m"])
+def test_missing_field_directory_fails_in_one_line(two_runs, tmp_path, field):
+    a, b = two_runs
+    broken = str(tmp_path / "broken")
+    shutil.copytree(b, broken)
+    shutil.rmtree(os.path.join(broken, field))
+    for pair in ((a, broken), (broken, a)):
+        proc = _compare(*pair)
+        assert proc.returncode == 1
+        assert proc.stdout == "%s: no %s/ directory\n" % (broken, field)
+        assert proc.stderr == ""
