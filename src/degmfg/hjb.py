@@ -12,6 +12,7 @@ vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -69,6 +70,7 @@ def assemble_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
             + sparse.diags(c2.ravel()) @ op2).tocsr()
 
 
+@lru_cache(maxsize=1)
 def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
     """(hjb_solve, fpe_solve) of the implicit diffusion step, one LU of I - dt A.
 
@@ -82,6 +84,10 @@ def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
     1989) rather than SuperLU's default COLAMD: at 128^2 that halves the
     fill (1.22M -> 0.66M nonzeros in L + U) and with it the cost of both
     solves.
+
+    The last factorization is kept, keyed on (grid, dyn, dt), so the HJB
+    solve and the FPE solve after it share one LU; the FPE solve releases
+    it when its march ends.
     """
     diff = assemble_diffusion(grid, dyn)
     if not abs(diff).sum() > 0:

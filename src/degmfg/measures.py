@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import networkx as nx
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -142,6 +141,8 @@ def mincost_flow_reference(mu: DensityField, nu: DensityField,
     scale); the induced value error is far below 1e-9 for unit-diameter-ish
     problems, so this is a trustworthy cross-check of the LP route.
     """
+    import networkx as nx  # only this cross-check needs it; kept off start-up
+
     xs, a = density_support(mu)
     ys, b = density_support(nu)
     mass_scale = scale * 1000

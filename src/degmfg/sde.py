@@ -4,10 +4,17 @@ Particles follow Euler-Maruyama under the optimal feedback read off a solved
 value path: drift (alpha_1, alpha_2 * h(X_1)) with alpha = minus the
 degenerate gradient of u, bilinear in space and linear in time; diffusion
 diag(sqrt(2*eps + sigma_i^2)). Paths reflect at the box boundary, mirroring
-the Neumann truncation of the PDE solvers. Randomness is counter-based:
-each block of particles draws from its own Philox stream keyed by
-(seed, block index), so ensembles are bit-identical regardless of scheduling,
-and sums use numpy's pairwise reduction.
+the Neumann truncation of the PDE solvers. Each step builds one bilinear
+stencil of the particle positions (flat corner indices and weights) and
+gathers every grid field from it: both feedback components at both time
+slices and, for value estimates, the running cost. Randomness is
+counter-based: each block of particles draws from its own Philox stream
+keyed by (seed, block index), so ensembles are bit-identical regardless of
+scheduling, and sums use numpy's pairwise reduction.
+
+The empirical density is a product-kernel Gaussian KDE with Silverman's
+per-axis bandwidths: the 2-D kernel factors over the axes, so the estimate
+on the grid is one matrix product of two (nodes, particles) factors.
 """
 
 from __future__ import annotations
@@ -88,20 +95,32 @@ def _block_normals(seed: int, block: int, shape):
     return np.random.Generator(bitgen).standard_normal(shape)
 
 
+class _Stencil:
+    """The bilinear stencil of points (n, 2) on a grid, clamped to the box:
+    the flat indices of each point's four cell corners, shape (4, n), and
+    their weights (1-t1)(1-t2), t1(1-t2), (1-t1)t2, t1 t2."""
+
+    def __init__(self, grid: Grid2D, pts: np.ndarray):
+        f1 = np.clip((pts[:, 0] - grid.x1_min) / grid.dx1, 0.0, grid.n1 - 1.0)
+        f2 = np.clip((pts[:, 1] - grid.x2_min) / grid.dx2, 0.0, grid.n2 - 1.0)
+        i1 = np.minimum(f1.astype(int), grid.n1 - 2)
+        i2 = np.minimum(f2.astype(int), grid.n2 - 2)
+        t1 = f1 - i1
+        t2 = f2 - i2
+        self.corners = (i1 * grid.n2 + i2
+                        + np.array([0, grid.n2, 1, grid.n2 + 1])[:, None])
+        self.weights = np.stack([(1 - t1) * (1 - t2), t1 * (1 - t2),
+                                 (1 - t1) * t2, t1 * t2])
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """The interpolant of a raveled grid field at the points."""
+        p = self.weights * flat.take(self.corners)
+        return p[0] + p[1] + p[2] + p[3]
+
+
 def _bilinear(grid: Grid2D, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a grid field at points (n, 2), clamped."""
-    f1 = np.clip((pts[:, 0] - grid.x1_min) / grid.dx1, 0.0, grid.n1 - 1.0)
-    f2 = np.clip((pts[:, 1] - grid.x2_min) / grid.dx2, 0.0, grid.n2 - 1.0)
-    i1 = np.minimum(f1.astype(int), grid.n1 - 2)
-    i2 = np.minimum(f2.astype(int), grid.n2 - 2)
-    t1 = f1 - i1
-    t2 = f2 - i2
-    v00 = values[i1, i2]
-    v10 = values[i1 + 1, i2]
-    v01 = values[i1, i2 + 1]
-    v11 = values[i1 + 1, i2 + 1]
-    return ((1 - t1) * (1 - t2) * v00 + t1 * (1 - t2) * v10
-            + (1 - t1) * t2 * v01 + t1 * t2 * v11)
+    return _Stencil(grid, pts).gather(values.ravel())
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -120,14 +139,17 @@ class _SlicedField:
         self.grid = grid
         self.dt = dt
         self.nt = len(slices)
-        self.slices = slices
+        self.flat = slices.reshape(self.nt, -1)
 
     def at(self, pts: np.ndarray, t: float) -> np.ndarray:
+        return self.gather(_Stencil(self.grid, pts), t)
+
+    def gather(self, stencil: _Stencil, t: float) -> np.ndarray:
         s = min(max(t / self.dt, 0.0), self.nt - 1.0)
         k = min(int(s), self.nt - 2)
         w = s - k
-        return ((1 - w) * _bilinear(self.grid, self.slices[k], pts)
-                + w * _bilinear(self.grid, self.slices[k + 1], pts))
+        return ((1 - w) * stencil.gather(self.flat[k])
+                + w * stencil.gather(self.flat[k + 1]))
 
 
 def sample_density(m: DensityField, n: int, seed: int) -> np.ndarray:
@@ -168,14 +190,16 @@ def step_count(T: float, dt: float, x0, t0: float, cfg: EnsembleConfig) -> int:
 
 
 def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
-                    cfg: EnsembleConfig, n_steps: int, visit) -> np.ndarray:
+                    cfg: EnsembleConfig, n_steps: int, visit,
+                    fields=()) -> np.ndarray:
     """Euler-Maruyama under the optimal feedback; reflecting boundary.
 
     Particles run in blocks of PARTICLE_BLOCK, block ``b`` on the Philox
     stream keyed by (seed, b). Before every step the kernel calls
-    ``visit(lo, hi, step, t, x, alpha1, alpha2)`` with the block's particle
-    range, the positions and the feedback there. Returns the final
-    positions, shape (n_particles, 2).
+    ``visit(lo, hi, step, t, x, alpha1, alpha2, *values)`` with the block's
+    particle range, the positions, the feedback there and the values there
+    of each ``_SlicedField`` in ``fields``, all read from one stencil.
+    Returns the final positions, shape (n_particles, 2).
     """
     grid = u_path.grid
     # the feedback -(p1, p2), negated in place: two path-sized arrays
@@ -193,8 +217,10 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
         x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
         for step in range(n_steps):
             t = t0 + step * cfg.dt_sde
-            a1, a2 = alpha1.at(x, t), alpha2.at(x, t)
-            visit(lo, hi, step, t, x, a1, a2)
+            st = _Stencil(grid, x)
+            a1, a2 = alpha1.gather(st, t), alpha2.gather(st, t)
+            visit(lo, hi, step, t, x, a1, a2,
+                  *(f.gather(st, t) for f in fields))
             hx = dyn.h_values(x[:, 0])
             s1 = np.sqrt(2.0 * dyn.epsilon
                          + dyn.sigma1_sq(x[:, 0], x[:, 1]).astype(float))
@@ -245,10 +271,11 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     g_vals = coupling.terminal_cost(m_path.slice(m_path.nt - 1)).values
     run = np.zeros(cfg.n_particles)
 
-    def accumulate(lo, hi, step, t, x, a1, a2):
-        run[lo:hi] += (0.5 * (a1 ** 2 + a2 ** 2) + f.at(x, t)) * cfg.dt_sde
+    def accumulate(lo, hi, step, t, x, a1, a2, fx):
+        run[lo:hi] += (0.5 * (a1 ** 2 + a2 ** 2) + fx) * cfg.dt_sde
 
-    final = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, accumulate)
+    final = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, accumulate,
+                            fields=(f,))
     costs = run + _bilinear(grid, g_vals, final)
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / math.sqrt(cfg.n_particles)) \
@@ -256,35 +283,43 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     return McEstimate(mean=mean, std_error=std_error, n=cfg.n_particles)
 
 
+def _silverman(pts: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Silverman's rule per axis in 2-D: h_i = max(sigma_i, floor) * n^(-1/6),
+    sigma_i the sample standard deviation (0 for a single point)."""
+    n = pts.shape[0]
+    sig = np.std(pts, axis=0, ddof=1) if n > 1 else np.array([0.0, 0.0])
+    return np.maximum(sig, floor) * n ** (-1.0 / 6.0)
+
+
+def _axis_kernel(nodes: np.ndarray, coords: np.ndarray, bw: float) -> np.ndarray:
+    """exp(-d^2 / 2), d = (node - coord) / bw: shape (nodes, particles)."""
+    d = np.subtract.outer(nodes, coords)
+    d /= bw
+    np.square(d, out=d)
+    d *= -0.5
+    return np.exp(d, out=d)
+
+
 def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
     """Gaussian KDE of the final particle slice, renormalized on the grid.
 
-    The bandwidth is Silverman's rule per axis. Returns a DensityField, so
-    the usual invariants (nonnegative, unit trapezoidal mass) hold.
+    The bandwidth is Silverman's rule per axis. The kernel is a product
+    over the axes, exp(-(d1^2 + d2^2)/2) = exp(-d1^2/2) exp(-d2^2/2), so the
+    sum over particles at every node is E1 @ E2.T with E_i the (n_i,
+    particles) kernel factor on axis i: n (n1 + n2) exponentials and one
+    matrix product. Returns a DensityField, so the usual invariants
+    (nonnegative, unit trapezoidal mass) hold.
     """
     pts = ens.final()
-    n = pts.shape[0]
-    if n == 0:
+    if pts.shape[0] == 0:
         raise ConfigurationError("ensemble is empty")
-    # Silverman in 2D: h_i = sigma_i * n^(-1/6)
-    sig = np.std(pts, axis=0, ddof=1) if n > 1 else np.array([0.0, 0.0])
-    sig = np.maximum(sig, 1e-3 * min(grid.dx1, grid.dx2))
-    bw = sig * n ** (-1.0 / 6.0)
-    x1g, x2g = grid.meshgrid()
-    vals = np.zeros(grid.shape)
-    # chunk over particles to bound memory
-    chunk = 2000
-    for lo in range(0, n, chunk):
-        p = pts[lo:lo + chunk]
-        d1 = (x1g.ravel()[:, None] - p[None, :, 0]) / bw[0]
-        d2 = (x2g.ravel()[:, None] - p[None, :, 1]) / bw[1]
-        vals += np.exp(-0.5 * (d1 ** 2 + d2 ** 2)).sum(axis=1).reshape(grid.shape)
+    bw = _silverman(pts, floor=1e-3 * min(grid.dx1, grid.dx2))
+    vals = (_axis_kernel(grid.x1, pts[:, 0], bw[0])
+            @ _axis_kernel(grid.x2, pts[:, 1], bw[1]).T)
     vals /= grid.integrate(vals)
     return DensityField(grid, vals)
 
 
 def kde_bandwidth(ens: ParticleEnsemble) -> float:
     """The Silverman bandwidth scale used by empirical_density (max axis)."""
-    pts = ens.final()
-    sig = np.std(pts, axis=0, ddof=1)
-    return float(np.max(sig) * pts.shape[0] ** (-1.0 / 6.0))
+    return float(np.max(_silverman(ens.final())))

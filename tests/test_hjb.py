@@ -13,6 +13,7 @@ from degmfg import hjb
 from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
+from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, uniform_density
 from degmfg.hjb import (HjbConfig, hopf_lax_oracle, numerical_hamiltonian,
                         pde_residual, solve_hjb_backward, upwind_slopes)
@@ -332,6 +333,7 @@ class TestImplicitDiffusionOrdering:
             return lu
 
         monkeypatch.setattr(hjb, "splu", recording_splu)
+        hjb.implicit_diffusion.cache_clear()
         grid = _box(5.0, 64)
         hjb.implicit_diffusion(grid, dynamics_preset("grushin_exp",
                                                      epsilon=0.1), 1.0 / 63)
@@ -339,6 +341,40 @@ class TestImplicitDiffusionOrdering:
         default = splu(a)
         fill = lu.L.nnz + lu.U.nnz
         assert fill <= 0.7 * (default.L.nnz + default.U.nnz), fill
+
+    def test_hjb_and_fpe_of_one_step_share_one_lu(self, monkeypatch):
+        calls = []
+
+        def counting_splu(a, **kwargs):
+            calls.append(a.shape)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(hjb, "splu", counting_splu)
+        hjb.implicit_diffusion.cache_clear()
+        grid = _box(3.0, 17)
+        cfg = HjbConfig(T=0.5, nt=17)
+        coupling = CouplingSpec(
+            F=_zeros, G=lambda x1, x2, m: 0.25 * (x1 ** 2 + x2 ** 2),
+            monotone=True)
+        dyn = dynamics_preset("grushin_exp", epsilon=0.1)
+        u = solve_hjb_backward(dyn, coupling, _frozen_path(grid, cfg), cfg)
+        m = solve_fpe_forward(uniform_density(grid), u,
+                              dynamics_preset("grushin_exp", epsilon=0.1), cfg)
+        assert len(calls) == 1
+        # the FPE releases the LU it was left
+        assert hjb.implicit_diffusion.cache_info().currsize == 0
+        # so it factors afresh, to the same bytes
+        again = solve_fpe_forward(uniform_density(grid), u, dyn, cfg)
+        assert len(calls) == 2
+        assert np.array_equal(again.values, m.values)
+        # an equal (grid, dyn, dt) reuses the LU; another eps or dt does not
+        slow = dyn.with_epsilon(0.05)
+        for _ in range(2):
+            solve_hjb_backward(slow, coupling, _frozen_path(grid, cfg), cfg)
+        assert len(calls) == 3
+        cfg2 = HjbConfig(T=0.5, nt=33)
+        solve_hjb_backward(slow, coupling, _frozen_path(grid, cfg2), cfg2)
+        assert len(calls) == 4
 
 
 def test_hjb_does_not_import_verify():

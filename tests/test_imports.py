@@ -1,4 +1,5 @@
-"""Every name a degmfg module imports is used in that module.
+"""Every name a degmfg module imports is used in that module, and start-up
+does not load what only a cross-check needs.
 
 No linter ships with the project, so this AST scan is the check. An import
 kept on purpose carries ``# noqa: F401`` on its line.
@@ -6,6 +7,8 @@ kept on purpose carries ``# noqa: F401`` on its line.
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,12 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_start_up_does_not_import_networkx():
+    # only the min-cost-flow cross-check uses networkx; it imports it there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, degmfg.cli; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo path simulator and value estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,45 @@ def _zero_coupling(f_const=0.0, g_const=0.0):
     return CouplingSpec(F=lambda x1, x2, m: 0.0 * x1 + f_const,
                         G=lambda x1, x2, m: 0.0 * x1 + g_const,
                         monotone=True, name="const")
+
+
+def _bilinear_reference(grid, values, pts):
+    """The bilinear formula with 2-D gathers, clamped to the box."""
+    f1 = np.clip((pts[:, 0] - grid.x1_min) / grid.dx1, 0.0, grid.n1 - 1.0)
+    f2 = np.clip((pts[:, 1] - grid.x2_min) / grid.dx2, 0.0, grid.n2 - 1.0)
+    i1 = np.minimum(f1.astype(int), grid.n1 - 2)
+    i2 = np.minimum(f2.astype(int), grid.n2 - 2)
+    t1 = f1 - i1
+    t2 = f2 - i2
+    v00 = values[i1, i2]
+    v10 = values[i1 + 1, i2]
+    v01 = values[i1, i2 + 1]
+    v11 = values[i1 + 1, i2 + 1]
+    return ((1 - t1) * (1 - t2) * v00 + t1 * (1 - t2) * v10
+            + (1 - t1) * t2 * v01 + t1 * t2 * v11)
+
+
+def _kde_reference(pts, grid):
+    """The Gaussian KDE as the direct 2-D sum over nodes and particles, in
+    chunks of 2000 particles, with Silverman's per-axis bandwidths."""
+    n = pts.shape[0]
+    sig = np.std(pts, axis=0, ddof=1) if n > 1 else np.array([0.0, 0.0])
+    sig = np.maximum(sig, 1e-3 * min(grid.dx1, grid.dx2))
+    bw = sig * n ** (-1.0 / 6.0)
+    x1g, x2g = grid.meshgrid()
+    vals = np.zeros(grid.shape)
+    chunk = 2000
+    for lo in range(0, n, chunk):
+        p = pts[lo:lo + chunk]
+        d1 = (x1g.ravel()[:, None] - p[None, :, 0]) / bw[0]
+        d2 = (x2g.ravel()[:, None] - p[None, :, 1]) / bw[1]
+        vals += np.exp(-0.5 * (d1 ** 2 + d2 ** 2)).sum(axis=1).reshape(grid.shape)
+    return vals / grid.integrate(vals)
+
+
+def _ensemble(pts):
+    return sde.ParticleEnsemble(times=np.array([0.0]), positions=pts[None],
+                                seed=0, dt_sde=0.1)
 
 
 GRID = default_grid(n1=33, n2=33)
@@ -146,6 +187,23 @@ class TestSimulatePaths:
             assert np.array_equal(a1, alpha1.at(x, t))
             assert np.array_equal(a2, alpha2.at(x, t))
 
+    def test_fields_read_from_the_step_stencil(self):
+        # extra fields reach visit after the feedback, each equal to its
+        # own bilinear-in-space, linear-in-time interpolant
+        grid = Grid2D(-3.0, 3.0, -2.0, 2.0, 17, 9)
+        rng = np.random.default_rng(5)
+        up = ValuePath(grid, 0.1, rng.normal(size=(11,) + grid.shape))
+        f = sde._SlicedField(grid, 0.1, rng.normal(size=(11,) + grid.shape))
+        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
+        cfg = sde.EnsembleConfig(n_particles=50, seed=4, dt_sde=0.05)
+        seen = []
+        sde._euler_maruyama(dyn, up, (0.2, -0.1), 0.0, cfg, 20,
+                            lambda lo, hi, step, t, x, a1, a2, fx:
+                            seen.append((t, x.copy(), fx)), fields=(f,))
+        assert len(seen) == 20
+        for t, x, fx in seen:
+            assert np.array_equal(fx, f.at(x, t))
+
     def test_seed_range(self):
         # a block's Philox key is seed * 2**20 + block in 64 bits: 2**44
         # would wrap onto seed 0's stream
@@ -154,6 +212,54 @@ class TestSimulatePaths:
                                   sde._block_normals(0, 0, (3,)))
         with pytest.raises(ConfigurationError, match=r"seed must be < 2\*\*44"):
             sde.EnsembleConfig(seed=2 ** 44)
+
+
+class TestStencil:
+    GRID = Grid2D(-3.0, 2.0, -1.5, 2.5, 13, 7)
+
+    def _points(self):
+        g = self.GRID
+        rng = np.random.default_rng(11)
+        inside = np.column_stack([rng.uniform(g.x1_min, g.x1_max, 200),
+                                  rng.uniform(g.x2_min, g.x2_max, 200)])
+        edges = np.array([[g.x1_max, g.x2_max], [g.x1_max, 0.3],
+                          [-0.7, g.x2_max], [g.x1_min, g.x2_min],
+                          [g.x1_min, g.x2_max], [g.x1_max, g.x2_min],
+                          [g.x1[5], g.x2[3]]])
+        outside = np.array([[g.x1_max + 0.4, 0.1], [g.x1_min - 2.0, 0.1],
+                            [0.2, g.x2_max + 1.0], [0.2, g.x2_min - 0.3],
+                            [9.0, -9.0], [-9.0, 9.0]])
+        return np.concatenate([inside, edges, outside])
+
+    def test_flat_gather_equals_the_bilinear_formula(self):
+        g = self.GRID
+        values = np.random.default_rng(12).normal(size=g.shape)
+        pts = self._points()
+        ref = _bilinear_reference(g, values, pts)
+        assert np.array_equal(sde._bilinear(g, values, pts), ref)
+        st = sde._Stencil(g, pts)
+        assert np.array_equal(st.gather(values.ravel()), ref)
+
+    def test_upper_edges_use_the_last_cell_at_full_weight(self):
+        g = self.GRID
+        st = sde._Stencil(g, np.array([[g.x1_max, g.x2_max],
+                                       [g.x1_max + 1.0, g.x2_max + 1.0]]))
+        last = (g.n1 - 2) * g.n2 + g.n2 - 2
+        assert np.array_equal(st.corners[0], [last, last])
+        assert np.array_equal(st.weights[:, 0], [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(st.weights[:, 1], [0.0, 0.0, 0.0, 1.0])
+
+    def test_sliced_field_equals_per_slice_formula(self):
+        g = self.GRID
+        slices = np.random.default_rng(13).normal(size=(5,) + g.shape)
+        f = sde._SlicedField(g, 0.25, slices)
+        pts = self._points()
+        for t in (0.0, 0.3, 0.75, 1.0):
+            k = min(int(t / 0.25), 3)
+            w = t / 0.25 - k
+            ref = ((1 - w) * _bilinear_reference(g, slices[k], pts)
+                   + w * _bilinear_reference(g, slices[k + 1], pts))
+            assert np.array_equal(f.at(pts, t), ref)
 
 
 class TestMcValue:
@@ -294,6 +400,37 @@ class TestEmpiricalDensity:
         ref /= GRID.integrate(ref)
         l1 = GRID.integrate(np.abs(d.values - ref))
         assert l1 < 0.15
+
+    def test_equals_the_direct_sum(self):
+        # non-square grid, unequal spacings and a particle count that is
+        # not a multiple of the reference's chunk: a swapped axis shows
+        grid = Grid2D(-3.0, 2.0, -1.0, 3.0, 41, 23)
+        rng = np.random.default_rng(21)
+        pts = np.column_stack([rng.normal(-0.6, 0.9, 4321),
+                               rng.normal(1.2, 0.4, 4321)])
+        d = sde.empirical_density(_ensemble(pts), grid)
+        ref = _kde_reference(pts, grid)
+        assert np.max(np.abs(d.values - ref)) <= 1e-12 * np.max(ref)
+
+    def test_peak_memory_at_64_squared(self):
+        # the axis factors are (64, 10000) each: a few MB, where the
+        # direct sum over nodes x particles peaks at about 250 MB
+        grid = default_grid(n1=64, n2=64)
+        pts = np.random.default_rng(22).normal(size=(10_000, 2))
+        ens = _ensemble(pts)
+        tracemalloc.start()
+        try:
+            sde.empirical_density(ens, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak
+
+    def test_bandwidth_is_silverman_on_the_widest_axis(self):
+        pts = np.random.default_rng(23).normal(size=(3001, 2)) * [0.5, 1.5]
+        sig = np.std(pts, axis=0, ddof=1)
+        assert sde.kde_bandwidth(_ensemble(pts)) == \
+            float(np.max(sig) * 3001 ** (-1.0 / 6.0))
 
     def test_empty_ensemble_rejected(self):
         ens = sde.ParticleEnsemble(times=np.array([0.0]),
