@@ -206,17 +206,20 @@ def _cmd_mc_validate(args) -> int:
 
 
 def _cmd_w1(args) -> int:
+    if args.reg is not None and not args.sinkhorn:
+        raise ConfigurationError("--reg is read only with --sinkhorn")
     ga, va = dio.read_field_csv(args.a)
     gb, vb = dio.read_field_csv(args.b)
     da, db = DensityField(ga, va), DensityField(gb, vb)
     gd = GridDistance(ga, max_points=args.max_points)
     xs, wa = gd.coarsen(da.values)
     ys, wb = gd.coarsen(db.values)
-    if args.exact:
-        value = wasserstein1_points(xs, wa, ys, wb)
-    else:
-        reg = args.reg or SINKHORN_REG_FACTOR * ga.diameter
+    if args.sinkhorn:
+        reg = SINKHORN_REG_FACTOR * ga.diameter if args.reg is None \
+            else args.reg
         value = sinkhorn_points(xs, wa, ys, wb, reg=reg, debias=False).value
+    else:
+        value = wasserstein1_points(xs, wa, ys, wb)
     print("%.12g" % value)
     return EXIT_OK
 
@@ -330,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("w1", _cmd_w1, help="Wasserstein-1 distance between two fields")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--reg", type=float, default=None)
+    sp.add_argument("--sinkhorn", action="store_true",
+                    help="entropic estimate instead of the exact LP")
+    sp.add_argument("--reg", type=float, default=None,
+                    help="Sinkhorn regularization, with --sinkhorn only")
     sp.add_argument("--max-points", type=int, default=320)
 
     sp = add("verify", _cmd_verify,

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
-from .grid import DensityField, DensityPath, Grid2D, ValuePath
+from .grid import DensityField, DensityPath, Grid2D, ValuePath, require_mesh
 from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion, upwind_slopes
 
 MASS_DRIFT_HARD = 1e-8
@@ -76,10 +76,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
                       report: FpeReport | None = None) -> DensityPath:
     """March m forward from m0 under drift D_G u and (regularized) diffusion."""
     grid = m0.grid
-    if u_path.grid != grid:
-        raise ConfigurationError("u_path and m0 live on different grids")
-    if u_path.nt != cfg.nt or abs(u_path.dt - cfg.dt) > 1e-12 * max(cfg.dt, 1.0):
-        raise ConfigurationError("u_path time mesh does not match config")
+    require_mesh("u_path", u_path, grid, cfg.nt, cfg.dt)
     dt = cfg.dt
     if report is None:
         report = FpeReport()

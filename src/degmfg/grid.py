@@ -3,12 +3,13 @@
 All fields are vertex-centered on a uniform rectangular grid. Densities are
 interpreted w.r.t. Lebesgue measure; their discrete mass is the trapezoidal
 quadrature of the values, which coincides with a finite-volume sum over cells
-of width dx (interior) and dx/2 (boundary).
+of width dx (interior) and dx/2 (boundary). Off-node reads go through one
+bilinear ``Stencil``; ``require_mesh`` is the one space-time mesh rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -118,6 +119,30 @@ class Grid2D:
     @property
     def diameter(self) -> float:
         return float(np.hypot(self.x1_max - self.x1_min, self.x2_max - self.x2_min))
+
+
+class Stencil:
+    """The bilinear stencil of points (n, 2) on a grid, clamped to the box:
+    the flat indices of each point's four cell corners, shape (4, n), and
+    their weights (1-t1)(1-t2), t1(1-t2), (1-t1)t2, t1 t2."""
+
+    def __init__(self, grid: Grid2D, pts: np.ndarray):
+        f1 = np.clip((pts[:, 0] - grid.x1_min) / grid.dx1, 0.0, grid.n1 - 1.0)
+        f2 = np.clip((pts[:, 1] - grid.x2_min) / grid.dx2, 0.0, grid.n2 - 1.0)
+        i1 = np.minimum(f1.astype(int), grid.n1 - 2)
+        i2 = np.minimum(f2.astype(int), grid.n2 - 2)
+        t1 = f1 - i1
+        t2 = f2 - i2
+        self.corners = (i1 * grid.n2 + i2
+                        + np.array([0, grid.n2, 1, grid.n2 + 1])[:, None])
+        self.weights = np.stack([(1 - t1) * (1 - t2), t1 * (1 - t2),
+                                 (1 - t1) * t2, t1 * t2])
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """The interpolant at the points of a raveled slice (n1*n2,), or of
+        each row of a stack (k, n1*n2)."""
+        p = self.weights * flat.take(self.corners, axis=-1)
+        return p[..., 0, :] + p[..., 1, :] + p[..., 2, :] + p[..., 3, :]
 
 
 def _check_finite(values, what):
@@ -246,6 +271,19 @@ class DensityPath(ValuePath):
 
     def slice(self, k: int) -> DensityField:
         return DensityField(self.grid, self.values[k])
+
+
+def require_mesh(name: str, path: ValuePath, grid: Grid2D, nt: int,
+                 dt: float):
+    """The time-mesh rule: ``path`` must lie on ``grid`` with ``nt`` slices
+    ``dt`` apart, dt equal up to 1e-12 * max(dt, 1). Raises a
+    ConfigurationError that names the path and both meshes."""
+    if (path.grid != grid or path.nt != nt
+            or abs(path.dt - dt) > 1e-12 * max(dt, 1.0)):
+        mesh = "[%g, %g] x [%g, %g] at %dx%d nodes with nt=%d, dt=%r"
+        raise ConfigurationError("%s lies on %s, not on %s" % (
+            name, mesh % (astuple(path.grid) + (path.nt, float(path.dt))),
+            mesh % (astuple(grid) + (nt, float(dt)))))
 
 
 def default_grid(box_half_width: float = 5.0, n1: int = 64, n2: int = 64) -> Grid2D:

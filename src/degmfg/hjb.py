@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
-from .grid import DensityPath, Grid2D, ScalarField, ValuePath
+from .grid import DensityPath, Grid2D, ScalarField, ValuePath, require_mesh
 from .operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
     lipschitz_estimate, sup_norm
 
@@ -150,10 +150,7 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
                        m_path: DensityPath, cfg: HjbConfig) -> ValuePath:
     """Solve the HJE backward from u(., T) = G(., m_T) with the measure frozen."""
     grid = m_path.grid
-    if m_path.nt != cfg.nt or abs(m_path.dt - cfg.dt) > 1e-12 * max(cfg.dt, 1.0):
-        raise ConfigurationError(
-            "measure path time mesh (nt=%d, dt=%g) does not match config "
-            "(nt=%d, dt=%g)" % (m_path.nt, m_path.dt, cfg.nt, cfg.dt))
+    require_mesh("m_path", m_path, grid, cfg.nt, cfg.dt)
     dt = cfg.dt
     f = coupling.running_cost(m_path)
     g_vals = coupling.terminal_cost(m_path.slice(cfg.nt - 1)).values

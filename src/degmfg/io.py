@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig, config_to_dict, load_config, read_text, \
     serialize_config
 from .errors import ConfigurationError
-from .grid import DensityPath, Grid2D, ValuePath
+from .grid import DensityPath, Grid2D, ValuePath, require_mesh
 
 _FMT = "%.17g"
 _HEADER = "x1,x2,value"
@@ -195,9 +195,8 @@ def load_run(run_dir):
     dt = float(summary["dt"])
     gu, uv = _read_path(os.path.join(run_dir, "u"))
     gm, mv = _read_path(os.path.join(run_dir, "m"))
-    if gu != gm:
-        raise ConfigurationError("%s: u and m grids differ" % run_dir)
     u_path = ValuePath(gu, dt, uv)
     validate = bool(summary.get("validate_density", True))
     m_path = DensityPath(gm, dt, mv, validate_slices=validate)
+    require_mesh(os.path.join(run_dir, "m"), m_path, gu, u_path.nt, dt)
     return u_path, m_path, cfg.make_dynamics(), cfg.make_coupling()

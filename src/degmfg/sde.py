@@ -5,9 +5,9 @@ value path: drift (alpha_1, alpha_2 * h(X_1)) with alpha = minus the
 degenerate gradient of u, bilinear in space and linear in time; diffusion
 diag(sqrt(2*eps + sigma_i^2)). Paths reflect at the box boundary, mirroring
 the Neumann truncation of the PDE solvers. Each step builds one bilinear
-stencil of the particle positions (flat corner indices and weights) and
-gathers every grid field from it: both feedback components at both time
-slices and, for value estimates, the running cost. Randomness is
+``grid.Stencil`` of the particle positions and gathers every grid field
+from it: both feedback components at both time slices and, for value
+estimates, the running cost. Randomness is
 counter-based: each block of particles draws from its own Philox stream
 keyed by (seed, block index), so ensembles are bit-identical regardless of
 scheduling, and sums use numpy's pairwise reduction.
@@ -27,7 +27,8 @@ import numpy as np
 from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import DensityField, DensityPath, Grid2D, ValuePath
+from .grid import DensityField, DensityPath, Grid2D, Stencil, ValuePath, \
+    require_mesh
 from .operators import degenerate_gradient
 
 PARTICLE_BLOCK = 4096
@@ -95,38 +96,12 @@ def _block_normals(seed: int, block: int, shape):
     return np.random.Generator(bitgen).standard_normal(shape)
 
 
-class _Stencil:
-    """The bilinear stencil of points (n, 2) on a grid, clamped to the box:
-    the flat indices of each point's four cell corners, shape (4, n), and
-    their weights (1-t1)(1-t2), t1(1-t2), (1-t1)t2, t1 t2."""
-
-    def __init__(self, grid: Grid2D, pts: np.ndarray):
-        f1 = np.clip((pts[:, 0] - grid.x1_min) / grid.dx1, 0.0, grid.n1 - 1.0)
-        f2 = np.clip((pts[:, 1] - grid.x2_min) / grid.dx2, 0.0, grid.n2 - 1.0)
-        i1 = np.minimum(f1.astype(int), grid.n1 - 2)
-        i2 = np.minimum(f2.astype(int), grid.n2 - 2)
-        t1 = f1 - i1
-        t2 = f2 - i2
-        self.corners = (i1 * grid.n2 + i2
-                        + np.array([0, grid.n2, 1, grid.n2 + 1])[:, None])
-        self.weights = np.stack([(1 - t1) * (1 - t2), t1 * (1 - t2),
-                                 (1 - t1) * t2, t1 * t2])
-
-    def gather(self, flat: np.ndarray) -> np.ndarray:
-        """The interpolant of a raveled grid field at the points."""
-        p = self.weights * flat.take(self.corners)
-        return p[0] + p[1] + p[2] + p[3]
-
-
-def _bilinear(grid: Grid2D, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a grid field at points (n, 2), clamped."""
-    return _Stencil(grid, pts).gather(values.ravel())
-
-
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fold positions back into [lo, hi] by mirror reflection."""
+    """Fold positions back into [lo, hi] by mirror reflection; the offset
+    x - lo is reduced modulo 2 span only where it lies outside [0, 2 span)."""
     span = hi - lo
-    y = np.mod(x - lo, 2.0 * span)
+    y = x - lo
+    np.mod(y, 2.0 * span, out=y, where=(y < 0.0) | (y >= 2.0 * span))
     y = np.where(y > span, 2.0 * span - y, y)
     return lo + y
 
@@ -135,16 +110,12 @@ class _SlicedField:
     """A stack of grid slices on the time mesh: bilinear in space, linear in
     time."""
 
-    def __init__(self, grid: Grid2D, dt: float, slices: np.ndarray):
-        self.grid = grid
+    def __init__(self, dt: float, slices: np.ndarray):
         self.dt = dt
         self.nt = len(slices)
         self.flat = slices.reshape(self.nt, -1)
 
-    def at(self, pts: np.ndarray, t: float) -> np.ndarray:
-        return self.gather(_Stencil(self.grid, pts), t)
-
-    def gather(self, stencil: _Stencil, t: float) -> np.ndarray:
+    def gather(self, stencil: Stencil, t: float) -> np.ndarray:
         s = min(max(t / self.dt, 0.0), self.nt - 1.0)
         k = min(int(s), self.nt - 2)
         w = s - k
@@ -203,7 +174,7 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     """
     grid = u_path.grid
     # the feedback -(p1, p2), negated in place: two path-sized arrays
-    alpha1, alpha2 = (_SlicedField(grid, u_path.dt, np.negative(p, out=p))
+    alpha1, alpha2 = (_SlicedField(u_path.dt, np.negative(p, out=p))
                       for p in degenerate_gradient(u_path.values, grid, dyn))
     sq_dt = math.sqrt(cfg.dt_sde)
     x0 = np.asarray(x0, dtype=float)
@@ -217,7 +188,7 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
         x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
         for step in range(n_steps):
             t = t0 + step * cfg.dt_sde
-            st = _Stencil(grid, x)
+            st = Stencil(grid, x)
             a1, a2 = alpha1.gather(st, t), alpha2.gather(st, t)
             visit(lo, hi, step, t, x, a1, a2,
                   *(f.gather(st, t) for f in fields))
@@ -263,11 +234,9 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
     terminal cost G, with F and G evaluated on the grid and interpolated at
     the particle positions.
     """
-    if m_path.grid != u_path.grid or m_path.nt != u_path.nt:
-        raise ConfigurationError("m_path and u_path must share the mesh")
+    require_mesh("m_path", m_path, u_path.grid, u_path.nt, u_path.dt)
     n_steps = step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
-    grid = u_path.grid
-    f = _SlicedField(grid, u_path.dt, coupling.running_cost(m_path))
+    f = _SlicedField(u_path.dt, coupling.running_cost(m_path))
     g_vals = coupling.terminal_cost(m_path.slice(m_path.nt - 1)).values
     run = np.zeros(cfg.n_particles)
 
@@ -276,7 +245,7 @@ def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
 
     final = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, accumulate,
                             fields=(f,))
-    costs = run + _bilinear(grid, g_vals, final)
+    costs = run + Stencil(u_path.grid, final).gather(g_vals.ravel())
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / math.sqrt(cfg.n_particles)) \
         if cfg.n_particles > 1 else 0.0
@@ -316,7 +285,12 @@ def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
     bw = _silverman(pts, floor=1e-3 * min(grid.dx1, grid.dx2))
     vals = (_axis_kernel(grid.x1, pts[:, 0], bw[0])
             @ _axis_kernel(grid.x2, pts[:, 1], bw[1]).T)
-    vals /= grid.integrate(vals)
+    mass = grid.integrate(vals)
+    if not mass > 0.0:
+        raise ConfigurationError(
+            "every kernel value underflowed at bandwidth h=(%g, %g): the "
+            "particles coincide" % (bw[0], bw[1]))
+    vals /= mass
     return DensityField(grid, vals)
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import DensityPath, Direction, Grid2D, ScalarField, ValuePath
+from .grid import DensityPath, Direction, Grid2D, Stencil, ValuePath
 from .operators import DEFAULT_BOUNDARY_FRAME, check_boundary_frame, \
-    interior_box, interior_restrict, lipschitz_estimate, sup_norm
+    interior_box, lipschitz_estimate, sup_norm
 
 AXES_AND_DIAGONALS = (
     Direction(1.0, 0.0),
@@ -51,70 +51,55 @@ def _lattice_vector(eta: Direction, grid: Grid2D):
     return None
 
 
-def _lattice_samples(values: np.ndarray, p: int, q: int, j: int):
-    """Exact samples u(x + k*j*(p,q)) for k = -2..2 over the valid interior."""
-    n1, n2 = values.shape
-    m1, m2 = 2 * j * abs(p), 2 * j * abs(q)
-    if n1 - 2 * m1 < 1 or n2 - 2 * m2 < 1:
-        raise ConfigurationError("grid too small for the directional stencil")
-    out = []
-    for k in (-2, -1, 0, 1, 2):
-        o1, o2 = m1 + k * j * p, m2 + k * j * q
-        out.append(values[o1:n1 - 2 * m1 + o1, o2:n2 - 2 * m2 + o2])
-    return out
+def _second_differences(v: np.ndarray, grid: Grid2D, eta: Direction):
+    """Yield (s, u(x + s eta) - 2 u(x) + u(x - s eta)) for s = j dx, j = 1, 2,
+    on the trailing (n1, n2) axes of ``v``, at the nodes x whose span
+    x +- 2 s eta stays inside the box.
 
-
-def _interp_samples(u: ScalarField, eta: Direction, s: float):
-    """Bilinear-interpolated samples for directions off the node lattice."""
-    g = u.grid
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator((g.x1, g.x2), u.values, method="linear")
-    x1g, x2g = g.meshgrid()
-    pts = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
-    out = []
-    for k in (-2, -1, 0, 1, 2):
-        shifted = pts + k * s * eta.as_array()
-        inside = ((shifted[:, 0] >= g.x1_min) & (shifted[:, 0] <= g.x1_max)
-                  & (shifted[:, 1] >= g.x2_min) & (shifted[:, 1] <= g.x2_max))
-        out.append((shifted, inside))
-    mask = np.logical_and.reduce([inside for _, inside in out])
-    if not mask.any():
-        raise ConfigurationError("direction stencil leaves the domain everywhere")
-    return [interp(shifted[mask]) for shifted, _ in out]
-
-
-def _directional_stencils(u: ScalarField, eta: Direction):
-    """Yield (s, [five sample arrays]) for stencil scales j in {1, 2}.
-
-    Semiconcavity reads the middle three samples; the five-point span
-    fixes the set of nodes it is evaluated at.
+    Along the lattice the shifted samples are node values read by index
+    shift; along other directions they are read from the bilinear stencil.
     """
-    lattice = _lattice_vector(eta, u.grid)
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    i1, i2 = np.indices(grid.shape).reshape(2, -1)
+    x = np.stack([grid.x1[i1], grid.x2[i2]], axis=1)
+    lo, hi = (grid.x1_min, grid.x2_min), (grid.x1_max, grid.x2_max)
+    lattice = _lattice_vector(eta, grid)
     for j in (1, 2):
         if lattice is not None:
             p, q = lattice
-            s = j * math.hypot(p * u.grid.dx1, q * u.grid.dx2)
-            yield s, _lattice_samples(u.values, p, q, j)
+            s = j * math.hypot(p * grid.dx1, q * grid.dx2)
+            r1, r2 = 2 * j * abs(p), 2 * j * abs(q)
+            at = np.flatnonzero((i1 >= r1) & (i1 < grid.n1 - r1)
+                                & (i2 >= r2) & (i2 < grid.n2 - r2))
+            shift = j * (p * grid.n2 + q)
+            minus, plus = flat[..., at - shift], flat[..., at + shift]
         else:
-            s = j * min(u.grid.dx1, u.grid.dx2)
-            yield s, _interp_samples(u, eta, s)
+            s = j * min(grid.dx1, grid.dx2)
+            step = s * eta.as_array()
+            ends = (x - 2 * step, x + 2 * step)
+            at = np.flatnonzero(np.all([(y >= lo) & (y <= hi) for y in ends],
+                                       axis=(0, 2)))
+            minus, plus = (Stencil(grid, x[at] + k * step).gather(flat)
+                           for k in (-1, 1))
+        if not at.size:
+            raise ConfigurationError(
+                "direction stencil leaves the domain everywhere")
+        yield s, plus - 2.0 * flat[..., at] + minus
 
 
-def semiconcavity_estimate(u: ScalarField, eta: Direction,
+def semiconcavity_estimate(u: np.ndarray, grid: Grid2D, eta: Direction,
                            boundary_frame: float = 0.0) -> float:
-    """Max centered second difference quotient along eta for s in {dx, 2dx}.
+    """Max centered second difference quotient along eta for s in {dx, 2dx},
+    of one slice or of every slice of a path.
 
     An upper bound C here certifies the one-sided inequality
     lam*u(x) + (1-lam)*u(y) - u(lam x + (1-lam) y) <= C lam (1-lam) |x-y|^2
     along the sampled direction.
     """
-    if boundary_frame > 0.0:
-        u = interior_restrict(u, boundary_frame)
-    best = -math.inf
-    for s, (_, m1, c, p1, _) in _directional_stencils(u, eta):
-        best = max(best, float(((p1 - 2.0 * c + m1) / s ** 2).max()))
-    return best
+    index, sub = interior_box(grid, boundary_frame)
+    v = np.asarray(u)[index]
+    return max(float((d2 / s ** 2).max())
+               for s, d2 in _second_differences(v, sub, eta))
 
 
 @dataclass(frozen=True)
@@ -192,8 +177,8 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
         "time_lipschitz", tlip <= th.time_lipschitz_max and math.isfinite(tlip),
         tlip, th.time_lipschitz_max))
 
-    semi = max(semiconcavity_estimate(u.slice(k), eta, frame)
-               for k in range(0, u.nt, max(1, u.nt // 8))
+    sampled = u.values[::max(1, u.nt // 8)]
+    semi = max(semiconcavity_estimate(sampled, u.grid, eta, frame)
                for eta in AXES_AND_DIAGONALS)
     results.append(PropertyResult(
         "semiconcavity", semi <= th.semiconcavity_max and math.isfinite(semi),

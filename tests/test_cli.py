@@ -170,6 +170,21 @@ class TestSolveAndVerify:
         failed = {p["name"] for p in report["properties"] if not p["passed"]}
         assert "positivity" in failed or "mass_conservation" in failed
 
+    def test_verify_of_a_truncated_run_is_exit_2(self, tmp_path, capsys):
+        # m/ loses its last two slices: the paths no longer share one mesh
+        out = str(tmp_path / "fpe")
+        assert main(["solve-fpe", "--config", ZERO_CFG,
+                     "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        for k in (31, 32):
+            os.remove(os.path.join(out, "m", "slice_%04d.csv" % k))
+        assert main(["verify", "--run", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: %s lies on " % os.path.join(out, "m") \
+            in err
+        assert "with nt=31, dt=0.03125, not on " in err
+        assert err.rstrip().endswith("with nt=33, dt=0.03125")
+
     def test_verify_tol_file(self, tmp_path, capsys):
         out = str(tmp_path / "fpe")
         assert main(["solve-fpe", "--config", ZERO_CFG,
@@ -270,7 +285,7 @@ class TestSmallTools:
                      "--out", out]) == EXIT_OK
         capsys.readouterr()
         a = os.path.join(out, "m", "slice_0000.csv")
-        assert main(["w1", "--a", a, "--b", a, "--exact"]) == EXIT_OK
+        assert main(["w1", "--a", a, "--b", a]) == EXIT_OK
         assert float(capsys.readouterr().out.strip()) == 0.0
 
     def test_w1_sinkhorn_close_to_exact(self, tmp_path, capsys):
@@ -280,24 +295,40 @@ class TestSmallTools:
         capsys.readouterr()
         a = os.path.join(out, "m", "slice_0000.csv")
         b = os.path.join(out, "m", "slice_0063.csv")
-        assert main(["w1", "--a", a, "--b", b, "--exact"]) == EXIT_OK
-        exact = float(capsys.readouterr().out.strip())
         assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
+        exact = float(capsys.readouterr().out.strip())
+        assert main(["w1", "--a", a, "--b", b, "--sinkhorn"]) == EXIT_OK
         sink = float(capsys.readouterr().out.strip())
         assert exact > 0.01
         assert abs(sink - exact) <= 0.05 * exact + 1e-3
 
     def test_w1_prints_the_recorded_values(self, tmp_path, capsys):
         # values printed when the exact route was one dense LP; the Sinkhorn
-        # route must print the same digits, the column-generation LP the
-        # same value up to the last printed digits
+        # route must print the same digits, the column-generation LP (the
+        # default) the same value up to the last printed digits
         grid = default_grid(n1=32, n2=32)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
         dio.write_field_csv(b, grid, truncated_gaussian(
             grid, center=(0.3, 0.1), variance=0.5).values)
-        assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
+        assert main(["w1", "--a", a, "--b", b, "--sinkhorn"]) == EXIT_OK
         assert capsys.readouterr().out == "0.413323008233\n"
-        assert main(["w1", "--a", a, "--b", b, "--exact"]) == EXIT_OK
+        assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
         exact = float(capsys.readouterr().out)
         assert abs(exact - 0.407061697866) <= 1e-9
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--reg", "0.1"], "--reg is read only with --sinkhorn"),
+        (["--sinkhorn", "--reg", "0"], "sinkhorn regularization must be > 0")])
+    def test_w1_reg_is_a_sinkhorn_argument(self, tmp_path, capsys, argv,
+                                           message):
+        a = str(tmp_path / "a.csv")
+        grid = default_grid(n1=32, n2=32)
+        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
+        assert main(["w1", "--a", a, "--b", a] + argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_w1_has_no_exact_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["w1", "--a", "a.csv", "--b", "b.csv", "--exact"])
+        assert exc.value.code == EXIT_CONFIG

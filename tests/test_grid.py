@@ -1,14 +1,28 @@
-"""The data model: path invariants, the density rule, density diagnostics."""
+"""The data model: path invariants, the density rule, density diagnostics,
+the time-mesh rule."""
+
+import os
 
 import numpy as np
 import pytest
 
 from degmfg import grid as grid_module
+from degmfg import io as dio
+from degmfg import sde
+from degmfg.config import load_config
+from degmfg.coupling import CouplingSpec
+from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
+from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityField, DensityPath, Grid2D, ValuePath, \
     truncated_gaussian, uniform_density
+from degmfg.hjb import HjbConfig, solve_hjb_backward
 
 GRID = Grid2D(-2.0, 2.0, -1.0, 1.0, 9, 7)
+ZERO = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
+                    G=lambda x1, x2, m: 0.0 * x1, monotone=True)
+ZERO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "decoupled_zero.json")
 NEGATIVE = "density has negativity -1e-09 below the -1e-12 tolerance"
 HEAVY = "density mass 1.5 differs from 1 beyond 1e-8"
 
@@ -118,3 +132,76 @@ class TestDiagnostics:
         v[6, 4] = 1.0  # the node (1, 1/3)
         expected = GRID.cell_weights()[6, 4] * (1.0 + 1.0 / 9.0)
         assert GRID.second_moment(v) == pytest.approx(expected, rel=1e-14)
+
+
+def _mesh_text(grid, nt, dt):
+    return ("[%g, %g] x [%g, %g] at %dx%d nodes with nt=%d, dt=%r"
+            % (grid.x1_min, grid.x1_max, grid.x2_min, grid.x2_max,
+               grid.n1, grid.n2, nt, dt))
+
+
+def _density_path(grid, nt, dt):
+    return DensityPath(grid, dt, np.stack([_unit(grid)] * nt))
+
+
+def _value_path(grid, nt, dt):
+    return ValuePath(grid, dt, np.zeros((nt,) + grid.shape))
+
+
+def _hjb(tmp_path, path_grid, nt, dt):
+    solve_hjb_backward(dynamics_preset("zero", epsilon=0.0), ZERO,
+                       _density_path(path_grid, nt, dt), HjbConfig(1.0, 5))
+
+
+def _fpe(tmp_path, path_grid, nt, dt):
+    solve_fpe_forward(uniform_density(GRID), _value_path(path_grid, nt, dt),
+                      dynamics_preset("zero", epsilon=0.0), HjbConfig(1.0, 5))
+
+
+def _mc_value(tmp_path, path_grid, nt, dt):
+    sde.mc_value(dynamics_preset("zero", epsilon=0.0), ZERO,
+                 _density_path(path_grid, nt, dt), _value_path(GRID, 5, 0.25),
+                 (0.0, 0.0), 0.0, sde.EnsembleConfig(10, seed=0, dt_sde=0.25))
+
+
+def _load_run(tmp_path, path_grid, nt, dt):
+    run = str(tmp_path / "run")
+    dio.save_run(run, load_config(ZERO_CONFIG), _value_path(GRID, 5, 0.25),
+                 _density_path(path_grid, nt, dt), {})
+    dio.load_run(run)
+
+
+class TestMeshRule:
+    """One rule decides whether a path lies on a (grid, nt, dt); each caller
+    checks its path against the 9x7 grid with nt=5, dt=0.25. The HJB config
+    holds no grid, and a run directory records one dt for u and m, so
+    those two cases cannot arise."""
+
+    OFF = {"grid": (Grid2D(-2.0, 2.0, -1.0, 1.0, 9, 8), 5, 0.25),
+           "nt": (GRID, 4, 0.25),
+           "dt": (GRID, 5, 0.5)}
+
+    @pytest.mark.parametrize("caller, axis", [
+        (_hjb, "nt"), (_hjb, "dt"),
+        (_fpe, "grid"), (_fpe, "nt"), (_fpe, "dt"),
+        (_mc_value, "grid"), (_mc_value, "nt"), (_mc_value, "dt"),
+        (_load_run, "grid"), (_load_run, "nt")])
+    def test_mismatch_names_the_path_and_both_meshes(self, tmp_path, caller,
+                                                     axis):
+        path_grid, nt, dt = self.OFF[axis]
+        with pytest.raises(ConfigurationError) as exc:
+            caller(tmp_path, path_grid, nt, dt)
+        name = {_hjb: "m_path", _fpe: "u_path", _mc_value: "m_path",
+                _load_run: os.path.join(str(tmp_path / "run"), "m")}[caller]
+        assert exc.value.problems == ["%s lies on %s, not on %s" % (
+            name, _mesh_text(path_grid, nt, dt), _mesh_text(GRID, 5, 0.25))]
+
+    def test_tolerance_is_relative_to_max_dt_one(self):
+        path = _value_path(GRID, 5, 0.25)
+        grid_module.require_mesh("u", path, GRID, 5, 0.25 + 0.9e-12)
+        with pytest.raises(ConfigurationError):
+            grid_module.require_mesh("u", path, GRID, 5, 0.25 + 1.1e-12)
+        long = _value_path(GRID, 5, 4.0)
+        grid_module.require_mesh("u", long, GRID, 5, 4.0 + 3.9e-12)
+        with pytest.raises(ConfigurationError):
+            grid_module.require_mesh("u", long, GRID, 5, 4.0 + 4.1e-12)

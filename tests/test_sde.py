@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo path simulator and value estimator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
-from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, \
-    default_grid, truncated_gaussian
+from degmfg.grid import DensityPath, Grid2D, ScalarField, Stencil, \
+    ValuePath, default_grid, truncated_gaussian
 from degmfg.hjb import HjbConfig, hopf_lax_oracle, solve_hjb_backward
 from degmfg.operators import degenerate_gradient
 from degmfg import sde
@@ -181,11 +182,11 @@ class TestSimulatePaths:
                             lambda lo, hi, step, t, x, a1, a2:
                             seen.append((t, x.copy(), a1, a2)))
         slopes = [degenerate_gradient(v, grid, dyn) for v in up.values]
-        alpha1, alpha2 = (sde._SlicedField(grid, up.dt, -np.array(p))
+        alpha1, alpha2 = (sde._SlicedField(up.dt, -np.array(p))
                           for p in zip(*slopes))
         for t, x, a1, a2 in seen:
-            assert np.array_equal(a1, alpha1.at(x, t))
-            assert np.array_equal(a2, alpha2.at(x, t))
+            assert np.array_equal(a1, alpha1.gather(Stencil(grid, x), t))
+            assert np.array_equal(a2, alpha2.gather(Stencil(grid, x), t))
 
     def test_fields_read_from_the_step_stencil(self):
         # extra fields reach visit after the feedback, each equal to its
@@ -193,7 +194,7 @@ class TestSimulatePaths:
         grid = Grid2D(-3.0, 3.0, -2.0, 2.0, 17, 9)
         rng = np.random.default_rng(5)
         up = ValuePath(grid, 0.1, rng.normal(size=(11,) + grid.shape))
-        f = sde._SlicedField(grid, 0.1, rng.normal(size=(11,) + grid.shape))
+        f = sde._SlicedField(0.1, rng.normal(size=(11,) + grid.shape))
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         cfg = sde.EnsembleConfig(n_particles=50, seed=4, dt_sde=0.05)
         seen = []
@@ -202,7 +203,7 @@ class TestSimulatePaths:
                             seen.append((t, x.copy(), fx)), fields=(f,))
         assert len(seen) == 20
         for t, x, fx in seen:
-            assert np.array_equal(fx, f.at(x, t))
+            assert np.array_equal(fx, f.gather(Stencil(grid, x), t))
 
     def test_seed_range(self):
         # a block's Philox key is seed * 2**20 + block in 64 bits: 2**44
@@ -236,14 +237,24 @@ class TestStencil:
         values = np.random.default_rng(12).normal(size=g.shape)
         pts = self._points()
         ref = _bilinear_reference(g, values, pts)
-        assert np.array_equal(sde._bilinear(g, values, pts), ref)
-        st = sde._Stencil(g, pts)
+        st = Stencil(g, pts)
         assert np.array_equal(st.gather(values.ravel()), ref)
+
+    def test_stack_gather_equals_the_per_slice_gather(self):
+        g = self.GRID
+        stack = np.random.default_rng(14).normal(size=(3,) + g.shape)
+        pts = self._points()
+        st = Stencil(g, pts)
+        out = st.gather(stack.reshape(3, -1))
+        assert out.shape == (3, len(pts))
+        for k in range(3):
+            assert np.array_equal(out[k],
+                                  _bilinear_reference(g, stack[k], pts))
 
     def test_upper_edges_use_the_last_cell_at_full_weight(self):
         g = self.GRID
-        st = sde._Stencil(g, np.array([[g.x1_max, g.x2_max],
-                                       [g.x1_max + 1.0, g.x2_max + 1.0]]))
+        st = Stencil(g, np.array([[g.x1_max, g.x2_max],
+                                  [g.x1_max + 1.0, g.x2_max + 1.0]]))
         last = (g.n1 - 2) * g.n2 + g.n2 - 2
         assert np.array_equal(st.corners[0], [last, last])
         assert np.array_equal(st.weights[:, 0], [0.0, 0.0, 0.0, 1.0])
@@ -252,14 +263,52 @@ class TestStencil:
     def test_sliced_field_equals_per_slice_formula(self):
         g = self.GRID
         slices = np.random.default_rng(13).normal(size=(5,) + g.shape)
-        f = sde._SlicedField(g, 0.25, slices)
+        f = sde._SlicedField(0.25, slices)
         pts = self._points()
         for t in (0.0, 0.3, 0.75, 1.0):
             k = min(int(t / 0.25), 3)
             w = t / 0.25 - k
             ref = ((1 - w) * _bilinear_reference(g, slices[k], pts)
                    + w * _bilinear_reference(g, slices[k + 1], pts))
-            assert np.array_equal(f.at(pts, t), ref)
+            assert np.array_equal(f.gather(Stencil(g, pts), t), ref)
+
+
+def _reflect_reference(x, lo, hi):
+    """Mirror reflection with the modulo applied to every coordinate."""
+    span = hi - lo
+    y = np.mod(x - lo, 2.0 * span)
+    y = np.where(y > span, 2.0 * span - y, y)
+    return lo + y
+
+
+class TestReflect:
+    @pytest.mark.parametrize("lo, hi", [(-5.0, 5.0), (-1.5, 2.5),
+                                        (0.0, 1.0), (0.3, 0.7)])
+    def test_positions_equal_the_full_modulo(self, lo, hi):
+        span = hi - lo
+        rng = np.random.default_rng(31)
+        inside = np.concatenate([
+            rng.uniform(lo, hi, 250),
+            0.5 * (lo + hi) + 0.49 * span * np.sin(rng.normal(size=250))])
+        edges = np.array([lo, hi, np.nextafter(lo, -np.inf),
+                          np.nextafter(hi, np.inf), lo - 1e-17, hi + 1e-17,
+                          lo + 2.0 * span, lo - 2.0 * span, -0.0, 0.0])
+        outside = np.concatenate([
+            lo - rng.uniform(0.0, span, 50), hi + rng.uniform(0.0, span, 50),
+            rng.uniform(lo - 7.0 * span, lo - span, 50),
+            rng.uniform(hi + span, hi + 7.0 * span, 50),
+            lo + np.arange(-6, 7) * span])
+        x = np.concatenate([inside, edges, outside])
+        out = sde._reflect(x, lo, hi)
+        assert out.tobytes() == _reflect_reference(x, lo, hi).tobytes()
+        assert np.all((out >= lo) & (out <= hi))
+
+    def test_inside_points_keep_the_offset_round_trip(self):
+        # lo + (x - lo) is not always x in floating point: 0.1 in [-5, 5]
+        # comes back as 0.09999999999999964, and so must it stay
+        x = np.array([0.1])
+        assert -5.0 + (x - -5.0) != x
+        assert sde._reflect(x, -5.0, 5.0)[0] == -5.0 + (0.1 + 5.0)
 
 
 class TestMcValue:
@@ -431,6 +480,18 @@ class TestEmpiricalDensity:
         sig = np.std(pts, axis=0, ddof=1)
         assert sde.kde_bandwidth(_ensemble(pts)) == \
             float(np.max(sig) * 3001 ** (-1.0 / 6.0))
+
+    def test_coincident_particles_named(self):
+        # zero spread: the bandwidth is the 1e-3 dx floor and every kernel
+        # value at the nodes underflows to 0
+        grid = Grid2D(-3.0, 2.0, -1.0, 3.0, 41, 23)
+        ens = _ensemble(np.tile([0.1, 0.1], (50, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError,
+                               match="every kernel value underflowed at "
+                                     "bandwidth h=.*the particles coincide"):
+                sde.empirical_density(ens, grid)
 
     def test_empty_ensemble_rejected(self):
         ens = sde.ParticleEnsemble(times=np.array([0.0]),

@@ -13,10 +13,10 @@ from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import (DensityPath, Direction, Grid2D, ScalarField,
                          ValuePath, truncated_gaussian, uniform_density)
 from degmfg.hjb import HjbConfig, solve_hjb_backward
+from degmfg.operators import interior_restrict
 from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
-                           interior_restrict, lipschitz_estimate,
-                           property_checks, report_to_dict,
-                           semiconcavity_estimate,
+                           lipschitz_estimate, property_checks,
+                           report_to_dict, semiconcavity_estimate,
                            time_lipschitz_estimate, VerifyThresholds)
 
 DIAG = Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -64,19 +64,95 @@ class TestSemiconcavity:
     def test_negative_quadratic_every_direction(self):
         u = _field(_box(3.0, 32), lambda x1, x2: -(x1 ** 2 + x2 ** 2))
         for eta in AXES_AND_DIAGONALS:
-            est = semiconcavity_estimate(u, eta)
+            est = semiconcavity_estimate(u.values, u.grid, eta)
             assert abs(est - (-2.0)) < 1e-10  # exact for lattice-aligned eta
 
     def test_linear_is_zero(self):
         u = _field(_box(3.0, 32), lambda x1, x2: 2.0 * x1 - x2)
         for eta in AXES_AND_DIAGONALS:
-            assert abs(semiconcavity_estimate(u, eta)) < 1e-12
+            assert abs(semiconcavity_estimate(u.values, u.grid, eta)) < 1e-12
 
     def test_mixed_quadratic_directional(self):
         # u = x1*x2: second derivative along (1,1)/sqrt(2) is +1, along axes 0
         u = _field(_box(3.0, 32), lambda x1, x2: x1 * x2)
-        assert abs(semiconcavity_estimate(u, DIAG) - 1.0) < 1e-10
-        assert abs(semiconcavity_estimate(u, Direction(1.0, 0.0))) < 1e-12
+        assert abs(semiconcavity_estimate(u.values, u.grid, DIAG) - 1.0) < 1e-10
+        assert abs(semiconcavity_estimate(u.values, u.grid,
+                                          Direction(1.0, 0.0))) < 1e-12
+
+
+def _rgi_semiconcavity(u, eta):
+    """The estimate as it was computed off the node lattice: five samples
+    x + k s eta, k = -2..2, read with scipy's RegularGridInterpolator at the
+    nodes where all five lie in the box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    g = u.grid
+    interp = RegularGridInterpolator((g.x1, g.x2), u.values, method="linear")
+    x1g, x2g = g.meshgrid()
+    pts = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
+    best = -math.inf
+    for j in (1, 2):
+        s = j * min(g.dx1, g.dx2)
+        shifted = [pts + k * s * eta.as_array() for k in (-2, -1, 0, 1, 2)]
+        mask = np.logical_and.reduce(
+            [(y[:, 0] >= g.x1_min) & (y[:, 0] <= g.x1_max)
+             & (y[:, 1] >= g.x2_min) & (y[:, 1] <= g.x2_max) for y in shifted])
+        _, m1, c, p1, _ = [interp(y[mask]) for y in shifted]
+        best = max(best, float(((p1 - 2.0 * c + m1) / s ** 2).max()))
+    return best
+
+
+def _rough_path(grid, nt, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(nt,) + grid.shape).cumsum(axis=1).cumsum(axis=2)
+    return vals / np.abs(vals).max()
+
+
+OFF_LATTICE = (DIAG, Direction(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
+               Direction(math.cos(0.3), math.sin(0.3)))
+NON_SQUARE = (Grid2D(-3.0, 2.0, -1.5, 2.5, 41, 23),
+              Grid2D(-5.0, 5.0, -5.0, 5.0, 40, 64),
+              Grid2D(0.0, 1.0, -2.0, 2.0, 17, 33))
+
+
+class TestSemiconcavityOnPaths:
+    @pytest.mark.parametrize("grid", (_box(3.0, 24),) + NON_SQUARE)
+    @pytest.mark.parametrize("frame", [0.0, 0.1])
+    def test_path_estimate_is_the_max_over_slices(self, grid, frame):
+        vals = _rough_path(grid, 5, 3)
+        for eta in AXES_AND_DIAGONALS + OFF_LATTICE[2:]:
+            per_slice = [semiconcavity_estimate(v, grid, eta, frame)
+                         for v in vals]
+            assert semiconcavity_estimate(vals, grid, eta, frame) \
+                == max(per_slice)
+
+    @pytest.mark.parametrize("grid", NON_SQUARE)
+    def test_off_lattice_matches_the_interpolator_route(self, grid):
+        for seed in (4, 5):
+            u = ScalarField(grid, _rough_path(grid, 1, seed)[0])
+            for eta in OFF_LATTICE:
+                ref = _rgi_semiconcavity(u, eta)
+                est = semiconcavity_estimate(u.values, grid, eta)
+                assert abs(est - ref) <= 1e-13 * abs(ref)
+
+    def test_lattice_directions_read_node_values(self):
+        # on a square grid the diagonals align with the lattice: the
+        # estimate is the node-value quotient, bit for bit
+        grid = _box(3.0, 24)
+        v = _rough_path(grid, 1, 6)[0]
+        s = math.hypot(grid.dx1, grid.dx2)
+        # both scales read the nodes 2j steps from the edge, j = 1, 2
+        near = v[3:-1, 3:-1] - 2.0 * v[2:-2, 2:-2] + v[1:-3, 1:-3]
+        far = v[6:-2, 6:-2] - 2.0 * v[4:-4, 4:-4] + v[2:-6, 2:-6]
+        ref = max(float((near / s ** 2).max()),
+                  float((far / (2 * s) ** 2).max()))
+        assert semiconcavity_estimate(v, grid, DIAG) == ref
+
+    def test_direction_leaving_the_box_everywhere(self):
+        grid = Grid2D(0.0, 1.0, 0.0, 0.01, 8, 4)
+        with pytest.raises(ConfigurationError,
+                           match="direction stencil leaves the domain"):
+            semiconcavity_estimate(np.zeros(grid.shape), grid, DIAG)
 
 
 class TestRestrictionMonotonicity:
@@ -90,8 +166,8 @@ class TestRestrictionMonotonicity:
             assert (lipschitz_estimate(u.values, grid, frame)
                     <= lipschitz_estimate(u.values, grid) + 1e-14)
             for eta in AXES_AND_DIAGONALS:
-                assert (semiconcavity_estimate(u, eta, frame)
-                        <= semiconcavity_estimate(u, eta) + 1e-14)
+                assert (semiconcavity_estimate(vals, grid, eta, frame)
+                        <= semiconcavity_estimate(vals, grid, eta) + 1e-14)
 
     def test_frame_bounds_validated(self):
         u = _field(_box(3.0, 32), lambda x1, x2: x1)
