@@ -8,12 +8,12 @@
 For every slice CSV under u/ and m/ prints whether the two files are
 byte-identical (sha256) and the maximum absolute difference of their
 values, then one line per field with the worst slice. If both runs have a
-summary.json with Picard ``iters`` and ``residuals``, those are compared
-too. Then every value of summary.json and of run_summary.json (``timings``
-left out) is compared exactly: one line per value that differs and one
-line per file. Exits 0 when both runs hold the same slices on the same
-grid, 1 otherwise (also, after one line naming it, when a run has no u/ or
-m/ directory).
+summary.json with Picard ``iters``, ``steps`` and ``residuals``, those are
+compared too. Then every value of summary.json and of run_summary.json
+(``timings`` left out) is compared exactly: one line per value that
+differs and one line per file. Exits 0 when both runs hold the same slices
+on the same grid, 1 otherwise (also, after one line naming it, when a run
+has no u/ or m/ directory).
 """
 
 import argparse
@@ -72,7 +72,8 @@ def compare_picard(a, b):
     if "residuals" not in ja or "residuals" not in jb:
         return
     ra, rb = np.asarray(ja["residuals"]), np.asarray(jb["residuals"])
-    line = "picard iters %s vs %s" % (ja.get("iters"), jb.get("iters"))
+    line = "picard iters %s vs %s, steps %s vs %s" % (
+        ja.get("iters"), jb.get("iters"), ja.get("steps"), jb.get("steps"))
     if ra.shape == rb.shape and ra.size:
         rel = np.abs(ra - rb) / np.maximum(np.abs(ra), 1e-300)
         line += ", residuals max relative diff %.3g" % float(rel.max())

@@ -120,6 +120,7 @@ def _cmd_solve_mfg(args) -> int:
         "converged": sol.converged,
         "iters": sol.iterations,
         "residuals": [float(r) for r in sol.residual_history],
+        "steps": sol.steps,
         "eps_deltas": [],
         "epsilon": sol.epsilon,
         "lp_residual": sol.lp_residual,
@@ -140,6 +141,7 @@ def _cmd_sweep_eps(args) -> int:
         "iters": [lv.solution.iterations for lv in res.levels],
         "residuals": [[float(r) for r in lv.solution.residual_history]
                       for lv in res.levels],
+        "steps": [lv.solution.steps for lv in res.levels],
         "eps_deltas": [float(d) for d in res.sup_norm_deltas],
         "d1_deltas": [float(d) for d in res.d1_deltas],
         "eps_levels": [lv.epsilon for lv in res.levels],
@@ -253,6 +255,7 @@ def _cmd_run(args) -> int:
         "converged": sol.converged,
         "iters": sol.iterations,
         "residuals": [float(r) for r in sol.residual_history],
+        "steps": sol.steps,
         "eps_deltas": [],
     }
     dio.save_run(out, cfg, sol.u, sol.m, mfg_summary)
@@ -310,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="negative control: replace the upwind flux with a "
                          "centered one and skip hard error checks")
 
-    sp = add("solve-mfg", _cmd_solve_mfg, help="damped Picard fixed point")
+    sp = add("solve-mfg", _cmd_solve_mfg,
+             help="Picard fixed point: full steps, theta damping as fallback")
     sp.add_argument("--config", required=True)
     sp.add_argument("--eps", type=float, default=None,
                     help="override the viscosity from the config")

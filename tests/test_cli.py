@@ -100,10 +100,21 @@ class TestSolveAndVerify:
         # decoupled zero config: the value fields are identically zero
         mfg = summary["solve_mfg"]
         assert mfg["converged"] and mfg["iters"] == 1
+        assert mfg["steps"] == [1.0]
         hjb_sup = json.loads(capsys.readouterr().out.splitlines()[-1])
         with open(os.path.join(out, "u", "slice_0000.csv")) as fh:
             fh.readline()
             assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in fh)
+
+    def test_summaries_record_the_step_taken(self, tmp_path, capsys):
+        assert main(["solve-mfg", "--config", ZERO_CFG,
+                     "--out", str(tmp_path / "mfg")]) == EXIT_OK
+        mfg = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert mfg["steps"] == [1.0]
+        assert main(["sweep-eps", "--config", ZERO_CFG,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert sweep["steps"] == [[1.0]] * len(sweep["eps_levels"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")

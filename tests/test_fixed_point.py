@@ -1,8 +1,12 @@
-"""Tests for the damped Picard iteration and the viscosity sweep."""
+"""Tests for the safeguarded Picard iteration and the viscosity sweep."""
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from degmfg.config import load_config
 from degmfg.coupling import builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
@@ -90,7 +94,8 @@ class TestCoupled:
         assert all(h[i + 1] < h[i] for i in range(len(h) - 1))
 
     def test_lp_residual_agrees_with_stopping_metric(self, solution):
-        # the entropic stopping metric must not hide a large true distance
+        # the stopping metric (exact LP at up to 320 coarsened points) and
+        # the same LP at the coarser lp_check_points must agree
         assert solution.lp_residual <= 3 * FP.tol_d1
 
     def test_solution_is_near_fixed_point(self, solution):
@@ -135,6 +140,52 @@ class TestCoupled:
         with pytest.warns(UserWarning):
             picard_solve(dyn, coupling, M0, HJB,
                          FixedPointConfig(max_outer_iters=1, tol_d1=10.0))
+
+
+class TestSafeguardedStep:
+    """Full steps while the residual contracts, then theta for good."""
+
+    STRONG = builtin_coupling("nonlocal_smooth",
+                              {"c1": 1.5, "c_terminal": 1.5})
+
+    def _solve(self, theta):
+        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
+        fp = replace(FP, theta=theta, max_outer_iters=10)
+        return picard_solve(dyn, self.STRONG, M0, HJB, fp)
+
+    def test_full_step_alone_stalls(self):
+        # theta = 1 leaves no fallback: the full step stops contracting and
+        # the residual stalls near 5.3e-3, above tol_d1
+        sol = self._solve(1.0)
+        assert not sol.converged
+        assert sol.steps == [1.0] * 10
+        assert min(sol.residual_history) > FP.tol_d1
+
+    def test_fallback_converges(self):
+        sol = self._solve(0.25)
+        assert sol.converged
+        assert sol.residual_history[-1] <= FP.tol_d1
+        assert len(sol.steps) == sol.iterations
+        # the switch is one-way: full steps, then theta for every later one
+        n_full = sol.steps.index(0.25)
+        assert n_full >= 2
+        assert sol.steps == [1.0] * n_full + [0.25] * (sol.iterations - n_full)
+        # the last full step is the first that failed to contract
+        h = sol.residual_history
+        assert h[n_full - 1] >= h[n_full - 2]
+        assert all(h[i + 1] < h[i] for i in range(n_full - 2))
+
+    def test_grushin_default_takes_two_full_steps(self):
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", "grushin_default.json"))
+        # the fallback damping is configured but no full step fails here
+        assert cfg.fixed_point.theta == 0.5
+        sol = picard_solve(cfg.make_dynamics(), cfg.make_coupling(),
+                           cfg.make_initial_density(), cfg.make_hjb_config(),
+                           cfg.make_fixed_point())
+        assert sol.converged
+        assert sol.iterations == 2
+        assert sol.steps == [1.0, 1.0]
 
 
 class TestEpsSweep:
