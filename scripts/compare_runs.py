@@ -7,9 +7,10 @@
 
 For every slice CSV under u/ and m/ prints whether the two files are
 byte-identical (sha256) and the maximum absolute difference of their
-values, then one line per field with the worst slice. If both runs have a
-summary.json with Picard ``iters``, ``steps`` and ``residuals``, those are
-compared too. Then every value of summary.json and of run_summary.json
+values, then one line per field with the worst slice and one with that
+worst difference relative to the field's largest |value| in either run (0
+where both fields are 0). If both runs have a summary.json with Picard
+``iters``, ``steps`` and ``residuals``, those are compared too. Then every value of summary.json and of run_summary.json
 (``timings`` left out) is compared exactly: one line per value that
 differs and one line per file. Exits 0 when both runs hold the same slices
 on the same grid, 1 otherwise (also, after one line naming it, when a run
@@ -44,7 +45,7 @@ def compare_field(a, b, field):
     if names != _slices(b, field):
         print("%s/: the runs hold different slices" % field)
         return None
-    identical, worst = 0, 0.0
+    identical, worst, scale = 0, 0.0, 0.0
     for name in names:
         pa, pb = os.path.join(a, field, name), os.path.join(b, field, name)
         ga, va = read_field_csv(pa)
@@ -56,10 +57,13 @@ def compare_field(a, b, field):
         diff = float(np.abs(va - vb).max())
         identical += same
         worst = max(worst, diff)
+        scale = max(scale, float(np.abs(va).max()), float(np.abs(vb).max()))
         print("%s/%s sha256 %s max|diff| %.3g"
               % (field, name, "equal" if same else "differ", diff))
     print("%s/: %d of %d slices byte-identical, max|diff| %.3g"
           % (field, identical, len(names), worst))
+    print("%s/: max|diff| / max|value| %.3g"
+          % (field, worst / scale if scale > 0 else 0.0))
     return identical, worst
 
 
@@ -81,11 +85,12 @@ def compare_picard(a, b):
 
 
 def _leaves(obj, path=""):
-    """(path, value) for every scalar of a JSON document."""
-    if isinstance(obj, dict):
+    """(path, value) for every scalar and every empty list or object of a
+    JSON document, so that a key holding [] is not lost."""
+    if isinstance(obj, dict) and obj:
         for key in sorted(obj):
             yield from _leaves(obj[key], "%s.%s" % (path, key) if path else key)
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and obj:
         for i, value in enumerate(obj):
             yield from _leaves(value, "%s[%d]" % (path, i))
     else:

@@ -121,7 +121,6 @@ def _cmd_solve_mfg(args) -> int:
         "iters": sol.iterations,
         "residuals": [float(r) for r in sol.residual_history],
         "steps": sol.steps,
-        "eps_deltas": [],
         "epsilon": sol.epsilon,
         "lp_residual": sol.lp_residual,
     }
@@ -256,7 +255,6 @@ def _cmd_run(args) -> int:
         "iters": sol.iterations,
         "residuals": [float(r) for r in sol.residual_history],
         "steps": sol.steps,
-        "eps_deltas": [],
     }
     dio.save_run(out, cfg, sol.u, sol.m, mfg_summary)
 

@@ -22,7 +22,7 @@ from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityPath, Grid2D, ScalarField, ValuePath, require_mesh
-from .operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
+from .operators import apply_L, diff1, diff2, half_sigma_sq, hamiltonian, \
     lipschitz_estimate, sup_norm
 
 
@@ -98,15 +98,6 @@ def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
     return lu.solve, lambda r: lu.solve(w * r, trans="T") / w
 
 
-def _one_sided_slopes(u, dx, axis):
-    """(backward, forward) slopes with zero-slope (Neumann) extension."""
-    v = np.moveaxis(u, axis, 0)
-    pad = np.concatenate([v[:1], v, v[-1:]], axis=0)
-    backward = (pad[1:-1] - pad[:-2]) / dx
-    forward = (pad[2:] - pad[1:-1]) / dx
-    return np.moveaxis(backward, 0, axis), np.moveaxis(forward, 0, axis)
-
-
 def _godunov(backward, forward):
     """The larger active one-sided slope, signed; 0 where neither is active."""
     pb, pf = np.maximum(backward, 0.0), np.minimum(forward, 0.0)
@@ -123,9 +114,18 @@ def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray):
     1 - dt (|p1|/dx1 + h |p2|/dx2), is the monotonicity (CFL) margin of
     the step.
     """
-    b1, f1 = _one_sided_slopes(u, grid.dx1, axis=0)
-    b2, f2 = _one_sided_slopes(u, grid.dx2, axis=1)
-    return _godunov(b1, f1), _godunov(hg * b2, hg * f2)
+    # one difference per node pair and axis, between a zero at each end:
+    # node i's backward slope is entry i, its forward slope entry i + 1,
+    # the zero-slope (Neumann) extension
+    n1, n2 = u.shape
+    z1 = np.zeros((n1 + 1, n2))
+    np.subtract(u[1:], u[:-1], out=z1[1:-1])
+    z1[1:-1] /= grid.dx1
+    z2 = np.zeros((n1, n2 + 1))
+    np.subtract(u[:, 1:], u[:, :-1], out=z2[:, 1:-1])
+    z2[:, 1:-1] /= grid.dx2
+    return (_godunov(z1[:-1], z1[1:]),
+            _godunov(hg * z2[:, :-1], hg * z2[:, 1:]))
 
 
 def numerical_hamiltonian(u: np.ndarray, grid: Grid2D,
@@ -196,21 +196,40 @@ def hopf_lax_oracle(g_terminal: ScalarField, t: float, T: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
+_RESIDUAL_BLOCK = 4  # time slices per step of pde_residual
+
+
 def pde_residual(u: ValuePath, dyn: DynamicsSpec, coupling: CouplingSpec,
                  m_path: DensityPath) -> np.ndarray:
     """Pointwise HJE residual at the interior time slices 1..nt-2 (centered
-    in time), one (nt-2, n1, n2) array."""
+    in time), one (nt-2, n1, n2) array.
+
+    The slices are taken ``_RESIDUAL_BLOCK`` at a time. The sigma^2 and h
+    tables are built once, L and the epsilon-Laplacian share one ``diff2``
+    per axis, and each block of the residual is written over its slices of
+    F, so the call holds one path-sized array. Every slice equals the
+    per-slice formula bit for bit.
+    """
     if u.nt < 3:
         raise ConfigurationError("pde_residual needs at least 3 time slices")
     grid = u.grid
-    f = coupling.running_cost(m_path)
-    out = np.empty((u.nt - 2,) + grid.shape)
-    for k in range(1, u.nt - 1):  # slice by slice: slice-sized temporaries
-        v = u.values[k]
-        dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * u.dt)
+    coef = half_sigma_sq(grid, dyn)
+    hg = dyn.h_grid(grid)
+    res = coupling.running_cost(m_path)  # F, overwritten block by block
+    for s in range(1, u.nt - 1, _RESIDUAL_BLOCK):
+        e = min(s + _RESIDUAL_BLOCK, u.nt - 1)
+        v = u.values[s:e]
+        r = u.values[s + 1:e + 1] - u.values[s - 1:e - 1]
+        r /= 2.0 * u.dt
+        np.negative(r, out=r)  # -du/dt
+        d2 = diff2(v, grid.dx1, -2), diff2(v, grid.dx2, -1)
         # epsilon multiplies the full (nondegenerate) Laplacian
-        lap = diff2(v, grid.dx1, -2) + diff2(v, grid.dx2, -1)
-        ham = hamiltonian(degenerate_gradient(v, grid, dyn))
-        out[k - 1] = (-dudt - dyn.epsilon * lap - apply_L(v, grid, dyn)
-                      + ham - f[k])
-    return out
+        lap = d2[0] + d2[1]
+        lap *= dyn.epsilon
+        r -= lap
+        r -= apply_L(v, grid, dyn, d2=d2, coef=coef)
+        p2 = diff1(v, grid.dx2, -1)
+        p2 *= hg
+        r += hamiltonian((diff1(v, grid.dx1, -2), p2))
+        np.subtract(r, res[s:e], out=res[s:e])
+    return res[1:-1]

@@ -50,11 +50,24 @@ def degenerate_gradient(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec):
     return diff1(u, grid.dx1, axis=-2), p2
 
 
-def apply_L(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec) -> np.ndarray:
-    """(1/2)(sigma1^2 d^2/dx1^2 + sigma2^2 d^2/dx2^2) u (diagonal sigma)."""
+def half_sigma_sq(grid: Grid2D, dyn: DynamicsSpec):
+    """The coefficient tables (sigma1^2 / 2, sigma2^2 / 2) of L on the grid."""
     x1g, x2g = grid.meshgrid()
-    return 0.5 * dyn.sigma1_sq(x1g, x2g) * diff2(u, grid.dx1, axis=-2) \
-        + 0.5 * dyn.sigma2_sq(x1g, x2g) * diff2(u, grid.dx2, axis=-1)
+    return 0.5 * dyn.sigma1_sq(x1g, x2g), 0.5 * dyn.sigma2_sq(x1g, x2g)
+
+
+def apply_L(u: np.ndarray, grid: Grid2D, dyn: DynamicsSpec, *,
+            d2=None, coef=None) -> np.ndarray:
+    """(1/2)(sigma1^2 d^2/dx1^2 + sigma2^2 d^2/dx2^2) u (diagonal sigma).
+
+    A caller that already holds the second differences ``d2`` = (d11 u,
+    d22 u) of ``diff2`` or the tables ``coef`` of ``half_sigma_sq`` passes
+    them in; the result is the same, bit for bit.
+    """
+    d11, d22 = d2 if d2 is not None else (diff2(u, grid.dx1, axis=-2),
+                                          diff2(u, grid.dx2, axis=-1))
+    a1, a2 = coef if coef is not None else half_sigma_sq(grid, dyn)
+    return a1 * d11 + a2 * d22
 
 
 def hamiltonian(p) -> np.ndarray:

@@ -116,6 +116,24 @@ class TestSolveAndVerify:
         sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert sweep["steps"] == [[1.0]] * len(sweep["eps_levels"])
 
+    def test_eps_deltas_only_in_the_sweep(self, tmp_path, capsys):
+        # only sweep-eps has epsilon levels to difference
+        mfg_out, run_out = str(tmp_path / "mfg"), str(tmp_path / "run")
+        assert main(["solve-mfg", "--config", ZERO_CFG,
+                     "--out", mfg_out]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert main(["run", "--config", ZERO_CFG, "--out", run_out]) == EXIT_OK
+        run_summary = json.load(open(os.path.join(run_out, "run_summary.json")))
+        for summary in (printed, run_summary["solve_mfg"],
+                        json.load(open(os.path.join(mfg_out, "summary.json"))),
+                        json.load(open(os.path.join(run_out, "summary.json")))):
+            assert "steps" in summary and "eps_deltas" not in summary
+        capsys.readouterr()
+        assert main(["sweep-eps", "--config", ZERO_CFG,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert len(sweep["eps_deltas"]) == len(sweep["eps_levels"]) - 1
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

@@ -36,6 +36,8 @@ def test_identical_runs(two_runs):
     for field in ("u", "m"):
         assert ("%s/: 33 of 33 slices byte-identical, max|diff| 0\n" % field
                 in proc.stdout)
+        # decoupled_zero's u is 0 everywhere: 0, not 0 / 0
+        assert "%s/: max|diff| / max|value| 0\n" % field in proc.stdout
     assert "picard iters 1 vs 1" in proc.stdout
 
 
@@ -54,6 +56,29 @@ def test_changed_value_is_reported(two_runs, tmp_path):
     assert "m/: 32 of 33 slices byte-identical, max|diff| 0.25\n" \
         in proc.stdout
     assert "u/: 33 of 33 slices byte-identical" in proc.stdout
+
+
+def test_relative_difference_per_field(two_runs, tmp_path):
+    a, b = two_runs
+    changed = str(tmp_path / "changed")
+    shutil.copytree(b, changed)
+    path = os.path.join(changed, "m", "slice_0007.csv")
+    grid, values = dio.read_field_csv(path)
+    values[2, 2] = 3.0 * values.max()  # the largest value of either run
+    dio.write_field_csv(path, grid, values)
+    scale = max(max(abs(dio.read_field_csv(os.path.join(run, "m", name))[1]).max()
+                    for name in os.listdir(os.path.join(run, "m")))
+                for run in (a, changed))
+    worst = abs(values - dio.read_field_csv(
+        os.path.join(a, "m", "slice_0007.csv"))[1]).max()
+    proc = _compare(a, changed)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    summary = lines.index("m/: 32 of 33 slices byte-identical, max|diff| %.3g"
+                          % worst)
+    assert lines[summary + 1] == ("m/: max|diff| / max|value| %.3g"
+                                  % (worst / scale))
+    assert "u/: max|diff| / max|value| 0" in lines
 
 
 def test_missing_slice_fails(two_runs, tmp_path):
@@ -86,6 +111,20 @@ def test_run_summary_compared_except_timings(two_runs, tmp_path):
     assert "run_summary.json mc_validate.mc_stderr: 0.0 vs 0.5\n" in proc.stdout
     assert ("run_summary.json: 2 values differ (timings left out)\n"
             in proc.stdout)
+
+
+def test_empty_list_is_a_value(two_runs, tmp_path):
+    a, b = two_runs
+    changed = str(tmp_path / "changed")
+    shutil.copytree(b, changed)
+    path = os.path.join(changed, "summary.json")
+    summary = dio.read_json(path)
+    summary["eps_deltas"] = []
+    dio.write_json(path, summary)
+    proc = _compare(a, changed)
+    assert proc.returncode == 0, proc.stderr
+    assert "summary.json eps_deltas: missing vs []\n" in proc.stdout
+    assert "summary.json: 1 values differ\n" in proc.stdout
 
 
 @pytest.mark.parametrize("field", ["u", "m"])

@@ -1,10 +1,12 @@
-"""Couplings along a density path: F on every slice from one evaluation."""
+"""Couplings along a density path: F on every slice from one evaluation;
+the Gaussian smoother against scipy's filter."""
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from degmfg.coupling import CouplingSpec, builtin_coupling
+from degmfg.coupling import (_SMOOTH_BLOCK, CouplingSpec, builtin_coupling,
+                             smooth_measure)
 from degmfg.errors import ConfigurationError
 from degmfg.grid import DensityField, DensityPath, Grid2D
 
@@ -27,9 +29,7 @@ def _bowl(grid, amp, width):
 def _reference(name, p, grid, m):
     """F of one clipped slice m, written out per slice."""
     if name == "nonlocal_smooth":
-        smooth = gaussian_filter(m, sigma=(p["delta"] / grid.dx1,
-                                           p["delta"] / grid.dx2),
-                                 mode="constant")
+        smooth = smooth_measure(DensityField(grid, m), p["delta"])
         return p["c1"] * smooth + _bowl(grid, p["f_amp"], p["width"])
     if name == "local_power":
         return p["c1"] * m ** p["power"]
@@ -43,7 +43,7 @@ def _reference(name, p, grid, m):
 @pytest.mark.parametrize("validated", [True, False])
 def test_path_cost_equals_per_slice_filter(name, params, n1, n2, validated):
     grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
-    values = _densities(grid, 6)
+    values = _densities(grid, _SMOOTH_BLOCK + 3)  # a full block and a rest
     coupling = builtin_coupling(name, params)
     f = coupling.running_cost(DensityPath(grid, 0.1, values,
                                           validate_slices=validated))
@@ -52,6 +52,25 @@ def test_path_cost_equals_per_slice_filter(name, params, n1, n2, validated):
         ref = _reference(name, coupling.params, grid,
                          np.clip(values[k], 0.0, None))
         assert np.array_equal(f[k], ref), k
+
+
+@pytest.mark.parametrize("n1, n2, delta", [
+    (128, 128, 0.5), (17, 9, 0.5),
+    (17, 9, 20.0),   # a kernel wider than the box
+    (32, 32, 0.1)])
+def test_smooth_measure_matches_gaussian_filter(n1, n2, delta):
+    # the axis-factor products sum in another order than scipy's filter,
+    # so they agree to roundoff, not bit for bit
+    grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
+    values = np.clip(_densities(grid, 5), 0.0, None)
+    sigma = (delta / grid.dx1, delta / grid.dx2)
+    ref = gaussian_filter(values, sigma=(0.0,) + sigma, mode="constant")
+    path = smooth_measure(DensityPath(grid, 0.1, values), delta)
+    assert path.shape == values.shape
+    assert np.abs(path - ref).max() <= 1e-14 * np.abs(ref).max()
+    field = smooth_measure(DensityField(grid, values[2]), delta)
+    ref2 = gaussian_filter(values[2], sigma=sigma, mode="constant")
+    assert np.abs(field - ref2).max() <= 1e-14 * np.abs(ref2).max()
 
 
 def test_F_sees_the_validated_path_once():

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu
 import degmfg
 from degmfg import hjb
 from degmfg.coupling import CouplingSpec, builtin_coupling
-from degmfg.dynamics import dynamics_preset
+from degmfg.dynamics import dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, uniform_density
@@ -251,6 +251,40 @@ class TestUpwindSlopes:
                                    rtol=1e-12)
 
 
+def _one_sided_slopes(u, dx, axis):
+    """(backward, forward) slopes with zero-slope (Neumann) extension, from
+    a padded copy: the reference of ``upwind_slopes``."""
+    v = np.moveaxis(u, axis, 0)
+    pad = np.concatenate([v[:1], v, v[-1:]], axis=0)
+    backward = (pad[1:-1] - pad[:-2]) / dx
+    forward = (pad[2:] - pad[1:-1]) / dx
+    return np.moveaxis(backward, 0, axis), np.moveaxis(forward, 0, axis)
+
+
+def _godunov(backward, forward):
+    pb, pf = np.maximum(backward, 0.0), np.minimum(forward, 0.0)
+    return np.where(pb >= -pf, pb, pf)
+
+
+@pytest.mark.parametrize("n1, n2", [(32, 32), (17, 9)])
+@pytest.mark.parametrize("h", ["zero", "one", "grushin"])
+def test_upwind_slopes_equal_the_padded_reference(n1, n2, h):
+    grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
+    hg = {"zero": np.zeros(grid.shape), "one": np.ones(grid.shape),
+          "grushin": np.repeat(grushin_h(grid.x1)[:, None], n2, axis=1)}[h]
+    rng = np.random.default_rng(11)
+    # a smooth field, noise, and a coarse staircase whose flat steps and
+    # equal opposite slopes exercise the ties of the Godunov choice
+    x1g, x2g = grid.meshgrid()
+    for u in (np.sin(x1g) * np.cos(2.0 * x2g), rng.normal(size=grid.shape),
+              np.round(rng.normal(size=grid.shape))):
+        b1, f1 = _one_sided_slopes(u, grid.dx1, axis=0)
+        b2, f2 = _one_sided_slopes(u, grid.dx2, axis=1)
+        ref = _godunov(b1, f1), _godunov(hg * b2, hg * f2)
+        for p, q in zip(upwind_slopes(u, grid, hg), ref):
+            assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
 class TestPdeResidual:
     def test_constant_solution_zero_residual(self):
         grid = _box(3.0, 16)
@@ -288,28 +322,31 @@ class TestPdeResidual:
     @pytest.mark.parametrize("n1, n2", [(32, 32), (17, 9)])
     def test_equals_per_slice_reference(self, n1, n2):
         # the residual of each interior slice, written out with F of that
-        # slice alone
+        # slice alone; the interior slices fill part of one time block, one
+        # whole block, and two blocks and one slice more
         grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
-        cfg = HjbConfig(T=1.0, nt=7)
         dyn = dynamics_preset("grushin_exp", epsilon=0.1)
         coup = builtin_coupling("nonlocal_smooth")
         rng = np.random.default_rng(5)
-        u = ValuePath(grid, cfg.dt, rng.normal(size=(cfg.nt,) + grid.shape))
-        m = rng.uniform(0.5, 1.5, size=(cfg.nt,) + grid.shape)
-        m /= np.array([grid.integrate(v) for v in m])[:, None, None]
-        m_path = DensityPath(grid, cfg.dt, m)
-        res = pde_residual(u, dyn, coup, m_path)
-        assert res.shape == (cfg.nt - 2,) + grid.shape
         x1g, x2g = grid.meshgrid()
-        for k in range(1, cfg.nt - 1):
-            v = u.values[k]
-            dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * cfg.dt)
-            lap = diff2(v, grid.dx1, 0) + diff2(v, grid.dx2, 1)
-            ham = hamiltonian(degenerate_gradient(v, grid, dyn))
-            f_k = coup.F(x1g, x2g, m_path.slice(k))
-            ref = (-dudt - dyn.epsilon * lap - apply_L(v, grid, dyn) + ham
-                   - f_k)
-            assert np.array_equal(res[k - 1], ref), k
+        block = hjb._RESIDUAL_BLOCK
+        for nt in (3, block + 2, 2 * block + 3):
+            cfg = HjbConfig(T=1.0, nt=nt)
+            u = ValuePath(grid, cfg.dt, rng.normal(size=(nt,) + grid.shape))
+            m = rng.uniform(0.5, 1.5, size=(nt,) + grid.shape)
+            m /= np.array([grid.integrate(v) for v in m])[:, None, None]
+            m_path = DensityPath(grid, cfg.dt, m)
+            res = pde_residual(u, dyn, coup, m_path)
+            assert res.shape == (nt - 2,) + grid.shape
+            for k in range(1, nt - 1):
+                v = u.values[k]
+                dudt = (u.values[k + 1] - u.values[k - 1]) / (2.0 * cfg.dt)
+                lap = diff2(v, grid.dx1, 0) + diff2(v, grid.dx2, 1)
+                ham = hamiltonian(degenerate_gradient(v, grid, dyn))
+                f_k = coup.F(x1g, x2g, m_path.slice(k))
+                ref = (-dudt - dyn.epsilon * lap - apply_L(v, grid, dyn)
+                       + ham - f_k)
+                assert np.array_equal(res[k - 1], ref), (nt, k)
 
     def test_too_few_slices_rejected(self):
         grid = _box(3.0, 16)

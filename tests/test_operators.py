@@ -5,8 +5,8 @@ from degmfg.dynamics import DynamicsSpec, dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import assemble_dual_diffusion
 from degmfg.grid import DensityField, Grid2D, ScalarField, truncated_gaussian
-from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian, \
-    lipschitz_estimate
+from degmfg.operators import apply_L, degenerate_gradient, diff2, \
+    half_sigma_sq, hamiltonian, lipschitz_estimate
 from test_fpe import conservative_diff2
 
 
@@ -83,6 +83,15 @@ class TestPathEqualsSlices:
             q1, q2 = degenerate_gradient(path[k], grid, dyn)
             assert np.array_equal(p1[k], q1) and np.array_equal(p2[k], q2)
             assert np.array_equal(lu[k], apply_L(path[k], grid, dyn))
+
+    def test_L_from_given_differences_and_tables(self):
+        grid = make_grid(17, 9)
+        dyn = dynamics_preset("grushin_exp", epsilon=0.1)
+        path = self._path(grid)
+        d2 = diff2(path, grid.dx1, -2), diff2(path, grid.dx2, -1)
+        given = apply_L(path, grid, dyn, d2=d2,
+                        coef=half_sigma_sq(grid, dyn))
+        assert np.array_equal(given, apply_L(path, grid, dyn))
 
     @pytest.mark.parametrize("frame", [0.0, 0.2])
     def test_lipschitz_is_the_max_over_slices(self, frame):
