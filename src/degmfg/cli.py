@@ -28,6 +28,7 @@ from .grid import DensityField, DensityPath
 from .hjb import solve_hjb_backward
 from .measures import SINKHORN_REG_FACTOR, GridDistance, sinkhorn_points, \
     wasserstein1_points
+from .operators import sup_norm
 from .verify import VerifyThresholds, ae_residual_report, lipschitz_estimate, \
     property_checks, report_to_dict
 
@@ -67,7 +68,7 @@ def _cmd_solve_hjb(args) -> int:
     u = solve_hjb_backward(dyn, coupling, m_path, hjb_cfg)
     rep = ae_residual_report(u, dyn, coupling, m_path)
     summary = {
-        "sup_norm": float(np.max(np.abs(u.values))),
+        "sup_norm": sup_norm(u.values),
         "lipschitz_estimate": lipschitz_estimate(u.values[0], u.grid),
         "residual_median": rep.quantiles[0],
     }
@@ -112,11 +113,9 @@ def _solve_mfg(cfg: RunConfig, eps: float | None):
     return sol
 
 
-def _cmd_solve_mfg(args) -> int:
-    cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
-    sol = _solve_mfg(cfg, args.eps)
-    summary = {
+def _picard_summary(sol) -> dict:
+    """The record of a converged Picard solve, as solve-mfg and run write it."""
+    return {
         "converged": sol.converged,
         "iters": sol.iterations,
         "residuals": [float(r) for r in sol.residual_history],
@@ -124,6 +123,13 @@ def _cmd_solve_mfg(args) -> int:
         "epsilon": sol.epsilon,
         "lp_residual": sol.lp_residual,
     }
+
+
+def _cmd_solve_mfg(args) -> int:
+    cfg = load_config(args.config)
+    out = args.out or cfg.output_dir
+    sol = _solve_mfg(cfg, args.eps)
+    summary = _picard_summary(sol)
     dio.save_run(out, cfg, sol.u, sol.m, summary)
     print(json.dumps(summary, sort_keys=True, default=dio._json_default))
     return EXIT_OK
@@ -250,13 +256,10 @@ def _cmd_run(args) -> int:
     t0 = time.monotonic()
     sol = _solve_mfg(cfg, None)
     timings["solve_mfg"] = time.monotonic() - t0
-    mfg_summary = {
-        "converged": sol.converged,
-        "iters": sol.iterations,
-        "residuals": [float(r) for r in sol.residual_history],
-        "steps": sol.steps,
-    }
+    mfg_summary = _picard_summary(sol)
+    t0 = time.monotonic()
     dio.save_run(out, cfg, sol.u, sol.m, mfg_summary)
+    timings["save_run"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     grid = sol.u.grid

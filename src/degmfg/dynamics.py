@@ -48,43 +48,6 @@ class DynamicsSpec:
         """h(x1) broadcast over the full grid, shape (n1, n2)."""
         return np.repeat(self.h_values(grid.x1)[:, None], grid.n2, axis=1)
 
-    def check_regularity(self, grid: Grid2D, bound: float = 1e6):
-        """Numeric spot check of the boundedness assumptions on the box.
-
-        Verifies that sigma1, sigma2, h and their first and second
-        finite-difference quotients (along x1 and x2 for sigma, along x1 for
-        h, which depends on x1 only) stay below ``bound`` on the grid.
-        Returns the measured sup of all quantities.
-        """
-        x1g, x2g = grid.meshgrid()
-
-        def on_grid(f):  # sigma itself: |sigma| has kinks where sigma = 0
-            return np.broadcast_to(np.asarray(f(x1g, x2g), dtype=float),
-                                   x1g.shape)
-
-        worst = 0.0
-        problems = []
-        for name, vals, steps in (
-            ("sigma1", on_grid(self.sigma1), (grid.dx1, grid.dx2)),
-            ("sigma2", on_grid(self.sigma2), (grid.dx1, grid.dx2)),
-            ("h", self.h_values(grid.x1), (grid.dx1,)),
-        ):
-            if not np.all(np.isfinite(vals)):
-                problems.append("%s is non-finite on the grid" % name)
-                continue
-            m = np.abs(vals).max()
-            for axis, dx in enumerate(steps):
-                d1 = np.diff(vals, axis=axis) / dx
-                d2 = np.diff(vals, n=2, axis=axis) / dx ** 2
-                m = max(m, np.abs(d1).max(), np.abs(d2).max())
-            worst = max(worst, m)
-            if m > bound:
-                problems.append(
-                    "%s violates the C2 bound: measured %g > %g" % (name, m, bound))
-        if problems:
-            raise ConfigurationError(problems)
-        return worst
-
 
 def grushin_h(x1):
     """h(x) = exp(-1/x^2) for x != 0, h(0) = 0; vanishes to any order at 0."""

@@ -192,9 +192,6 @@ class ScalarField:
     def _admit(self, v: np.ndarray) -> np.ndarray:
         return v.copy()
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class DensityField(ScalarField):
@@ -286,11 +283,6 @@ def require_mesh(name: str, path: ValuePath, grid: Grid2D, nt: int,
             mesh % (astuple(grid) + (nt, float(dt)))))
 
 
-def default_grid(box_half_width: float = 5.0, n1: int = 64, n2: int = 64) -> Grid2D:
-    return Grid2D(-box_half_width, box_half_width,
-                  -box_half_width, box_half_width, n1, n2)
-
-
 def truncated_gaussian(grid: Grid2D, center=(0.0, 0.0), variance=0.25) -> DensityField:
     """Gaussian density truncated to the box and renormalized (default m0)."""
     problems = []
@@ -302,11 +294,5 @@ def truncated_gaussian(grid: Grid2D, center=(0.0, 0.0), variance=0.25) -> Densit
         raise ConfigurationError(problems)
     x1g, x2g = grid.meshgrid()
     v = np.exp(-((x1g - center[0]) ** 2 + (x2g - center[1]) ** 2) / (2.0 * variance))
-    v /= grid.integrate(v)
-    return DensityField(grid, v)
-
-
-def uniform_density(grid: Grid2D) -> DensityField:
-    v = np.ones(grid.shape)
     v /= grid.integrate(v)
     return DensityField(grid, v)

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
-from .grid import DensityPath, Grid2D, ScalarField, ValuePath, require_mesh
+from .grid import DensityPath, Grid2D, ValuePath, require_mesh
 from .operators import apply_L, diff1, diff2, half_sigma_sq, hamiltonian, \
     lipschitz_estimate, sup_norm
 
@@ -176,24 +176,6 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
         raise SolverError(
             "maximum-principle bound violated: ||u||=%.6g > %.6g" % (sup, bound))
     return ValuePath(grid, dt, u)
-
-
-def hopf_lax_oracle(g_terminal: ScalarField, t: float, T: float) -> ScalarField:
-    """Hopf-Lax value u(x,t) = min_y [G(y) + |x-y|^2 / (2(T-t))] over grid nodes.
-
-    Valid oracle for the zero-diffusion, h == 1, F == 0 case. The quadratic
-    separates, so the minimum over all nodes is taken in two 1-D passes:
-    over y2 for every (y1, x2), then over y1 for every (x1, x2).
-    """
-    if t >= T:
-        raise ConfigurationError("hopf_lax_oracle requires t < T")
-    grid = g_terminal.grid
-    scale = 0.5 / (T - t)
-    q1 = scale * (grid.x1[:, None] - grid.x1[None, :]) ** 2  # (x1, y1)
-    q2 = scale * (grid.x2[:, None] - grid.x2[None, :]) ** 2  # (x2, y2)
-    inner = np.min(g_terminal.values[:, None, :] + q2[None], axis=2)  # (y1, x2)
-    out = np.min(inner[None, :, :] + q1[:, :, None], axis=1)          # (x1, x2)
-    return ScalarField(grid, out)
 
 
 _RESIDUAL_BLOCK = 4  # time slices per step of pde_residual

@@ -39,8 +39,9 @@ def _csv_template(grid: Grid2D) -> str:
     return _HEADER + "\r\n" + "".join(rows)
 
 
-def _write_fields(paths, grid: Grid2D, fields):
-    """Write each field of ``fields`` to the matching path."""
+def write_fields(paths, grid: Grid2D, fields):
+    """Write each field (n1, n2) of ``fields`` to the matching path as a
+    field CSV."""
     template = _csv_template(grid)
     for path, values in zip(paths, fields):
         values = np.asarray(values, dtype=float)
@@ -49,10 +50,6 @@ def _write_fields(paths, grid: Grid2D, fields):
                                      % (values.shape, grid.shape))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(template % tuple(values.ravel().tolist()))
-
-
-def write_field_csv(path, grid: Grid2D, values: np.ndarray):
-    _write_fields([path], grid, [values])
 
 
 def _parse_rows(path, rows):
@@ -146,8 +143,8 @@ def read_json(path):
 
 def _write_path(dirname, grid, values_3d):
     os.makedirs(dirname, exist_ok=True)
-    _write_fields([os.path.join(dirname, "slice_%04d.csv" % k)
-                   for k in range(values_3d.shape[0])], grid, values_3d)
+    write_fields([os.path.join(dirname, "slice_%04d.csv" % k)
+                  for k in range(values_3d.shape[0])], grid, values_3d)
 
 
 def _read_path(dirname):
@@ -189,14 +186,27 @@ def save_run(run_dir, cfg: RunConfig, u_path: ValuePath, m_path: DensityPath,
 
 
 def load_run(run_dir):
-    """Read a run directory back: (u_path, m_path, dynamics, coupling)."""
+    """Read a run directory back: (u_path, m_path, dynamics, coupling).
+
+    Both paths must lie on the mesh of config.json: its grid, time.nt and
+    time.dt. summary.json must be a JSON object; its ``validate_density``,
+    a JSON boolean, defaults to true.
+    """
     cfg = load_config(os.path.join(run_dir, "config.json"))
-    summary = read_json(os.path.join(run_dir, "summary.json"))
-    dt = float(summary["dt"])
-    gu, uv = _read_path(os.path.join(run_dir, "u"))
-    gm, mv = _read_path(os.path.join(run_dir, "m"))
+    summary_file = os.path.join(run_dir, "summary.json")
+    summary = read_json(summary_file)
+    if not isinstance(summary, dict):
+        raise ConfigurationError("%s must be a JSON object" % summary_file)
+    validate = summary.get("validate_density", True)
+    if not isinstance(validate, bool):
+        raise ConfigurationError("%s: validate_density must be true or "
+                                 "false (got %r)" % (summary_file, validate))
+    grid, nt, dt = cfg.make_grid(), cfg.time.nt, cfg.time.dt
+    u_dir, m_dir = os.path.join(run_dir, "u"), os.path.join(run_dir, "m")
+    gu, uv = _read_path(u_dir)
     u_path = ValuePath(gu, dt, uv)
-    validate = bool(summary.get("validate_density", True))
+    require_mesh(u_dir, u_path, grid, nt, dt)
+    gm, mv = _read_path(m_dir)
     m_path = DensityPath(gm, dt, mv, validate_slices=validate)
-    require_mesh(os.path.join(run_dir, "m"), m_path, gu, u_path.nt, dt)
+    require_mesh(m_dir, m_path, grid, nt, dt)
     return u_path, m_path, cfg.make_dynamics(), cfg.make_coupling()

@@ -1,16 +1,17 @@
 """Kantorovich-Rubinstein (W1) distance machinery.
 
-Three routes with different trust/speed trade-offs:
-  * wasserstein1_exact      -- discrete optimal transport LP (HiGHS), solved by
-                               column generation; GridDistance applies it to
-                               coarsened slices as the Picard stopping metric
-  * mincost_flow_reference  -- independent network-simplex oracle (integerized)
-  * wasserstein1_sinkhorn   -- log-domain entropic solver with reg annealing,
-                               for supports too large for the LP; the returned
-                               plan is rounded to the feasible polytope, so
-                               the biased value never undershoots the exact one
+Two routes between weighted point clouds:
+  * wasserstein1_points -- the discrete optimal transport LP (HiGHS), solved
+                           by column generation; GridDistance applies it to
+                           coarsened slices as the Picard stopping metric
+  * sinkhorn_points     -- log-domain entropic solver with reg annealing,
+                           for supports too large for the LP; the returned
+                           plan is rounded to the feasible polytope, so the
+                           biased value never undershoots the exact one
 
-The ground cost is the Euclidean distance |x - y|, matching the d1 metric.
+GridDistance.coarsen turns a density slice into such a cloud; with
+max_points = n_nodes it keeps every node of positive mass. The ground cost
+is the Euclidean distance |x - y|, matching the d1 metric.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, SolverError
-from .grid import DensityField, DensityPath
+from .grid import DensityPath
 
 MAX_LP_NODES = 4096
 SUPPORT_EPS = 1e-15
@@ -31,37 +32,19 @@ LP_PRICING_TOL = 1e-9  # a pair enters once its reduced cost is below -tol
 SINKHORN_REG_FACTOR = 3e-3  # default entropic reg, times the grid diameter
 
 
-def _node_support(grid, values, eps=SUPPORT_EPS):
+def _node_support(grid, values):
     """(points, weights) of the node masses W * values, zero-mass nodes dropped."""
     x1g, x2g = grid.meshgrid()
     w = grid.cell_weights() * values
-    keep = w > eps * w.max()
+    keep = w > SUPPORT_EPS * w.max()
     pts = np.stack([x1g[keep], x2g[keep]], axis=1)
     wt = w[keep]
     return pts, wt / wt.sum()
 
 
-def density_support(m: DensityField, eps: float = SUPPORT_EPS):
-    """(points, weights) of the grid measure, zero-mass nodes dropped."""
-    return _node_support(m.grid, m.values, eps)
-
-
 def _cost_matrix(xs, ys):
     d = xs[:, None, :] - ys[None, :, :]
     return np.sqrt(np.sum(d * d, axis=2))
-
-
-def wasserstein1_exact(mu: DensityField, nu: DensityField) -> float:
-    """Exact W1 between two grid measures via the transport LP."""
-    if mu.grid != nu.grid:
-        raise ConfigurationError("wasserstein1_exact requires identical grids")
-    if mu.grid.n_nodes > MAX_LP_NODES:
-        raise ConfigurationError(
-            "grid has %d nodes > %d; coarsen the measures or use "
-            "wasserstein1_sinkhorn" % (mu.grid.n_nodes, MAX_LP_NODES))
-    xs, a = density_support(mu)
-    ys, b = density_support(nu)
-    return _transport_lp(xs, a, ys, b)[0]
 
 
 def wasserstein1_points(xs, a, ys, b) -> float:
@@ -131,37 +114,6 @@ def _transport_lp(xs, a, ys, b):
         if not enter.any():
             return float(res.fun), rounds
         cand |= enter
-
-
-def mincost_flow_reference(mu: DensityField, nu: DensityField,
-                           scale: int = 10 ** 12) -> float:
-    """Independent W1 oracle: integerized min-cost flow via network simplex.
-
-    Masses and costs are scaled to integers (mass by scale*1e3, cost by
-    scale); the induced value error is far below 1e-9 for unit-diameter-ish
-    problems, so this is a trustworthy cross-check of the LP route.
-    """
-    import networkx as nx  # only this cross-check needs it; kept off start-up
-
-    xs, a = density_support(mu)
-    ys, b = density_support(nu)
-    mass_scale = scale * 1000
-    ai = np.round(a * mass_scale).astype(object)
-    bi = np.round(b * mass_scale).astype(object)
-    # repair rounding so supplies and demands balance exactly
-    ai[int(np.argmax(a))] += int(mass_scale) - int(ai.sum())
-    bi[int(np.argmax(b))] += int(mass_scale) - int(bi.sum())
-    g = nx.DiGraph()
-    for i, s in enumerate(ai):
-        g.add_node(("s", i), demand=-int(s))
-    for j, d in enumerate(bi):
-        g.add_node(("t", j), demand=int(d))
-    cost = _cost_matrix(xs, ys)
-    for i in range(len(ai)):
-        for j in range(len(bi)):
-            g.add_edge(("s", i), ("t", j), weight=int(round(cost[i, j] * scale)))
-    flow_cost, _ = nx.network_simplex(g)
-    return flow_cost / (scale * float(mass_scale))
 
 
 @dataclass
@@ -260,14 +212,6 @@ def _self_transport(xs, a, reg, iters, tol):
     log_p = (f[:, None] + g[None, :] - cost) / reg + log_a[:, None] + log_a[None, :]
     plan = _round_to_feasible(np.exp(log_p), a, a)
     return float(np.sum(plan * cost))
-
-
-def wasserstein1_sinkhorn(mu: DensityField, nu: DensityField, reg: float,
-                          iters: int = 2500) -> SinkhornResult:
-    """Entropic-regularized W1 surrogate; bias is O(reg * log n)."""
-    xs, a = density_support(mu)
-    ys, b = density_support(nu)
-    return sinkhorn_points(xs, a, ys, b, reg, iters=iters)
 
 
 class GridDistance:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import Grid2D, ScalarField
+from .grid import Grid2D
 
 DEFAULT_BOUNDARY_FRAME = 0.1
 
@@ -98,15 +98,6 @@ def interior_box(grid: Grid2D, frame: float):
     x1, x2 = grid.x1[rows], grid.x2[cols]
     sub = Grid2D(x1[0], x1[-1], x2[0], x2[-1], len(x1), len(x2))
     return (..., rows, cols), sub
-
-
-def interior_restrict(u: ScalarField, frame: float = DEFAULT_BOUNDARY_FRAME) -> ScalarField:
-    """Restrict a field to the sub-box obtained by trimming a boundary frame.
-
-    Restriction can only shrink sup-type estimates.
-    """
-    index, sub = interior_box(u.grid, frame)
-    return ScalarField(sub, u.values[index])
 
 
 def sup_norm(a: np.ndarray) -> float:

@@ -293,7 +293,3 @@ def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
     vals /= mass
     return DensityField(grid, vals)
 
-
-def kde_bandwidth(ens: ParticleEnsemble) -> float:
-    """The Silverman bandwidth scale used by empirical_density (max axis)."""
-    return float(np.max(_silverman(ens.final())))

@@ -1,0 +1,125 @@
+"""What the tests share and compare the package against, none of it on a
+command's path: grid, path and coupling fixtures, the exact W1 on node
+supports, and independent references (Hopf-Lax, a min-cost-flow W1, the
+only user of networkx, a C^2 check of the dynamics, the KDE bandwidth)."""
+
+import numpy as np
+
+from degmfg import sde
+from degmfg.coupling import CouplingSpec
+from degmfg.errors import ConfigurationError
+from degmfg.grid import DensityField, DensityPath, Grid2D, ScalarField
+from degmfg.measures import GridDistance, _cost_matrix, wasserstein1_points
+
+
+def default_grid(box_half_width=5.0, n1=64, n2=64):
+    return Grid2D(-box_half_width, box_half_width,
+                  -box_half_width, box_half_width, n1, n2)
+
+
+def uniform_density(grid):
+    v = np.ones(grid.shape)
+    v /= grid.integrate(v)
+    return DensityField(grid, v)
+
+
+def constant_path(m0, dt, nt, validate_slices=True):
+    """The density m0 held over nt slices dt apart."""
+    return DensityPath(m0.grid, dt, np.repeat(m0.values[None], nt, axis=0),
+                       validate_slices=validate_slices)
+
+
+def const_coupling(f=0.0, g=0.0):
+    """The monotone coupling F == f, G == g."""
+    return CouplingSpec(F=lambda x1, x2, m: np.full_like(x1, f),
+                        G=lambda x1, x2, m: np.full_like(x1, g), monotone=True)
+
+
+def node_support(m):
+    """(points, weights) of every node of positive mass of a DensityField."""
+    return GridDistance(m.grid, max_points=m.grid.n_nodes).coarsen(m.values)
+
+
+def node_w1(mu, nu):
+    """Exact W1 between two grid measures: the LP on their node supports."""
+    return wasserstein1_points(*node_support(mu), *node_support(nu))
+
+
+def hopf_lax_oracle(g_terminal, t, T):
+    """Hopf-Lax value u(x,t) = min_y [G(y) + |x-y|^2 / (2(T-t))] over grid
+    nodes, the value for zero diffusion, h == 1 and F == 0. The quadratic
+    separates, so the minimum is two 1-D passes: over y2, then over y1."""
+    if t >= T:
+        raise ConfigurationError("hopf_lax_oracle requires t < T")
+    grid = g_terminal.grid
+    scale = 0.5 / (T - t)
+    q1 = scale * (grid.x1[:, None] - grid.x1[None, :]) ** 2  # (x1, y1)
+    q2 = scale * (grid.x2[:, None] - grid.x2[None, :]) ** 2  # (x2, y2)
+    inner = np.min(g_terminal.values[:, None, :] + q2[None], axis=2)  # (y1, x2)
+    out = np.min(inner[None, :, :] + q1[:, :, None], axis=1)          # (x1, x2)
+    return ScalarField(grid, out)
+
+
+def mincost_flow_reference(mu, nu, scale=10 ** 12):
+    """W1 by network simplex on masses scaled by scale*1e3 and costs by
+    scale, rounded to integers: an error far below 1e-9 on unit boxes."""
+    import networkx as nx
+
+    xs, a = node_support(mu)
+    ys, b = node_support(nu)
+    mass_scale = scale * 1000
+    ai = np.round(a * mass_scale).astype(object)
+    bi = np.round(b * mass_scale).astype(object)
+    # repair rounding so supplies and demands balance exactly
+    ai[int(np.argmax(a))] += int(mass_scale) - int(ai.sum())
+    bi[int(np.argmax(b))] += int(mass_scale) - int(bi.sum())
+    g = nx.DiGraph()
+    for i, s in enumerate(ai):
+        g.add_node(("s", i), demand=-int(s))
+    for j, d in enumerate(bi):
+        g.add_node(("t", j), demand=int(d))
+    cost = _cost_matrix(xs, ys)
+    for i in range(len(ai)):
+        for j in range(len(bi)):
+            g.add_edge(("s", i), ("t", j), weight=int(round(cost[i, j] * scale)))
+    flow_cost, _ = nx.network_simplex(g)
+    return flow_cost / (scale * float(mass_scale))
+
+
+def check_regularity(dyn, grid, bound=1e6):
+    """The largest |value| of sigma1, sigma2, h and of their first and second
+    difference quotients on the grid (sigma along both axes, h along x1);
+    a ConfigurationError if one exceeds ``bound``."""
+    x1g, x2g = grid.meshgrid()
+
+    def on_grid(f):  # sigma itself: |sigma| has kinks where sigma = 0
+        return np.broadcast_to(np.asarray(f(x1g, x2g), dtype=float),
+                               x1g.shape)
+
+    worst = 0.0
+    problems = []
+    for name, vals, steps in (
+        ("sigma1", on_grid(dyn.sigma1), (grid.dx1, grid.dx2)),
+        ("sigma2", on_grid(dyn.sigma2), (grid.dx1, grid.dx2)),
+        ("h", dyn.h_values(grid.x1), (grid.dx1,)),
+    ):
+        if not np.all(np.isfinite(vals)):
+            problems.append("%s is non-finite on the grid" % name)
+            continue
+        m = np.abs(vals).max()
+        for axis, dx in enumerate(steps):
+            d1 = np.diff(vals, axis=axis) / dx
+            d2 = np.diff(vals, n=2, axis=axis) / dx ** 2
+            m = max(m, np.abs(d1).max(), np.abs(d2).max())
+        worst = max(worst, m)
+        if m > bound:
+            problems.append(
+                "%s violates the C2 bound: measured %g > %g" % (name, m, bound))
+    if problems:
+        raise ConfigurationError(problems)
+    return worst
+
+
+def kde_bandwidth(ens):
+    """The Silverman bandwidth scale used by empirical_density (max axis)."""
+    return float(np.max(sde._silverman(ens.final())))

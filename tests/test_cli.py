@@ -11,7 +11,8 @@ from degmfg import cli
 from degmfg import grid as dgrid
 from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
-from degmfg.grid import default_grid, truncated_gaussian
+from degmfg.grid import truncated_gaussian
+from references import default_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 ZERO_CFG = os.path.join(CONFIG_DIR, "decoupled_zero.json")
@@ -134,6 +135,18 @@ class TestSolveAndVerify:
         sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert len(sweep["eps_deltas"]) == len(sweep["eps_levels"]) - 1
 
+    def test_run_keeps_the_solve_mfg_record(self, tmp_path, capsys):
+        assert main(["solve-mfg", "--config", ZERO_CFG,
+                     "--out", str(tmp_path / "mfg")]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        out = str(tmp_path / "run")
+        assert main(["run", "--config", ZERO_CFG, "--out", out]) == EXIT_OK
+        summary = dio.read_json(os.path.join(out, "run_summary.json"))
+        assert summary["solve_mfg"] == printed
+        assert set(printed) >= {"epsilon", "lp_residual"}
+        assert set(summary["timings"]) == {"solve_mfg", "save_run",
+                                           "mc_validate", "verify"}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -213,6 +226,34 @@ class TestSolveAndVerify:
             in err
         assert "with nt=31, dt=0.03125, not on " in err
         assert err.rstrip().endswith("with nt=33, dt=0.03125")
+
+    @pytest.mark.parametrize("summary, code, message", [
+        ({"nt": 33}, EXIT_OK, ""),  # no dt: the mesh is config.json's
+        ({"dt": "abc"}, EXIT_OK, ""),
+        ([1], EXIT_CONFIG, "summary.json must be a JSON object"),
+        ({"validate_density": "no"}, EXIT_CONFIG,
+         "summary.json: validate_density must be true or false (got 'no')")],
+        ids=("no-dt", "text-dt", "list", "text-validate-density"))
+    def test_verify_reads_only_validate_density_from_the_summary(
+            self, tmp_path, capsys, hjb_run, summary, code, message):
+        run = str(tmp_path / "run")
+        shutil.copytree(hjb_run, run)
+        dio.write_json(os.path.join(run, "summary.json"), summary)
+        assert main(["verify", "--run", run]) == code
+        assert message in capsys.readouterr().err
+
+    def test_verify_checks_the_fields_against_the_config_mesh(
+            self, tmp_path, capsys, hjb_run):
+        run = str(tmp_path / "run")
+        shutil.copytree(hjb_run, run)
+        config = dio.read_json(os.path.join(run, "config.json"))
+        config["time"]["nt"] = 17
+        dio.write_json(os.path.join(run, "config.json"), config)
+        assert main(["verify", "--run", run]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: %s lies on " % os.path.join(run, "u") \
+            in err
+        assert err.rstrip().endswith("with nt=17, dt=0.0625")
 
     def test_verify_tol_file(self, tmp_path, capsys):
         out = str(tmp_path / "fpe")
@@ -303,7 +344,7 @@ class TestSmallTools:
     def test_w1_rejects_nonpositive_max_points(self, tmp_path, capsys):
         a = str(tmp_path / "a.csv")
         grid = default_grid(n1=32, n2=32)
-        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
+        dio.write_fields([a], grid, [truncated_gaussian(grid).values])
         assert main(["w1", "--a", a, "--b", a,
                      "--max-points", "-1"]) == EXIT_CONFIG
         assert "max_points must be >= 1" in capsys.readouterr().err
@@ -337,9 +378,9 @@ class TestSmallTools:
         # default) the same value up to the last printed digits
         grid = default_grid(n1=32, n2=32)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
-        dio.write_field_csv(b, grid, truncated_gaussian(
-            grid, center=(0.3, 0.1), variance=0.5).values)
+        dio.write_fields([a, b], grid, [
+            truncated_gaussian(grid).values,
+            truncated_gaussian(grid, center=(0.3, 0.1), variance=0.5).values])
         assert main(["w1", "--a", a, "--b", b, "--sinkhorn"]) == EXIT_OK
         assert capsys.readouterr().out == "0.413323008233\n"
         assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
@@ -353,7 +394,7 @@ class TestSmallTools:
                                            message):
         a = str(tmp_path / "a.csv")
         grid = default_grid(n1=32, n2=32)
-        dio.write_field_csv(a, grid, truncated_gaussian(grid).values)
+        dio.write_fields([a], grid, [truncated_gaussian(grid).values])
         assert main(["w1", "--a", a, "--b", a] + argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 

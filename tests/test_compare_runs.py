@@ -48,7 +48,7 @@ def test_changed_value_is_reported(two_runs, tmp_path):
     path = os.path.join(changed, "m", "slice_0005.csv")
     grid, values = dio.read_field_csv(path)
     values[3, 4] += 0.25
-    dio.write_field_csv(path, grid, values)
+    dio.write_fields([path], grid, [values])
     proc = _compare(a, changed)
     assert proc.returncode == 0, proc.stderr
     assert "m/slice_0005.csv sha256 differ max|diff| 0.25\n" in proc.stdout
@@ -65,7 +65,7 @@ def test_relative_difference_per_field(two_runs, tmp_path):
     path = os.path.join(changed, "m", "slice_0007.csv")
     grid, values = dio.read_field_csv(path)
     values[2, 2] = 3.0 * values.max()  # the largest value of either run
-    dio.write_field_csv(path, grid, values)
+    dio.write_fields([path], grid, [values])
     scale = max(max(abs(dio.read_field_csv(os.path.join(run, "m", name))[1]).max()
                     for name in os.listdir(os.path.join(run, "m")))
                 for run in (a, changed))

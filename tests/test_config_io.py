@@ -8,15 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from degmfg.config import RunConfig, load_config, parse_config, \
-    serialize_config
+from degmfg.config import RunConfig, parse_config, serialize_config
 from degmfg.errors import ConfigurationError
 from degmfg.fixed_point import FixedPointConfig
-from degmfg.grid import DensityPath, Grid2D, ValuePath, default_grid, \
-    truncated_gaussian
+from degmfg.grid import Grid2D, ValuePath
 from degmfg.hjb import HjbConfig
 from degmfg import io as dio
 from degmfg.sde import EnsembleConfig
+from references import constant_path, default_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -201,7 +200,7 @@ class TestFieldCsv:
         rng = np.random.default_rng(0)
         values = rng.standard_normal(grid.shape)
         path = tmp_path / "f.csv"
-        dio.write_field_csv(path, grid, values)
+        dio.write_fields([path], grid, [values])
         g2, v2 = dio.read_field_csv(path)
         assert g2 == grid
         assert np.array_equal(v2, values)
@@ -257,7 +256,7 @@ class TestFieldCsv:
         grid = default_grid(n1=9, n2=7)
         values = np.random.default_rng(1).standard_normal(grid.shape)
         crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
-        dio.write_field_csv(crlf, grid, values)
+        dio.write_fields([crlf], grid, [values])
         lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
         assert b"\r" not in lf.read_bytes()
         g2, v2 = dio.read_field_csv(lf)
@@ -290,7 +289,7 @@ class TestFieldCsvBytes:
         values = self._values()
         ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
         self._reference(ref, values)
-        dio.write_field_csv(out, self.GRID, values)
+        dio.write_fields([out], self.GRID, [values])
         assert out.read_bytes() == ref.read_bytes()
         assert out.read_bytes().startswith(b"x1,x2,value\r\n-1.5,0.25,-0\r\n")
 
@@ -299,7 +298,7 @@ class TestFieldCsvBytes:
         dio._write_path(tmp_path / "path", self.GRID, values)
         for k in range(3):
             one = tmp_path / ("one_%d.csv" % k)
-            dio.write_field_csv(one, self.GRID, values[k])
+            dio.write_fields([one], self.GRID, [values[k]])
             written = tmp_path / "path" / ("slice_%04d.csv" % k)
             assert written.read_bytes() == one.read_bytes()
 
@@ -320,8 +319,7 @@ class TestRunDirectory:
         hjb = cfg.make_hjb_config()
         m0 = cfg.make_initial_density()
         u = ValuePath(grid, hjb.dt, np.zeros((hjb.nt,) + grid.shape))
-        m = DensityPath(grid, hjb.dt,
-                        np.repeat(m0.values[None], hjb.nt, axis=0))
+        m = constant_path(m0, hjb.dt, hjb.nt)
         run_dir = tmp_path / "run"
         dio.save_run(run_dir, cfg, u, m, {"note": 1})
         u2, m2, dyn, coupling = dio.load_run(run_dir)

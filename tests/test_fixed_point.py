@@ -12,7 +12,8 @@ from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fixed_point import FixedPointConfig, eps_sweep, picard_solve, \
     psi_map
-from degmfg.grid import DensityPath, default_grid, truncated_gaussian
+from degmfg.grid import DensityPath, truncated_gaussian
+from references import constant_path, default_grid
 from degmfg.hjb import HjbConfig
 from degmfg.measures import GridDistance
 
@@ -57,14 +58,9 @@ class TestDecoupled:
         # two different inputs yields bit-identical outputs.
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         coupling = builtin_coupling("decoupled")
-        flat = DensityPath(GRID, HJB.dt,
-                           np.repeat(M0.values[None], HJB.nt, axis=0),
-                           validate_slices=False)
-        shifted = DensityPath(
-            GRID, HJB.dt,
-            np.repeat(truncated_gaussian(GRID, center=(1.0, 0.0)).values[None],
-                      HJB.nt, axis=0),
-            validate_slices=False)
+        flat = constant_path(M0, HJB.dt, HJB.nt, validate_slices=False)
+        shifted = constant_path(truncated_gaussian(GRID, center=(1.0, 0.0)),
+                                HJB.dt, HJB.nt, validate_slices=False)
         u_a, m_a = psi_map(flat, dyn, coupling, HJB)
         u_b, m_b = psi_map(shifted, dyn, coupling, HJB)
         assert np.array_equal(u_a.values, u_b.values)

@@ -9,10 +9,10 @@ from degmfg.dynamics import DynamicsSpec, dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import (FpeReport, assemble_dual_diffusion, flux_transpose,
                         solve_fpe_forward)
-from degmfg.grid import (DensityField, Grid2D, ValuePath, truncated_gaussian,
-                         uniform_density)
+from degmfg.grid import DensityField, Grid2D, ValuePath, truncated_gaussian
 from degmfg.hjb import (HjbConfig, assemble_diffusion, implicit_diffusion,
                         numerical_hamiltonian, upwind_slopes)
+from references import default_grid, uniform_density
 
 
 def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -31,10 +31,6 @@ def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _box(half, n):
-    return Grid2D(-half, half, -half, half, n, n)
-
-
 def _zero_upath(grid, cfg):
     return ValuePath(grid, cfg.dt, np.zeros((cfg.nt,) + grid.shape))
 
@@ -47,7 +43,7 @@ def _linear_upath(grid, cfg, c1=0.0, c2=0.0):
 
 class TestConservationAndPositivity:
     def test_mass_conserved_per_step(self):
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         rep = FpeReport()
@@ -56,7 +52,7 @@ class TestConservationAndPositivity:
         assert rep.mass_drift_max < 1e-10
 
     def test_positivity_preserved(self):
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         x1g, x2g = grid.meshgrid()
         u = ValuePath(grid, cfg.dt, np.repeat(
@@ -70,7 +66,7 @@ class TestConservationAndPositivity:
 
     def test_sabotaged_centered_flux_breaks_positivity(self):
         # negative control: the centered flux must visibly violate positivity
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         u = _linear_upath(grid, cfg, c1=1.5)
         rep = FpeReport()
@@ -81,7 +77,7 @@ class TestConservationAndPositivity:
         assert m.values.min() < -1e-12
 
     def test_pure_diffusion_no_clamping_needed(self):
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         rep = FpeReport()
         solve_fpe_forward(truncated_gaussian(grid), _zero_upath(grid, cfg),
@@ -94,7 +90,7 @@ class TestHeatKernelOracle:
     def test_matches_analytic_gaussian(self):
         # zero drift, constant sigma = s, eps: variance grows by (2 eps + s^2) t
         eps, s, v0 = 0.05, 0.5, 0.25
-        grid = _box(5.0, 64)
+        grid = default_grid(5.0, 64, 64)
         cfg = HjbConfig(T=1.0, nt=128)
         dyn = dynamics_preset("grushin_exp", epsilon=eps)
         m = solve_fpe_forward(truncated_gaussian(grid, variance=v0),
@@ -110,7 +106,7 @@ class TestHeatKernelOracle:
 
     def test_variance_growth_matches_moments(self):
         eps, s, v0 = 0.05, 0.5, 0.25
-        grid = _box(5.0, 64)
+        grid = default_grid(5.0, 64, 64)
         cfg = HjbConfig(T=1.0, nt=128)
         m = solve_fpe_forward(truncated_gaussian(grid, variance=v0),
                               _zero_upath(grid, cfg),
@@ -123,7 +119,7 @@ class TestHeatKernelOracle:
 class TestDegenerateDirection:
     def test_dead_x2_direction(self):
         # h == 0, sigma2 = 0, eps = 0, u = x2: every x2 flux carries factor h = 0
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         cfg = HjbConfig(T=1.0, nt=32)
         dyn = DynamicsSpec(sigma1=lambda x1, x2: np.zeros_like(x1),
                            sigma2=lambda x1, x2: np.zeros_like(x1),
@@ -139,7 +135,7 @@ class TestDegenerateDirection:
 
     def test_transport_moves_mean_in_x1(self):
         # u = c x1  ->  drift -c in x1; the mean must move accordingly
-        grid = _box(5.0, 48)
+        grid = default_grid(5.0, 48, 48)
         cfg = HjbConfig(T=1.0, nt=96)
         c = 1.0
         m = solve_fpe_forward(truncated_gaussian(grid, variance=0.2),
@@ -158,7 +154,7 @@ PRESETS = ("grushin_exp", "sin_sigma", "nondegenerate", "fully_degenerate_x2",
 class TestDualDiffusion:
     """The FPE diffusion is the trapezoid-weighted adjoint of the HJB one."""
 
-    GRIDS = (_box(5.0, 32), Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9))
+    GRIDS = (default_grid(5.0, 32, 32), Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9))
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("eps", (0.0, 0.05))
@@ -291,7 +287,7 @@ class TestTransportDuality:
 
 class TestSecondMoment:
     def test_narrow_gaussian(self):
-        grid = _box(2.0, 256)
+        grid = default_grid(2.0, 256, 256)
         m = truncated_gaussian(grid, variance=1e-4)
         assert abs(grid.second_moment(m.values) - 2e-4) < 0.05 * 2e-4
 
@@ -301,7 +297,7 @@ class TestSecondMoment:
                    - 2.0 / 3.0) < 1e-3
 
     def test_parallel_axis_translation(self):
-        grid = _box(5.0, 128)
+        grid = default_grid(5.0, 128, 128)
         centered = truncated_gaussian(grid, variance=0.2)
         shifted = truncated_gaussian(grid, center=(1.0, 0.0), variance=0.2)
         assert abs(grid.second_moment(shifted.values)
@@ -310,15 +306,15 @@ class TestSecondMoment:
 
 class TestErrors:
     def test_grid_mismatch(self):
-        grid = _box(3.0, 16)
-        other = _box(3.0, 20)
+        grid = default_grid(3.0, 16, 16)
+        other = default_grid(3.0, 20, 20)
         cfg = HjbConfig(T=1.0, nt=16)
         with pytest.raises(ConfigurationError):
             solve_fpe_forward(truncated_gaussian(other), _zero_upath(grid, cfg),
                               dynamics_preset("zero", epsilon=0.0), cfg)
 
     def test_transport_cfl_violation(self):
-        grid = _box(3.0, 64)
+        grid = default_grid(3.0, 64, 64)
         cfg = HjbConfig(T=1.0, nt=5)
         with pytest.raises(ConfigurationError):
             solve_fpe_forward(truncated_gaussian(grid, variance=0.2),
@@ -330,7 +326,7 @@ class TestErrors:
     def test_cfl_is_the_hjb_monotonicity_rule(self, courant, axis):
         # u = c x_i moves mass towards x_i = -2; the boundary half cell obeys
         # the same rule dt c / dx <= 1 as the interior and as the HJB step
-        grid = _box(2.0, 33)
+        grid = default_grid(2.0, 33, 33)
         cfg = HjbConfig(T=1.0, nt=17)
         c = courant * grid.dx1 / cfg.dt
         args = (truncated_gaussian(grid, variance=0.2),
@@ -351,7 +347,7 @@ class TestErrors:
         # u = -c |x_i| sends mass away from x_i = 0 through both faces; the
         # Godunov flux makes one active there, so the rule is dt c / dx <= 1
         # (a flux that added both one-sided slopes would read 2 dt c / dx)
-        grid = _box(2.0, 33)
+        grid = default_grid(2.0, 33, 33)
         cfg = HjbConfig(T=1.0, nt=17)
         c = courant * grid.dx1 / cfg.dt
         ridge = -c * np.abs(grid.meshgrid()[axis - 1])
@@ -369,7 +365,7 @@ class TestErrors:
 
     def test_sup_norm_growth_bounded(self):
         # barrier-style bound: growth factor of ||m||_inf stays below e^{C T}
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         x1g, x2g = grid.meshgrid()
         u = ValuePath(grid, cfg.dt, np.repeat(

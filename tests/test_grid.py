@@ -2,6 +2,7 @@
 the time-mesh rule."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,16 @@ from degmfg import grid as grid_module
 from degmfg import io as dio
 from degmfg import sde
 from degmfg.config import load_config
-from degmfg.coupling import CouplingSpec
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityField, DensityPath, Grid2D, ValuePath, \
-    truncated_gaussian, uniform_density
+    truncated_gaussian
 from degmfg.hjb import HjbConfig, solve_hjb_backward
+from references import const_coupling, uniform_density
 
 GRID = Grid2D(-2.0, 2.0, -1.0, 1.0, 9, 7)
-ZERO = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
-                    G=lambda x1, x2, m: 0.0 * x1, monotone=True)
+ZERO = const_coupling()
 ZERO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "decoupled_zero.json")
 NEGATIVE = "density has negativity -1e-09 below the -1e-12 tolerance"
@@ -166,7 +166,8 @@ def _mc_value(tmp_path, path_grid, nt, dt):
 
 def _load_run(tmp_path, path_grid, nt, dt):
     run = str(tmp_path / "run")
-    dio.save_run(run, load_config(ZERO_CONFIG), _value_path(GRID, 5, 0.25),
+    cfg = replace(load_config(ZERO_CONFIG), grid=GRID, time=HjbConfig(1.0, 5))
+    dio.save_run(run, cfg, _value_path(GRID, 5, 0.25),
                  _density_path(path_grid, nt, dt), {})
     dio.load_run(run)
 
@@ -174,8 +175,8 @@ def _load_run(tmp_path, path_grid, nt, dt):
 class TestMeshRule:
     """One rule decides whether a path lies on a (grid, nt, dt); each caller
     checks its path against the 9x7 grid with nt=5, dt=0.25. The HJB config
-    holds no grid, and a run directory records one dt for u and m, so
-    those two cases cannot arise."""
+    holds no grid, and a run directory's config.json gives u and m one dt,
+    so those two cases cannot arise."""
 
     OFF = {"grid": (Grid2D(-2.0, 2.0, -1.0, 1.0, 9, 8), 5, 0.25),
            "nt": (GRID, 4, 0.25),

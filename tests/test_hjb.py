@@ -14,53 +14,43 @@ from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
-from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath, uniform_density
-from degmfg.hjb import (HjbConfig, hopf_lax_oracle, numerical_hamiltonian,
-                        pde_residual, solve_hjb_backward, upwind_slopes)
+from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath
+from degmfg.hjb import (HjbConfig, numerical_hamiltonian, pde_residual,
+                        solve_hjb_backward, upwind_slopes)
 from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian
+from references import const_coupling, constant_path, default_grid, \
+    hopf_lax_oracle, uniform_density
 
 
 def _zeros(x1, x2, m):
     return np.zeros_like(x1)
 
 
-def _const_coupling(f_val=0.0, g_val=0.0):
-    return CouplingSpec(
-        F=lambda x1, x2, m: np.full_like(x1, f_val),
-        G=lambda x1, x2, m: np.full_like(x1, g_val),
-        monotone=True)
-
-
 def _frozen_path(grid, cfg):
-    m0 = uniform_density(grid)
-    return DensityPath(grid, cfg.dt, np.repeat(m0.values[None], cfg.nt, axis=0))
-
-
-def _box(half, n):
-    return Grid2D(-half, half, -half, half, n, n)
+    return constant_path(uniform_density(grid), cfg.dt, cfg.nt)
 
 
 class TestExactFixtures:
     def test_constant_data_gives_constant_solution(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=16)
         u = solve_hjb_backward(dynamics_preset("grushin_exp", epsilon=0.1),
-                               _const_coupling(0.0, 2.5), _frozen_path(grid, cfg), cfg)
+                               const_coupling(0.0, 2.5), _frozen_path(grid, cfg), cfg)
         assert np.abs(u.values - 2.5).max() < 1e-12
 
     def test_space_constant_solution_T_minus_t(self):
         # F == 1, G == 0, sigma = 0, eps = 0: u(x,t) = T - t exactly
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=17)
         u = solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
-                               _const_coupling(1.0, 0.0), _frozen_path(grid, cfg), cfg)
+                               const_coupling(1.0, 0.0), _frozen_path(grid, cfg), cfg)
         expected = (cfg.T - u.times())[:, None, None]
         assert np.abs(u.values - expected).max() < 1e-12
 
 
 class TestHopfLaxOracle:
     def test_constant_terminal(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         g = ScalarField(grid, np.full(grid.shape, 1.25))
         out = hopf_lax_oracle(g, 0.0, 1.0)
         assert np.abs(out.values - 1.25).max() < 1e-14
@@ -68,7 +58,7 @@ class TestHopfLaxOracle:
     def test_quadratic_infimal_convolution(self):
         # G = |y|^2/2, T - t = 1  ->  u = |x|^2/4 (exact inf-convolution),
         # up to the discreteness of the brute-force minimizer grid
-        grid = _box(4.0, 128)
+        grid = default_grid(4.0, 128, 128)
         x1g, x2g = grid.meshgrid()
         g = ScalarField(grid, (x1g ** 2 + x2g ** 2) / 2.0)
         out = hopf_lax_oracle(g, 0.0, 1.0)
@@ -76,7 +66,8 @@ class TestHopfLaxOracle:
         assert np.abs(out.values - exact).max() < 2.0 * max(grid.dx1, grid.dx2) ** 2
 
     @pytest.mark.parametrize("grid", (Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9),
-                                      _box(3.0, 32)), ids=("17x9", "32x32"))
+                                      default_grid(3.0, 32, 32)),
+                             ids=("17x9", "32x32"))
     @pytest.mark.parametrize("t", (0.0, 0.3, 0.75, 0.99))
     def test_two_passes_match_brute_force(self, grid, t):
         # min over every pair of nodes at once, the oracle's own definition
@@ -90,7 +81,7 @@ class TestHopfLaxOracle:
         assert np.abs(out.values - brute.reshape(grid.shape)).max() <= 1e-14
 
     def test_rejects_t_at_or_past_horizon(self):
-        grid = _box(3.0, 8)
+        grid = default_grid(3.0, 8, 8)
         g = ScalarField(grid, np.zeros(grid.shape))
         with pytest.raises(ConfigurationError):
             hopf_lax_oracle(g, 1.0, 1.0)
@@ -106,7 +97,7 @@ class TestHopfLaxOracle:
         coup = CouplingSpec(F=_zeros, G=G, monotone=True)
         dyn = dynamics_preset("zero", epsilon=0.0)
         n, nt = 64, 128
-        grid = _box(3.0, n)
+        grid = default_grid(3.0, n, n)
         cfg = HjbConfig(T=1.0, nt=nt)
         u = solve_hjb_backward(dyn, coup, _frozen_path(grid, cfg), cfg)
         hl = hopf_lax_oracle(u.slice(nt - 1), 0.0, cfg.T)
@@ -118,7 +109,7 @@ class TestHopfLaxOracle:
 
 class TestSchemeProperties:
     def test_maximum_principle_bound(self):
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         cfg = HjbConfig(T=1.0, nt=48)
         coup = builtin_coupling("nonlocal_smooth")
         m_path = _frozen_path(grid, cfg)
@@ -130,7 +121,7 @@ class TestSchemeProperties:
 
     def test_comparison_monotonicity(self):
         # G1 <= G2 and F1 <= F2 pointwise  ->  u1 <= u2 everywhere
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         cfg = HjbConfig(T=0.5, nt=32)
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         m_path = _frozen_path(grid, cfg)
@@ -148,7 +139,7 @@ class TestSchemeProperties:
         assert (u1.values <= u2.values + 1e-8).all()
 
     def test_terminal_slice_is_exact_terminal_cost(self):
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         cfg = HjbConfig(T=1.0, nt=32)
         coup = builtin_coupling("nonlocal_smooth")
         m_path = _frozen_path(grid, cfg)
@@ -159,7 +150,7 @@ class TestSchemeProperties:
 
     def test_time_shift_estimate(self):
         # ||u(.,t) - u(.,T)||_inf <= C1 (T - t) with C1 from the data bounds
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         cfg = HjbConfig(T=1.0, nt=48)
         coup = builtin_coupling("nonlocal_smooth")
         m_path = _frozen_path(grid, cfg)
@@ -173,7 +164,7 @@ class TestSchemeProperties:
 
     def test_cfl_violation_is_configuration_error(self):
         # steep terminal data + coarse time mesh breaks the transport CFL
-        grid = _box(3.0, 64)
+        grid = default_grid(3.0, 64, 64)
         cfg = HjbConfig(T=1.0, nt=5)
         coup = CouplingSpec(
             F=_zeros, G=lambda x1, x2, m: 10.0 * (x1 ** 2 + x2 ** 2),
@@ -183,12 +174,12 @@ class TestSchemeProperties:
                                coup, _frozen_path(grid, cfg), cfg)
 
     def test_mesh_mismatch_is_configuration_error(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=16)
         bad = HjbConfig(T=1.0, nt=24)
         with pytest.raises(ConfigurationError):
             solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
-                               _const_coupling(), _frozen_path(grid, bad), cfg)
+                               const_coupling(), _frozen_path(grid, bad), cfg)
 
 
 class TestUpwindSlopes:
@@ -201,7 +192,7 @@ class TestUpwindSlopes:
     def _setup(axis):
         # 17 nodes on [-2, 2]: node 8 sits at 0; h varies along x1 and is
         # positive, so the x2 slope must come out multiplied by it
-        grid = _box(2.0, 17)
+        grid = default_grid(2.0, 17, 17)
         x1g, x2g = grid.meshgrid()
         return grid, (x1g, x2g)[axis - 1], 1.0 + x1g ** 2
 
@@ -287,23 +278,23 @@ def test_upwind_slopes_equal_the_padded_reference(n1, n2, h):
 
 class TestPdeResidual:
     def test_constant_solution_zero_residual(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=9)
         u = ValuePath(grid, cfg.dt, np.full((cfg.nt,) + grid.shape, 1.5))
         res = pde_residual(u, dynamics_preset("grushin_exp", epsilon=0.1),
-                           _const_coupling(0.0, 1.5), _frozen_path(grid, cfg))
+                           const_coupling(0.0, 1.5), _frozen_path(grid, cfg))
         assert res.shape == (cfg.nt - 2,) + grid.shape
         assert np.abs(res).max() < 1e-10
 
     def test_T_minus_t_zero_residual(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=9)
         times = cfg.dt * np.arange(cfg.nt)
         vals = np.broadcast_to((cfg.T - times)[:, None, None],
                                (cfg.nt,) + grid.shape)
         u = ValuePath(grid, cfg.dt, vals)
         res = pde_residual(u, dynamics_preset("zero", epsilon=0.0),
-                           _const_coupling(1.0, 0.0), _frozen_path(grid, cfg))
+                           const_coupling(1.0, 0.0), _frozen_path(grid, cfg))
         assert np.abs(res).max() < 1e-10
 
     def test_median_residual_decreases_under_refinement(self):
@@ -311,7 +302,7 @@ class TestPdeResidual:
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         medians = []
         for n, nt in [(24, 48), (48, 96)]:
-            grid = _box(3.0, n)
+            grid = default_grid(3.0, n, n)
             cfg = HjbConfig(T=1.0, nt=nt)
             m_path = _frozen_path(grid, cfg)
             u = solve_hjb_backward(dyn, coup, m_path, cfg)
@@ -349,13 +340,12 @@ class TestPdeResidual:
                 assert np.array_equal(res[k - 1], ref), (nt, k)
 
     def test_too_few_slices_rejected(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         u = ValuePath(grid, 0.5, np.zeros((2,) + grid.shape))
-        m = DensityPath(grid, 0.5, np.repeat(
-            uniform_density(grid).values[None], 2, axis=0))
+        m = constant_path(uniform_density(grid), 0.5, 2)
         with pytest.raises(ConfigurationError):
             pde_residual(u, dynamics_preset("zero", epsilon=0.0),
-                         _const_coupling(), m)
+                         const_coupling(), m)
 
 
 class TestImplicitDiffusionOrdering:
@@ -371,7 +361,7 @@ class TestImplicitDiffusionOrdering:
 
         monkeypatch.setattr(hjb, "splu", recording_splu)
         hjb.implicit_diffusion.cache_clear()
-        grid = _box(5.0, 64)
+        grid = default_grid(5.0, 64, 64)
         hjb.implicit_diffusion(grid, dynamics_preset("grushin_exp",
                                                      epsilon=0.1), 1.0 / 63)
         (a, lu), = built
@@ -388,7 +378,7 @@ class TestImplicitDiffusionOrdering:
 
         monkeypatch.setattr(hjb, "splu", counting_splu)
         hjb.implicit_diffusion.cache_clear()
-        grid = _box(3.0, 17)
+        grid = default_grid(3.0, 17, 17)
         cfg = HjbConfig(T=0.5, nt=17)
         coupling = CouplingSpec(
             F=_zeros, G=lambda x1, x2, m: 0.25 * (x1 ** 2 + x2 ** 2),

@@ -1,12 +1,15 @@
-"""Every name a degmfg module imports is used in that module, and start-up
-does not load what only a cross-check needs.
+"""Every name a degmfg module imports is used in that module, every public
+name is reached by the package, its scripts or its benchmark, and start-up
+loads only the runtime dependencies.
 
-No linter ships with the project, so this AST scan is the check. An import
-kept on purpose carries ``# noqa: F401`` on its line.
+No linter ships with the project, so these AST scans are the check. An
+import kept on purpose carries ``# noqa: F401`` on its line.
 """
 
 import ast
+import collections
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +19,7 @@ import degmfg
 
 SRC = os.path.dirname(os.path.abspath(degmfg.__file__))
 MODULES = sorted(n for n in os.listdir(SRC) if n.endswith(".py"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def unused_imports(source: str) -> list:
@@ -51,8 +55,92 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
+def _referenced(tree, strings=False) -> collections.Counter:
+    """The names ``tree`` references: names, attributes, imported names and,
+    with ``strings``, string constants."""
+    out = collections.Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+        elif strings and isinstance(n, ast.Constant) \
+                and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield "%s.%s" % (node.name, m.name), m
+
+
+def unreached(modules: dict, readers: list) -> list:
+    """The public names of ``modules`` (module name -> source) that neither
+    the modules nor the ``readers`` reference outside the name's own
+    definition. A reader is a (source, strings) pair; with ``strings`` its
+    string constants count too, as for attributes wrapped by name."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    seen = collections.Counter()
+    for tree in trees.values():
+        seen += _referenced(tree)
+    for source, strings in readers:
+        seen += _referenced(ast.parse(source), strings)
+    return sorted("%s.%s" % (mod, name)
+                  for mod, tree in trees.items()
+                  for name, node in _public_defs(tree)
+                  if seen[node.name] <= _referenced(node)[node.name])
+
+
+def _sources(directory):
+    return {n[:-3]: open(os.path.join(directory, n), encoding="utf-8").read()
+            for n in sorted(os.listdir(directory)) if n.endswith(".py")}
+
+
+def test_scan_finds_an_unreached_name():
+    lib = ("def used():\n    pass\n\ndef orphan():\n    orphan()\n\n"
+           "class Box:\n    def wrapped(self):\n        pass\n\n"
+           "    def lost(self):\n        pass\n")
+    readers = [("from lib import used\n", False),
+               ("wrap(Box, 'wrapped')\nprint('lost')\n", True)]
+    assert unreached({"lib": lib}, readers) == ["lib.orphan"]
+    assert unreached({"lib": lib}, [(readers[1][0], False)]) \
+        == ["lib.Box.lost", "lib.Box.wrapped", "lib.orphan", "lib.used"]
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a name that only tests call is a reference; it lives in the tests
+    readers = [(source, False) for source in
+               _sources(os.path.join(ROOT, "scripts")).values()]
+    readers += [(source, True) for source in
+                _sources(os.path.join(ROOT, "bench")).values()]
+    names = unreached(_sources(SRC), readers)
+    assert names == [], "reached only by the tests: %s" % ", ".join(names)
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", r).group() for r in requirements]
+
+    assert names(project["dependencies"]) == ["numpy", "scipy"]
+    assert "networkx" in names(project["optional-dependencies"]["dev"])
+
+
 def test_start_up_does_not_import_networkx():
-    # only the min-cost-flow cross-check uses networkx; it imports it there
+    # networkx is a test dependency: only the min-cost-flow reference of
+    # the tests' references module uses it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(SRC)]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))

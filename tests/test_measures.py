@@ -6,18 +6,17 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from degmfg.errors import ConfigurationError
-from degmfg.grid import DensityField, DensityPath, Grid2D, default_grid, \
-    truncated_gaussian
+from degmfg.grid import DensityField, DensityPath, Grid2D, truncated_gaussian
 from degmfg.measures import (
     GridDistance,
     _cost_matrix,
     _transport_lp,
     holder_halftime_estimate,
-    mincost_flow_reference,
-    wasserstein1_exact,
+    sinkhorn_points,
     wasserstein1_points,
-    wasserstein1_sinkhorn,
 )
+from references import default_grid, mincost_flow_reference, node_support, \
+    node_w1
 
 
 def grid8(L=1.0):
@@ -53,6 +52,11 @@ def coarsened_gaussians(grid, center, variance):
     return xs, a, ys, b
 
 
+def sinkhorn(mu, nu, reg):
+    """Sinkhorn between the node supports of two grid measures."""
+    return sinkhorn_points(*node_support(mu), *node_support(nu), reg)
+
+
 def point_mass(grid, i, j):
     v = np.zeros(grid.shape)
     v[i, j] = 1.0
@@ -64,14 +68,14 @@ class TestExactLP:
     def test_identical_measures(self):
         grid = grid8()
         m = random_density(grid, np.random.default_rng(0))
-        assert wasserstein1_exact(m, m) < 1e-12
+        assert node_w1(m, m) < 1e-12
 
     def test_two_point_masses(self):
         grid = grid8()
         mu = point_mass(grid, 2, 2)
         nu = point_mass(grid, 2, 5)
         d = abs(grid.x2[5] - grid.x2[2])
-        assert abs(wasserstein1_exact(mu, nu) - d) < 1e-10
+        assert abs(node_w1(mu, nu) - d) < 1e-10
 
     def test_matches_mincost_flow_oracle(self):
         grid = grid8()
@@ -79,7 +83,7 @@ class TestExactLP:
         for _ in range(8):
             mu = random_density(grid, rng)
             nu = random_density(grid, rng)
-            lp = wasserstein1_exact(mu, nu)
+            lp = node_w1(mu, nu)
             mcf = mincost_flow_reference(mu, nu)
             assert abs(lp - mcf) < 1e-9
 
@@ -89,7 +93,7 @@ class TestExactLP:
         v /= grid.integrate(v)
         m = DensityField(grid, v)
         with pytest.raises(ConfigurationError):
-            wasserstein1_exact(m, m)
+            wasserstein1_points(*node_support(m), *node_support(m))
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=10, deadline=None)
@@ -97,10 +101,10 @@ class TestExactLP:
         grid = grid8()
         rng = np.random.default_rng(seed)
         a, b, c = (random_density(grid, rng) for _ in range(3))
-        dab = wasserstein1_exact(a, b)
-        dba = wasserstein1_exact(b, a)
-        dac = wasserstein1_exact(a, c)
-        dcb = wasserstein1_exact(c, b)
+        dab = node_w1(a, b)
+        dba = node_w1(b, a)
+        dac = node_w1(a, c)
+        dcb = node_w1(c, b)
         assert abs(dab - dba) < 1e-9
         assert dab <= dac + dcb + 1e-8
 
@@ -116,13 +120,13 @@ class TestExactLP:
         nu = DensityField(grid, nu_v)
         v_len = shift * grid.dx1
         # one measure a translate of the other: d1 is exactly |v|
-        assert abs(wasserstein1_exact(mu, nu) - v_len) < 1e-9
+        assert abs(node_w1(mu, nu) - v_len) < 1e-9
         # translating both leaves d1 unchanged
         other = np.zeros(grid.shape)
         other[5:8, 5:8] = rng.uniform(0.2, 1.0, size=(3, 3))
         other /= grid.integrate(other)
-        d0 = wasserstein1_exact(mu, DensityField(grid, other))
-        d1_shifted = wasserstein1_exact(
+        d0 = node_w1(mu, DensityField(grid, other))
+        d1_shifted = node_w1(
             DensityField(grid, np.roll(mu_v, 2, axis=1)),
             DensityField(grid, np.roll(other, 2, axis=1)))
         assert abs(d0 - d1_shifted) < 1e-9
@@ -184,7 +188,7 @@ class TestSinkhorn:
     def test_identical_measures_small_bias(self):
         grid = grid8()
         m = random_density(grid, np.random.default_rng(1))
-        res = wasserstein1_sinkhorn(m, m, reg=1e-3 * grid.diameter)
+        res = sinkhorn(m, m, reg=1e-3 * grid.diameter)
         assert 0.0 <= res.debiased <= 1e-3
         assert res.value >= -1e-9
 
@@ -192,8 +196,8 @@ class TestSinkhorn:
         grid = grid8()
         mu = point_mass(grid, 1, 1)
         nu = point_mass(grid, 6, 6)
-        exact = wasserstein1_exact(mu, nu)
-        res = wasserstein1_sinkhorn(mu, nu, reg=1e-3 * grid.diameter)
+        exact = node_w1(mu, nu)
+        res = sinkhorn(mu, nu, reg=1e-3 * grid.diameter)
         assert abs(res.value - exact) <= 0.02 * exact
 
     def test_random_pairs_within_two_percent(self):
@@ -202,8 +206,8 @@ class TestSinkhorn:
         for _ in range(10):
             mu = random_density(grid, rng)
             nu = random_density(grid, rng)
-            exact = wasserstein1_exact(mu, nu)
-            res = wasserstein1_sinkhorn(mu, nu, reg=1e-3 * grid.diameter)
+            exact = node_w1(mu, nu)
+            res = sinkhorn(mu, nu, reg=1e-3 * grid.diameter)
             assert res.value >= exact - 1e-9  # rounded plan is feasible
             assert abs(res.debiased - exact) <= 0.02 * max(exact, 1e-6)
 
@@ -211,15 +215,15 @@ class TestSinkhorn:
         grid = grid8()
         m = random_density(grid, np.random.default_rng(2))
         with pytest.raises(ConfigurationError):
-            wasserstein1_sinkhorn(m, m, reg=0.0)
+            sinkhorn(m, m, reg=0.0)
 
     def test_converges_to_exact_as_reg_shrinks(self):
         grid = grid8()
         rng = np.random.default_rng(11)
         mu = random_density(grid, rng)
         nu = random_density(grid, rng)
-        exact = wasserstein1_exact(mu, nu)
-        errs = [abs(wasserstein1_sinkhorn(mu, nu, reg=r * grid.diameter).value - exact)
+        exact = node_w1(mu, nu)
+        errs = [abs(sinkhorn(mu, nu, reg=r * grid.diameter).value - exact)
                 for r in (3e-2, 3e-3)]
         assert errs[1] <= errs[0] + 1e-12
 
@@ -238,7 +242,7 @@ class TestGridDistance:
         nu = random_density(grid, rng)
         gd = GridDistance(grid)
         approx = gd.distance(mu.values, nu.values)
-        exact = wasserstein1_exact(mu, nu)
+        exact = node_w1(mu, nu)
         assert GridDistance(grid).block == 1
         assert abs(approx - exact) <= 1e-9
 

@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from degmfg.coupling import CouplingSpec, builtin_coupling
+from degmfg.coupling import CouplingSpec
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
-from degmfg.grid import DensityPath, Grid2D, ScalarField, Stencil, \
-    ValuePath, default_grid, truncated_gaussian
-from degmfg.hjb import HjbConfig, hopf_lax_oracle, solve_hjb_backward
+from degmfg.grid import Grid2D, Stencil, ValuePath, truncated_gaussian
+from degmfg.hjb import HjbConfig, solve_hjb_backward
 from degmfg.operators import degenerate_gradient
 from degmfg import sde
+from references import const_coupling, constant_path, default_grid, \
+    kde_bandwidth
 
 
 def _const_u_path(grid, nt, T, value=0.0):
@@ -21,14 +22,7 @@ def _const_u_path(grid, nt, T, value=0.0):
 
 
 def _const_m_path(grid, nt, T):
-    m0 = truncated_gaussian(grid)
-    return DensityPath(grid, T / (nt - 1), np.tile(m0.values, (nt, 1, 1)))
-
-
-def _zero_coupling(f_const=0.0, g_const=0.0):
-    return CouplingSpec(F=lambda x1, x2, m: 0.0 * x1 + f_const,
-                        G=lambda x1, x2, m: 0.0 * x1 + g_const,
-                        monotone=True, name="const")
+    return constant_path(truncated_gaussian(grid), T / (nt - 1), nt)
 
 
 def _bilinear_reference(grid, values, pts):
@@ -319,7 +313,7 @@ class TestMcValue:
         up = _const_u_path(GRID, NT, T)
         mp = _const_m_path(GRID, NT, T)
         cfg = sde.EnsembleConfig(n_particles=50, seed=0, dt_sde=0.1)
-        est = sde.mc_value(dyn, _zero_coupling(g_const=2.5), mp, up,
+        est = sde.mc_value(dyn, const_coupling(g=2.5), mp, up,
                            (0.1, 0.1), 0.0, cfg)
         assert est.mean == pytest.approx(2.5, abs=1e-14)
         assert est.std_error == 0.0
@@ -331,7 +325,7 @@ class TestMcValue:
         up = _const_u_path(GRID, NT, T)
         mp = _const_m_path(GRID, NT, T)
         cfg = sde.EnsembleConfig(n_particles=20, seed=0, dt_sde=0.05)
-        est = sde.mc_value(dyn, _zero_coupling(f_const=1.0), mp, up,
+        est = sde.mc_value(dyn, const_coupling(f=1.0), mp, up,
                            (0.1, 0.1), 0.4, cfg)
         assert est.mean == pytest.approx(T - 0.4, abs=1e-12)
         assert est.std_error < 1e-15
@@ -351,7 +345,7 @@ class TestMcValue:
         coupling = CouplingSpec(F=lambda a, b, m: 0.0 * a, G=g_fun,
                                 monotone=True, name="quad_sat")
         m0 = truncated_gaussian(grid)
-        mp = DensityPath(grid, T / (nt - 1), np.tile(m0.values, (nt, 1, 1)))
+        mp = constant_path(m0, T / (nt - 1), nt)
         cfg_h = HjbConfig(T=T, nt=nt)
         up = solve_hjb_backward(dyn, coupling, mp, cfg_h)
 
@@ -420,7 +414,7 @@ class TestMcValue:
         other = default_grid(n1=17, n2=17)
         mp = _const_m_path(other, NT, T)
         with pytest.raises(ConfigurationError):
-            sde.mc_value(dyn, _zero_coupling(), mp, up, (0.0, 0.0), 0.0,
+            sde.mc_value(dyn, const_coupling(), mp, up, (0.0, 0.0), 0.0,
                          sde.EnsembleConfig(10, seed=0, dt_sde=0.1))
 
 
@@ -478,7 +472,7 @@ class TestEmpiricalDensity:
     def test_bandwidth_is_silverman_on_the_widest_axis(self):
         pts = np.random.default_rng(23).normal(size=(3001, 2)) * [0.5, 1.5]
         sig = np.std(pts, axis=0, ddof=1)
-        assert sde.kde_bandwidth(_ensemble(pts)) == \
+        assert kde_bandwidth(_ensemble(pts)) == \
             float(np.max(sig) * 3001 ** (-1.0 / 6.0))
 
     def test_coincident_particles_named(self):

@@ -6,24 +6,22 @@ import re
 import numpy as np
 import pytest
 
-from degmfg.coupling import CouplingSpec, builtin_coupling
+from degmfg.coupling import builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
-from degmfg.grid import (DensityPath, Direction, Grid2D, ScalarField,
-                         ValuePath, truncated_gaussian, uniform_density)
+from degmfg.grid import Direction, Grid2D, ScalarField, ValuePath, \
+    truncated_gaussian
 from degmfg.hjb import HjbConfig, solve_hjb_backward
-from degmfg.operators import interior_restrict
+from degmfg.operators import interior_box
 from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
                            lipschitz_estimate, property_checks,
                            report_to_dict, semiconcavity_estimate,
                            time_lipschitz_estimate, VerifyThresholds)
+from references import const_coupling, constant_path, default_grid, \
+    uniform_density
 
 DIAG = Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-
-
-def _box(half, n):
-    return Grid2D(-half, half, -half, half, n, n)
 
 
 def _field(grid, fn):
@@ -33,48 +31,48 @@ def _field(grid, fn):
 
 class TestLipschitz:
     def test_linear_3x1(self):
-        u = _field(_box(3.0, 32), lambda x1, x2: 3.0 * x1)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: 3.0 * x1)
         assert abs(lipschitz_estimate(u.values, u.grid) - 3.0) < 1e-12
 
     def test_constant_is_zero(self):
-        u = _field(_box(3.0, 32), lambda x1, x2: 0.0 * x1 + 7.0)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: 0.0 * x1 + 7.0)
         assert lipschitz_estimate(u.values, u.grid) == 0.0
 
     def test_diagonal_pairs_detected(self):
         # u = x1 + x2 has gradient norm sqrt(2), attained along the diagonal
-        u = _field(_box(3.0, 32), lambda x1, x2: x1 + x2)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: x1 + x2)
         assert abs(lipschitz_estimate(u.values, u.grid) - math.sqrt(2.0)) < 1e-12
 
 
 class TestTimeLipschitz:
     def test_T_minus_t_is_one(self):
-        grid = _box(3.0, 8)
+        grid = default_grid(3.0, 8, 8)
         nt, dt = 11, 0.1
         vals = np.broadcast_to((1.0 - dt * np.arange(nt))[:, None, None],
                                (nt,) + grid.shape)
         assert abs(time_lipschitz_estimate(ValuePath(grid, dt, vals)) - 1.0) < 1e-12
 
     def test_constant_is_zero(self):
-        grid = _box(3.0, 8)
+        grid = default_grid(3.0, 8, 8)
         u = ValuePath(grid, 0.1, np.ones((5,) + grid.shape))
         assert time_lipschitz_estimate(u) == 0.0
 
 
 class TestSemiconcavity:
     def test_negative_quadratic_every_direction(self):
-        u = _field(_box(3.0, 32), lambda x1, x2: -(x1 ** 2 + x2 ** 2))
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: -(x1 ** 2 + x2 ** 2))
         for eta in AXES_AND_DIAGONALS:
             est = semiconcavity_estimate(u.values, u.grid, eta)
             assert abs(est - (-2.0)) < 1e-10  # exact for lattice-aligned eta
 
     def test_linear_is_zero(self):
-        u = _field(_box(3.0, 32), lambda x1, x2: 2.0 * x1 - x2)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: 2.0 * x1 - x2)
         for eta in AXES_AND_DIAGONALS:
             assert abs(semiconcavity_estimate(u.values, u.grid, eta)) < 1e-12
 
     def test_mixed_quadratic_directional(self):
         # u = x1*x2: second derivative along (1,1)/sqrt(2) is +1, along axes 0
-        u = _field(_box(3.0, 32), lambda x1, x2: x1 * x2)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: x1 * x2)
         assert abs(semiconcavity_estimate(u.values, u.grid, DIAG) - 1.0) < 1e-10
         assert abs(semiconcavity_estimate(u.values, u.grid,
                                           Direction(1.0, 0.0))) < 1e-12
@@ -116,7 +114,7 @@ NON_SQUARE = (Grid2D(-3.0, 2.0, -1.5, 2.5, 41, 23),
 
 
 class TestSemiconcavityOnPaths:
-    @pytest.mark.parametrize("grid", (_box(3.0, 24),) + NON_SQUARE)
+    @pytest.mark.parametrize("grid", (default_grid(3.0, 24, 24),) + NON_SQUARE)
     @pytest.mark.parametrize("frame", [0.0, 0.1])
     def test_path_estimate_is_the_max_over_slices(self, grid, frame):
         vals = _rough_path(grid, 5, 3)
@@ -138,7 +136,7 @@ class TestSemiconcavityOnPaths:
     def test_lattice_directions_read_node_values(self):
         # on a square grid the diagonals align with the lattice: the
         # estimate is the node-value quotient, bit for bit
-        grid = _box(3.0, 24)
+        grid = default_grid(3.0, 24, 24)
         v = _rough_path(grid, 1, 6)[0]
         s = math.hypot(grid.dx1, grid.dx2)
         # both scales read the nodes 2j steps from the edge, j = 1, 2
@@ -158,7 +156,7 @@ class TestSemiconcavityOnPaths:
 class TestRestrictionMonotonicity:
     def test_estimates_never_increase_on_subbox(self):
         rng = np.random.default_rng(7)
-        grid = _box(3.0, 40)
+        grid = default_grid(3.0, 40, 40)
         vals = rng.normal(size=grid.shape).cumsum(axis=0).cumsum(axis=1)
         vals /= np.abs(vals).max()
         u = ScalarField(grid, vals)
@@ -170,24 +168,22 @@ class TestRestrictionMonotonicity:
                         <= semiconcavity_estimate(vals, grid, eta) + 1e-14)
 
     def test_frame_bounds_validated(self):
-        u = _field(_box(3.0, 32), lambda x1, x2: x1)
+        u = _field(default_grid(3.0, 32, 32), lambda x1, x2: x1)
         with pytest.raises(ConfigurationError):
-            interior_restrict(u, 0.5)
+            interior_box(u.grid, 0.5)
         with pytest.raises(ConfigurationError):
-            interior_restrict(u, 0.49)  # leaves fewer than 4 nodes
+            interior_box(u.grid, 0.49)  # leaves fewer than 4 nodes
 
     @pytest.mark.parametrize("frame, message", [
         (0.5, "boundary_frame must lie in [0, 0.5) (got 0.5)"),
         (-0.1, "boundary_frame must lie in [0, 0.5) (got -0.1)"),
         (0.45, "boundary frame leaves fewer than 4 nodes per axis")])
     def test_one_frame_rule_for_every_estimate(self, frame, message):
-        grid = _box(3.0, 8)
+        grid = default_grid(3.0, 8, 8)
         u = ValuePath(grid, 0.1, np.ones((5,) + grid.shape))
-        m = DensityPath(grid, 0.1, np.repeat(
-            uniform_density(grid).values[None], 5, axis=0))
-        zero = CouplingSpec(F=lambda x1, x2, m: 0.0 * x1,
-                            G=lambda x1, x2, m: 0.0 * x1, monotone=True)
-        for estimate in (lambda: interior_restrict(u.slice(0), frame),
+        m = constant_path(uniform_density(grid), 0.1, 5)
+        zero = const_coupling()
+        for estimate in (lambda: interior_box(grid, frame),
                          lambda: lipschitz_estimate(u.values, grid, frame),
                          lambda: time_lipschitz_estimate(u, frame),
                          lambda: ae_residual_report(
@@ -198,32 +194,24 @@ class TestRestrictionMonotonicity:
 
 
 class TestAeResidual:
-    def _const_coupling(self, f_val, g_val):
-        return CouplingSpec(
-            F=lambda x1, x2, m: np.full_like(x1, f_val),
-            G=lambda x1, x2, m: np.full_like(x1, g_val),
-            monotone=True)
-
     def test_exact_constant_solution_fraction_one(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         nt, dt = 9, 0.125
         u = ValuePath(grid, dt, np.full((nt,) + grid.shape, 2.0))
-        m = DensityPath(grid, dt, np.repeat(
-            uniform_density(grid).values[None], nt, axis=0))
+        m = constant_path(uniform_density(grid), dt, nt)
         rep = ae_residual_report(u, dynamics_preset("grushin_exp", epsilon=0.1),
-                                 self._const_coupling(0.0, 2.0), m, tol=1e-8)
+                                 const_coupling(0.0, 2.0), m, tol=1e-8)
         assert rep.fraction_below_tol == 1.0
 
     def test_T_minus_t_fraction_one(self):
-        grid = _box(3.0, 16)
+        grid = default_grid(3.0, 16, 16)
         nt, dt = 9, 0.125
         vals = np.broadcast_to((1.0 - dt * np.arange(nt))[:, None, None],
                                (nt,) + grid.shape)
         u = ValuePath(grid, dt, vals)
-        m = DensityPath(grid, dt, np.repeat(
-            uniform_density(grid).values[None], nt, axis=0))
+        m = constant_path(uniform_density(grid), dt, nt)
         rep = ae_residual_report(u, dynamics_preset("zero", epsilon=0.0),
-                                 self._const_coupling(1.0, 0.0), m, tol=1e-8)
+                                 const_coupling(1.0, 0.0), m, tol=1e-8)
         assert rep.fraction_below_tol == 1.0
 
     def test_fraction_non_decreasing_under_refinement(self):
@@ -231,11 +219,9 @@ class TestAeResidual:
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         fractions = []
         for n, nt in [(24, 48), (48, 96)]:
-            grid = _box(3.0, n)
+            grid = default_grid(3.0, n, n)
             cfg = HjbConfig(T=1.0, nt=nt)
-            m0 = uniform_density(grid)
-            m = DensityPath(grid, cfg.dt,
-                            np.repeat(m0.values[None], cfg.nt, axis=0))
+            m = constant_path(uniform_density(grid), cfg.dt, cfg.nt)
             u = solve_hjb_backward(dyn, coup, m, cfg)
             # fixed tol taken from the coarser level so levels are comparable
             tol = 5.0 * (6.0 / 23 + 1.0 / 47)
@@ -245,17 +231,19 @@ class TestAeResidual:
 
 
 class TestPropertySuite:
-    def test_solved_pair_passes_and_reports(self):
-        grid = _box(5.0, 32)
+    @pytest.fixture(scope="class")
+    def solved(self):
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         dyn = dynamics_preset("grushin_exp", epsilon=0.05)
         coup = builtin_coupling("nonlocal_smooth")
         m0 = truncated_gaussian(grid)
-        frozen = DensityPath(grid, cfg.dt,
-                             np.repeat(m0.values[None], cfg.nt, axis=0))
-        u = solve_hjb_backward(dyn, coup, frozen, cfg)
-        m = solve_fpe_forward(m0, u, dyn, cfg)
-        results = property_checks(u, m, dyn, coup)
+        u = solve_hjb_backward(dyn, coup, constant_path(m0, cfg.dt, cfg.nt),
+                               cfg)
+        return u, solve_fpe_forward(m0, u, dyn, cfg), dyn, coup
+
+    def test_solved_pair_passes_and_reports(self, solved):
+        results = property_checks(*solved)
         report = report_to_dict(results)
         assert report["passed"], [r.name for r in results if not r.passed]
         names = {r.name for r in results}
@@ -265,24 +253,15 @@ class TestPropertySuite:
         for r in results:
             assert np.isfinite(r.measured)
 
-    def test_thresholds_are_config_visible(self):
+    def test_thresholds_are_config_visible(self, solved):
         # tightening a threshold must flip the corresponding check
-        grid = _box(5.0, 32)
-        cfg = HjbConfig(T=1.0, nt=64)
-        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
-        coup = builtin_coupling("nonlocal_smooth")
-        m0 = truncated_gaussian(grid)
-        frozen = DensityPath(grid, cfg.dt,
-                             np.repeat(m0.values[None], cfg.nt, axis=0))
-        u = solve_hjb_backward(dyn, coup, frozen, cfg)
-        m = solve_fpe_forward(m0, u, dyn, cfg)
         tight = VerifyThresholds(lipschitz_max=1e-6)
-        results = property_checks(u, m, dyn, coup, tight)
+        results = property_checks(*solved, tight)
         by_name = {r.name: r for r in results}
         assert not by_name["spatial_lipschitz"].passed
 
     def test_sabotaged_run_fails_positivity(self):
-        grid = _box(5.0, 32)
+        grid = default_grid(5.0, 32, 32)
         cfg = HjbConfig(T=1.0, nt=64)
         dyn = dynamics_preset("zero", epsilon=0.0)
         x1g, _ = grid.meshgrid()
@@ -290,10 +269,6 @@ class TestPropertySuite:
                       np.repeat((1.5 * x1g)[None], cfg.nt, axis=0))
         m0 = truncated_gaussian(grid)
         m = solve_fpe_forward(m0, u, dyn, cfg, sabotage_upwind=True)
-        coup = CouplingSpec(
-            F=lambda a, b, mm: np.zeros_like(a),
-            G=lambda a, b, mm: np.zeros_like(a),
-            monotone=True)
-        results = property_checks(u, m, dyn, coup)
+        results = property_checks(u, m, dyn, const_coupling())
         by_name = {r.name: r for r in results}
         assert not by_name["positivity"].passed
