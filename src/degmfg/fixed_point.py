@@ -203,8 +203,7 @@ def eps_sweep(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
         if prev is not None:
             level.sup_norm_delta = float(
                 np.abs(sol.u.values - prev.u.values).max())
-            level.d1_delta = max(
-                gd.distance(sol.m.values[k], prev.m.values[k]) for k in idx)
+            level.d1_delta = _path_residual(sol.m, prev.m, gd, idx)
         result.levels.append(level)
         if not sol.converged:
             result.aborted = True

@@ -22,11 +22,9 @@ from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
-from .grid import DensityField, DensityPath, Grid2D, ValuePath, require_mesh
+from .grid import MASS_TOL, NEGATIVITY_TOL, DensityField, DensityPath, \
+    Grid2D, ValuePath, require_mesh
 from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion, upwind_slopes
-
-MASS_DRIFT_HARD = 1e-8
-CLAMP_FLOOR = -1e-12
 
 
 @dataclass
@@ -110,11 +108,11 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         drift = abs(mass - 1.0)
         report.mass_drift_max = max(report.mass_drift_max, drift)
         if not sabotage_upwind:
-            if drift > MASS_DRIFT_HARD:
+            if drift > MASS_TOL:
                 raise SolverError(
                     "FPE mass drift %.3g at step %d exceeds 1e-8; the conservative "
                     "scheme is structurally broken" % (drift, k + 1))
-            if pre_min < CLAMP_FLOOR:
+            if pre_min < -NEGATIVITY_TOL:
                 raise SolverError(
                     "FPE negativity %.3g at step %d below the -1e-12 clamp floor"
                     % (pre_min, k + 1))

@@ -18,8 +18,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, load_config, read_text, \
-    serialize_config
+from .config import RunConfig, load_config, read_text, serialize_config
 from .errors import ConfigurationError
 from .grid import DensityPath, Grid2D, ValuePath, require_mesh
 
@@ -171,18 +170,15 @@ def _read_path(dirname):
 
 def save_run(run_dir, cfg: RunConfig, u_path: ValuePath, m_path: DensityPath,
              summary: dict):
-    """Write a self-describing run directory: config, fields, summary."""
+    """Write a self-describing run directory: config, fields, and the
+    command's ``summary`` as summary.json (the mesh is config.json's)."""
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w",
               encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
     _write_path(os.path.join(run_dir, "u"), u_path.grid, u_path.values)
     _write_path(os.path.join(run_dir, "m"), m_path.grid, m_path.values)
-    meta = dict(summary)
-    meta.setdefault("grid", config_to_dict(cfg)["grid"])
-    meta.setdefault("dt", u_path.dt)
-    meta.setdefault("nt", u_path.nt)
-    write_json(os.path.join(run_dir, "summary.json"), meta)
+    write_json(os.path.join(run_dir, "summary.json"), summary)
 
 
 def load_run(run_dir):

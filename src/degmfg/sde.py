@@ -7,10 +7,12 @@ diag(sqrt(2*eps + sigma_i^2)). Paths reflect at the box boundary, mirroring
 the Neumann truncation of the PDE solvers. Each step builds one bilinear
 ``grid.Stencil`` of the particle positions and gathers every grid field
 from it: both feedback components at both time slices and, for value
-estimates, the running cost. Randomness is
-counter-based: each block of particles draws from its own Philox stream
-keyed by (seed, block index), so ensembles are bit-identical regardless of
-scheduling, and sums use numpy's pairwise reduction.
+estimates, the running cost. A particle block holds one step, never a
+trajectory: the kernel reports each step's positions to a visitor and
+returns the final positions. Randomness is counter-based: each block of
+particles draws from its own Philox stream keyed by (seed, block index),
+one (block, 2) array of normals per step, so ensembles are bit-identical
+regardless of scheduling, and sums use numpy's pairwise reduction.
 
 The empirical density is a product-kernel Gaussian KDE with Silverman's
 per-axis bandwidths: the 2-D kernel factors over the axes, so the estimate
@@ -63,21 +65,6 @@ class EnsembleConfig:
                 "control would be stale" % (self.dt_sde, dt))
 
 
-@dataclass
-class ParticleEnsemble:
-    times: np.ndarray      # stored time points, shape (n_stored,)
-    positions: np.ndarray  # (n_stored, n_particles, 2)
-    seed: int
-    dt_sde: float
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[1]
-
-    def final(self) -> np.ndarray:
-        return self.positions[-1]
-
-
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -89,11 +76,10 @@ class McEstimate:
         return bool(abs(self.mean - value) <= 3 * self.std_error + MC_SLACK)
 
 
-def _block_normals(seed: int, block: int, shape):
-    """Independent standard normals for one particle block, counter-based."""
-    bitgen = np.random.Philox(key=(np.uint64(seed) << np.uint64(20))
-                              + np.uint64(block))
-    return np.random.Generator(bitgen).standard_normal(shape)
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    """The counter-based normal source of one particle block."""
+    return np.random.Generator(np.random.Philox(
+        key=(np.uint64(seed) << np.uint64(20)) + np.uint64(block)))
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -166,7 +152,8 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
     """Euler-Maruyama under the optimal feedback; reflecting boundary.
 
     Particles run in blocks of PARTICLE_BLOCK, block ``b`` on the Philox
-    stream keyed by (seed, b). Before every step the kernel calls
+    stream keyed by (seed, b), which yields the block's (nb, 2) normals
+    step by step. Before every step the kernel calls
     ``visit(lo, hi, step, t, x, alpha1, alpha2, *values)`` with the block's
     particle range, the positions, the feedback there and the values there
     of each ``_SlicedField`` in ``fields``, all read from one stencil.
@@ -184,7 +171,7 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
         lo = blk * PARTICLE_BLOCK
         hi = min(lo + PARTICLE_BLOCK, cfg.n_particles)
         nb = hi - lo
-        noise = _block_normals(cfg.seed, blk, (n_steps, nb, 2))
+        rng = _block_generator(cfg.seed, blk)
         x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
         for step in range(n_steps):
             t = t0 + step * cfg.dt_sde
@@ -193,13 +180,12 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
             visit(lo, hi, step, t, x, a1, a2,
                   *(f.gather(st, t) for f in fields))
             hx = dyn.h_values(x[:, 0])
-            s1 = np.sqrt(2.0 * dyn.epsilon
-                         + dyn.sigma1_sq(x[:, 0], x[:, 1]).astype(float))
-            s2 = np.sqrt(2.0 * dyn.epsilon
-                         + dyn.sigma2_sq(x[:, 0], x[:, 1]).astype(float))
+            s1 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma1_sq(x[:, 0], x[:, 1]))
+            s2 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma2_sq(x[:, 0], x[:, 1]))
+            noise = rng.standard_normal((nb, 2))
             x = x + np.stack([a1, a2 * hx], axis=1) * cfg.dt_sde \
-                + np.stack([s1 * noise[step, :, 0],
-                            s2 * noise[step, :, 1]], axis=1) * sq_dt
+                + np.stack([s1 * noise[:, 0], s2 * noise[:, 1]],
+                           axis=1) * sq_dt
             x[:, 0] = _reflect(x[:, 0], grid.x1_min, grid.x1_max)
             x[:, 1] = _reflect(x[:, 1], grid.x2_min, grid.x2_max)
         final[lo:hi] = x
@@ -207,23 +193,16 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
 
 
 def simulate_paths(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
-                   cfg: EnsembleConfig) -> ParticleEnsemble:
+                   cfg: EnsembleConfig) -> np.ndarray:
     """Euler-Maruyama under the optimal feedback; reflecting boundary.
 
     ``x0`` is either a single point (every particle starts there) or an
-    (n_particles, 2) array of initial positions. The positions are kept at
-    every step, the start included.
+    (n_particles, 2) array of initial positions. Returns the positions at
+    the horizon, shape (n_particles, 2).
     """
     n_steps = step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
-    positions = np.empty((n_steps + 1, cfg.n_particles, 2))
-
-    def store(lo, hi, step, t, x, a1, a2):
-        positions[step, lo:hi] = x
-
-    positions[-1] = _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, store)
-    times = t0 + cfg.dt_sde * np.arange(n_steps + 1, dtype=float)
-    return ParticleEnsemble(times=times, positions=positions,
-                            seed=cfg.seed, dt_sde=cfg.dt_sde)
+    return _euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps,
+                           lambda lo, hi, step, t, x, a1, a2: None)
 
 
 def mc_value(dyn: DynamicsSpec, coupling: CouplingSpec, m_path: DensityPath,
@@ -269,8 +248,9 @@ def _axis_kernel(nodes: np.ndarray, coords: np.ndarray, bw: float) -> np.ndarray
     return np.exp(d, out=d)
 
 
-def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
-    """Gaussian KDE of the final particle slice, renormalized on the grid.
+def empirical_density(pts: np.ndarray, grid: Grid2D) -> DensityField:
+    """Gaussian KDE of the (n, 2) particle positions ``pts``, renormalized
+    on the grid.
 
     The bandwidth is Silverman's rule per axis. The kernel is a product
     over the axes, exp(-(d1^2 + d2^2)/2) = exp(-d1^2/2) exp(-d2^2/2), so the
@@ -279,7 +259,6 @@ def empirical_density(ens: ParticleEnsemble, grid: Grid2D) -> DensityField:
     matrix product. Returns a DensityField, so the usual invariants
     (nonnegative, unit trapezoidal mass) hold.
     """
-    pts = ens.final()
     if pts.shape[0] == 0:
         raise ConfigurationError("ensemble is empty")
     bw = _silverman(pts, floor=1e-3 * min(grid.dx1, grid.dx2))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import DensityPath, Direction, Grid2D, Stencil, ValuePath
+from .grid import MASS_TOL, NEGATIVITY_TOL, DensityPath, Direction, Grid2D, \
+    Stencil, ValuePath
 from .operators import DEFAULT_BOUNDARY_FRAME, check_boundary_frame, \
     interior_box, lipschitz_estimate, sup_norm
 
@@ -140,8 +141,8 @@ class VerifyThresholds:
     lipschitz_max: float = 50.0
     time_lipschitz_max: float = 100.0
     semiconcavity_max: float = 100.0
-    negativity_floor: float = -1e-12
-    mass_drift_max: float = 1e-8
+    negativity_floor: float = -NEGATIVITY_TOL
+    mass_drift_max: float = MASS_TOL
     second_moment_factor: float = 3.0
     residual_fraction_min: float = 0.9
     boundary_frame: float = DEFAULT_BOUNDARY_FRAME

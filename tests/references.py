@@ -1,7 +1,8 @@
 """What the tests share and compare the package against, none of it on a
 command's path: grid, path and coupling fixtures, the exact W1 on node
-supports, and independent references (Hopf-Lax, a min-cost-flow W1, the
-only user of networkx, a C^2 check of the dynamics, the KDE bandwidth)."""
+supports, particle trajectories, and independent references (one-sided
+differences, Hopf-Lax, a min-cost-flow W1, the only user of networkx, a
+C^2 check of the dynamics, the KDE bandwidth)."""
 
 import numpy as np
 
@@ -120,6 +121,29 @@ def check_regularity(dyn, grid, bound=1e6):
     return worst
 
 
-def kde_bandwidth(ens):
+def kde_bandwidth(pts):
     """The Silverman bandwidth scale used by empirical_density (max axis)."""
-    return float(np.max(sde._silverman(ens.final())))
+    return float(np.max(sde._silverman(pts)))
+
+
+def trajectory(dyn, u_path, x0, t0, cfg):
+    """Every particle's position at every SDE step, the start included:
+    shape (n_steps + 1, n_particles, 2), read through the kernel's visit
+    hook and ending in what ``simulate_paths`` returns."""
+    n_steps = sde.step_count(u_path.horizon, u_path.dt, x0, t0, cfg)
+    out = np.empty((n_steps + 1, cfg.n_particles, 2))
+
+    def keep(lo, hi, step, t, x, a1, a2):
+        out[step, lo:hi] = x
+
+    out[-1] = sde._euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, keep)
+    return out
+
+
+def one_sided(v, dx, axis):
+    """(backward, forward) differences of v along ``axis``, zero past either
+    end: the zero-slope (Neumann) extension."""
+    d = np.diff(v, axis=axis) / dx
+    zero = np.zeros_like(np.take(v, [0], axis=axis))
+    return (np.concatenate([zero, d], axis=axis),
+            np.concatenate([d, zero], axis=axis))

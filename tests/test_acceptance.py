@@ -28,7 +28,8 @@ from degmfg.operators import interior_box, sup_norm
 from degmfg.verify import AXES_AND_DIAGONALS, ae_residual_report, \
     lipschitz_estimate, semiconcavity_estimate, time_lipschitz_estimate
 from references import constant_path, default_grid, hopf_lax_oracle, \
-    kde_bandwidth, mincost_flow_reference, node_support, node_w1
+    kde_bandwidth, mincost_flow_reference, node_support, node_w1, \
+    trajectory
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -313,31 +314,25 @@ def test_criterion_11_sde_fpe_consistency(sweep):
     n = 10_000
     x0 = sde.sample_density(sol.m.slice(0), n, seed=77)
     nt_sde = sol.u.nt - 1  # one SDE step per PDE step
-    ens = sde.simulate_paths(dyn, sol.u, x0, 0.0,
-                             sde.EnsembleConfig(n_particles=n, seed=78,
-                                                dt_sde=sol.u.dt))
+    positions = trajectory(dyn, sol.u, x0, 0.0,
+                           sde.EnsembleConfig(n_particles=n, seed=78,
+                                              dt_sde=sol.u.dt))
     gd = GridDistance(grid)
     rng = np.random.default_rng(79)
     ok = True
     details = []
     for frac in (0.25, 0.5, 1.0):
         step = int(round(frac * nt_sde))
-        pts = ens.positions[step]
-        sub_ens = sde.ParticleEnsemble(times=ens.times[step:step + 1],
-                                       positions=pts[None], seed=0,
-                                       dt_sde=ens.dt_sde)
-        kde = sde.empirical_density(sub_ens, grid)
-        bw = kde_bandwidth(sub_ens)
+        pts = positions[step]
+        kde = sde.empirical_density(pts, grid)
+        bw = kde_bandwidth(pts)
         target = sol.m.values[step]
         d = gd.distance(kde.values, target)
         boots = []
         for _ in range(6):
             idx = rng.integers(0, n, size=n)
-            b_ens = sde.ParticleEnsemble(times=sub_ens.times,
-                                         positions=pts[idx][None], seed=0,
-                                         dt_sde=ens.dt_sde)
             boots.append(gd.distance(
-                sde.empirical_density(b_ens, grid).values, target))
+                sde.empirical_density(pts[idx], grid).values, target))
         boot_err = float(np.std(boots, ddof=1))
         tol = bw + 3 * boot_err
         ok = ok and d <= tol

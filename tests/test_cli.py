@@ -147,6 +147,14 @@ class TestSolveAndVerify:
         assert set(summary["timings"]) == {"solve_mfg", "save_run",
                                            "mc_validate", "verify"}
 
+    def test_solve_mfg_summary_file_is_what_it_prints(self, tmp_path, capsys):
+        # the mesh lives in config.json alone: summary.json adds nothing
+        out = str(tmp_path / "mfg")
+        assert main(["solve-mfg", "--config", ZERO_CFG,
+                     "--out", out]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert dio.read_json(os.path.join(out, "summary.json")) == printed
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

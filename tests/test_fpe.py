@@ -12,7 +12,7 @@ from degmfg.fpe import (FpeReport, assemble_dual_diffusion, flux_transpose,
 from degmfg.grid import DensityField, Grid2D, ValuePath, truncated_gaussian
 from degmfg.hjb import (HjbConfig, assemble_diffusion, implicit_diffusion,
                         numerical_hamiltonian, upwind_slopes)
-from references import default_grid, uniform_density
+from references import default_grid, one_sided, uniform_density
 
 
 def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -213,19 +213,11 @@ class TestDualDiffusion:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _one_sided(v, dx, axis):
-    """(backward, forward) differences of v, zero past either end."""
-    d = np.diff(v, axis=axis) / dx
-    zero = np.zeros_like(np.take(v, [0], axis=axis))
-    return (np.concatenate([zero, d], axis=axis),
-            np.concatenate([d, zero], axis=axis))
-
-
 def _apply_j(v, p, grid, hg):
     """J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v."""
     p1b, p1f, p2b, p2f = p
-    b1, f1 = _one_sided(v, grid.dx1, axis=0)
-    b2, f2 = _one_sided(v, grid.dx2, axis=1)
+    b1, f1 = one_sided(v, grid.dx1, axis=0)
+    b2, f2 = one_sided(v, grid.dx2, axis=1)
     return p1b * b1 + p1f * f1 + hg * (p2b * b2 + p2f * f2)
 
 

@@ -19,7 +19,7 @@ from degmfg.hjb import (HjbConfig, numerical_hamiltonian, pde_residual,
                         solve_hjb_backward, upwind_slopes)
 from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian
 from references import const_coupling, constant_path, default_grid, \
-    hopf_lax_oracle, uniform_density
+    hopf_lax_oracle, one_sided, uniform_density
 
 
 def _zeros(x1, x2, m):
@@ -242,16 +242,6 @@ class TestUpwindSlopes:
                                    rtol=1e-12)
 
 
-def _one_sided_slopes(u, dx, axis):
-    """(backward, forward) slopes with zero-slope (Neumann) extension, from
-    a padded copy: the reference of ``upwind_slopes``."""
-    v = np.moveaxis(u, axis, 0)
-    pad = np.concatenate([v[:1], v, v[-1:]], axis=0)
-    backward = (pad[1:-1] - pad[:-2]) / dx
-    forward = (pad[2:] - pad[1:-1]) / dx
-    return np.moveaxis(backward, 0, axis), np.moveaxis(forward, 0, axis)
-
-
 def _godunov(backward, forward):
     pb, pf = np.maximum(backward, 0.0), np.minimum(forward, 0.0)
     return np.where(pb >= -pf, pb, pf)
@@ -269,8 +259,8 @@ def test_upwind_slopes_equal_the_padded_reference(n1, n2, h):
     x1g, x2g = grid.meshgrid()
     for u in (np.sin(x1g) * np.cos(2.0 * x2g), rng.normal(size=grid.shape),
               np.round(rng.normal(size=grid.shape))):
-        b1, f1 = _one_sided_slopes(u, grid.dx1, axis=0)
-        b2, f2 = _one_sided_slopes(u, grid.dx2, axis=1)
+        b1, f1 = one_sided(u, grid.dx1, axis=0)
+        b2, f2 = one_sided(u, grid.dx2, axis=1)
         ref = _godunov(b1, f1), _godunov(hg * b2, hg * f2)
         for p, q in zip(upwind_slopes(u, grid, hg), ref):
             assert p.shape == q.shape and p.tobytes() == q.tobytes()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from degmfg.coupling import CouplingSpec
+from degmfg.coupling import CouplingSpec, builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.grid import Grid2D, Stencil, ValuePath, truncated_gaussian
@@ -14,7 +14,7 @@ from degmfg.hjb import HjbConfig, solve_hjb_backward
 from degmfg.operators import degenerate_gradient
 from degmfg import sde
 from references import const_coupling, constant_path, default_grid, \
-    kde_bandwidth
+    kde_bandwidth, trajectory
 
 
 def _const_u_path(grid, nt, T, value=0.0):
@@ -59,11 +59,6 @@ def _kde_reference(pts, grid):
     return vals / grid.integrate(vals)
 
 
-def _ensemble(pts):
-    return sde.ParticleEnsemble(times=np.array([0.0]), positions=pts[None],
-                                seed=0, dt_sde=0.1)
-
-
 GRID = default_grid(n1=33, n2=33)
 NT = 11
 T = 1.0
@@ -75,25 +70,27 @@ class TestSimulatePaths:
         dyn = dynamics_preset("zero")
         up = _const_u_path(GRID, NT, T, value=1.0)
         cfg = sde.EnsembleConfig(n_particles=200, seed=7, dt_sde=0.1)
-        ens = sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
-        assert np.max(np.abs(ens.final() - np.array([0.3, -0.2]))) < 1e-14
+        final = sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
+        assert np.max(np.abs(final - np.array([0.3, -0.2]))) < 1e-14
 
     def test_bit_identical_reproducibility(self):
         dyn = dynamics_preset("zero", epsilon=0.05)
         up = _const_u_path(GRID, NT, T)
         cfg = sde.EnsembleConfig(n_particles=300, seed=42, dt_sde=0.05)
-        a = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0, cfg)
-        b = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0, cfg)
-        assert np.array_equal(a.positions, b.positions)
+        a = trajectory(dyn, up, (0.0, 0.0), 0.0, cfg)
+        b = trajectory(dyn, up, (0.0, 0.0), 0.0, cfg)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[-1],
+                              sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0, cfg))
 
     def test_seed_changes_paths(self):
         dyn = dynamics_preset("zero", epsilon=0.05)
         up = _const_u_path(GRID, NT, T)
-        a = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
-                               sde.EnsembleConfig(200, seed=1, dt_sde=0.05))
-        b = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
-                               sde.EnsembleConfig(200, seed=2, dt_sde=0.05))
-        assert not np.array_equal(a.positions, b.positions)
+        a = trajectory(dyn, up, (0.0, 0.0), 0.0,
+                       sde.EnsembleConfig(200, seed=1, dt_sde=0.05))
+        b = trajectory(dyn, up, (0.0, 0.0), 0.0,
+                       sde.EnsembleConfig(200, seed=2, dt_sde=0.05))
+        assert not np.array_equal(a, b)
 
     def test_dead_x2_mean_is_martingale(self):
         # h == 0 kills the x2 drift; with eps > 0 the x2 mean stays put
@@ -103,8 +100,7 @@ class TestSimulatePaths:
         up = ValuePath(GRID, T / (NT - 1),
                        np.tile(0.5 * x2g ** 2, (NT, 1, 1)))
         cfg = sde.EnsembleConfig(n_particles=20_000, seed=3, dt_sde=0.05)
-        ens = sde.simulate_paths(dyn, up, (0.0, 0.4), 0.0, cfg)
-        x2_final = ens.final()[:, 1]
+        x2_final = sde.simulate_paths(dyn, up, (0.0, 0.4), 0.0, cfg)[:, 1]
         se = np.std(x2_final, ddof=1) / np.sqrt(cfg.n_particles)
         assert abs(np.mean(x2_final) - 0.4) < 3 * se
 
@@ -115,10 +111,10 @@ class TestSimulatePaths:
         dyn = dynamics_preset("zero", epsilon=eps)
         up = _const_u_path(GRID, NT, T)
         cfg = sde.EnsembleConfig(n_particles=20_000, seed=1, dt_sde=0.05)
-        ens = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0, cfg)
+        final = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0, cfg)
         target = 2 * eps * T
         for axis in range(2):
-            v = np.var(ens.final()[:, axis], ddof=1)
+            v = np.var(final[:, axis], ddof=1)
             # variance of the sample variance ~ 2*target^2/n
             se = target * np.sqrt(2.0 / cfg.n_particles)
             assert abs(v - target) < 4 * se
@@ -127,11 +123,11 @@ class TestSimulatePaths:
         dyn = dynamics_preset("grushin_exp", epsilon=0.2)
         up = _const_u_path(GRID, NT, T)
         cfg = sde.EnsembleConfig(n_particles=2_000, seed=5, dt_sde=0.05)
-        ens = sde.simulate_paths(dyn, up, (4.9, 4.9), 0.0, cfg)
-        assert np.all(ens.positions[..., 0] >= GRID.x1_min)
-        assert np.all(ens.positions[..., 0] <= GRID.x1_max)
-        assert np.all(ens.positions[..., 1] >= GRID.x2_min)
-        assert np.all(ens.positions[..., 1] <= GRID.x2_max)
+        positions = trajectory(dyn, up, (4.9, 4.9), 0.0, cfg)
+        assert np.all(positions[..., 0] >= GRID.x1_min)
+        assert np.all(positions[..., 0] <= GRID.x1_max)
+        assert np.all(positions[..., 1] >= GRID.x2_min)
+        assert np.all(positions[..., 1] <= GRID.x2_max)
 
     def test_linear_value_drives_constant_drift(self):
         # u = c * x1 gives feedback alpha1 = -c: the x1 mean moves -c*T.
@@ -140,8 +136,8 @@ class TestSimulatePaths:
         up = ValuePath(GRID, T / (NT - 1), np.tile(c * x1g, (NT, 1, 1)))
         dyn = dynamics_preset("zero")
         cfg = sde.EnsembleConfig(n_particles=100, seed=0, dt_sde=0.05)
-        ens = sde.simulate_paths(dyn, up, (0.5, 0.0), 0.0, cfg)
-        assert np.allclose(ens.final()[:, 0], 0.5 - c * T, atol=1e-10)
+        final = sde.simulate_paths(dyn, up, (0.5, 0.0), 0.0, cfg)
+        assert np.allclose(final[:, 0], 0.5 - c * T, atol=1e-10)
 
     def test_coarse_sde_step_rejected(self):
         dyn = dynamics_preset("zero")
@@ -199,12 +195,34 @@ class TestSimulatePaths:
         for t, x, fx in seen:
             assert np.array_equal(fx, f.gather(Stencil(grid, x), t))
 
+    def test_noise_is_each_blocks_philox_stream_in_step_order(self):
+        # drawn step by step, a block's normals are its one-shot
+        # (n_steps, nb, 2) draw from Philox key seed * 2**20 + block
+        eps, seed, n_steps = 0.05, 9, 4
+        dyn = dynamics_preset("zero", epsilon=eps)
+        up = _const_u_path(GRID, NT, T)
+        n = sde.PARTICLE_BLOCK + 5
+        cfg = sde.EnsembleConfig(n_particles=n, seed=seed, dt_sde=0.05)
+        final = sde._euler_maruyama(dyn, up, (0.1, -0.3), 0.0, cfg, n_steps,
+                                    lambda lo, hi, step, t, x, a1, a2: None)
+        for blk, (lo, hi) in enumerate([(0, sde.PARTICLE_BLOCK),
+                                        (sde.PARTICLE_BLOCK, n)]):
+            noise = np.random.Generator(np.random.Philox(
+                key=(seed << 20) + blk)).standard_normal((n_steps, hi - lo, 2))
+            x = np.tile([0.1, -0.3], (hi - lo, 1))
+            for step in range(n_steps):
+                x = x + np.sqrt(2.0 * eps) * noise[step] * np.sqrt(cfg.dt_sde)
+                x = np.column_stack([sde._reflect(x[:, 0], -5.0, 5.0),
+                                     sde._reflect(x[:, 1], -5.0, 5.0)])
+            assert np.array_equal(final[lo:hi], x)
+
     def test_seed_range(self):
         # a block's Philox key is seed * 2**20 + block in 64 bits: 2**44
         # would wrap onto seed 0's stream
         sde.EnsembleConfig(seed=2 ** 44 - 1)
-        assert not np.array_equal(sde._block_normals(2 ** 44 - 1, 0, (3,)),
-                                  sde._block_normals(0, 0, (3,)))
+        assert not np.array_equal(
+            sde._block_generator(2 ** 44 - 1, 0).standard_normal(3),
+            sde._block_generator(0, 0).standard_normal(3))
         with pytest.raises(ConfigurationError, match=r"seed must be < 2\*\*44"):
             sde.EnsembleConfig(seed=2 ** 44)
 
@@ -376,10 +394,9 @@ class TestMcValue:
         n = 200_000
         biases = {}
         for steps in (48, 96):
-            ens = sde.simulate_paths(dyn, up, x0, 0.0,
-                                     sde.EnsembleConfig(n, seed=4,
-                                                        dt_sde=T / steps))
-            x1_final = ens.final()[:, 0]
+            x1_final = sde.simulate_paths(
+                dyn, up, x0, 0.0,
+                sde.EnsembleConfig(n, seed=4, dt_sde=T / steps))[:, 0]
             mean = np.mean(x1_final)
             se = np.std(x1_final, ddof=1) / np.sqrt(n)
             euler_mean = x0[0] * (1.0 - T / steps) ** steps
@@ -405,8 +422,8 @@ class TestMcValue:
         cfg = sde.EnsembleConfig(n_particles=5000, seed=4, dt_sde=0.05)
         est = sde.mc_value(dyn, coupling, _const_m_path(GRID, NT, T), up,
                            (0.3, -0.2), 0.0, cfg)
-        ens = sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
-        assert abs(est.mean - np.mean(ens.final()[:, 0])) < 1e-12
+        final = sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
+        assert abs(est.mean - np.mean(final[:, 0])) < 1e-12
 
     def test_mesh_mismatch_rejected(self):
         dyn = dynamics_preset("zero")
@@ -418,13 +435,42 @@ class TestMcValue:
                          sde.EnsembleConfig(10, seed=0, dt_sde=0.1))
 
 
+class TestPeakMemory:
+    def test_particles_hold_one_step_at_64_squared(self):
+        # 10^4 particles over 127 steps on a 64^2 x 128 path: the feedback
+        # (and F) are path-sized, the particles only step-sized, so no
+        # (steps, particles, 2) trajectory or noise array is ever held
+        grid = default_grid(n1=64, n2=64)
+        nt = 128
+        x1g, x2g = grid.meshgrid()
+        up = ValuePath(grid, T / (nt - 1),
+                       np.tile(np.sin(x1g) * np.cos(0.5 * x2g), (nt, 1, 1)))
+        mp = constant_path(truncated_gaussian(grid), up.dt, nt)
+        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
+        coupling = builtin_coupling("nonlocal_smooth")
+        cfg = sde.EnsembleConfig(n_particles=10_000, seed=0, dt_sde=up.dt)
+        peaks = []
+        for run in (lambda: sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg),
+                    lambda: sde.mc_value(dyn, coupling, mp, up, (0.3, -0.2),
+                                         0.0, cfg)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1]
+                             / up.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 4.5, peaks
+
+
 class TestEmpiricalDensity:
     def test_unit_mass_and_nonnegative(self):
         dyn = dynamics_preset("zero", epsilon=0.05)
         up = _const_u_path(GRID, NT, T)
-        ens = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
-                                 sde.EnsembleConfig(2_000, seed=9, dt_sde=0.1))
-        d = sde.empirical_density(ens, GRID)
+        final = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
+                                   sde.EnsembleConfig(2_000, seed=9,
+                                                      dt_sde=0.1))
+        d = sde.empirical_density(final, GRID)
         assert GRID.integrate(d.values) == pytest.approx(1.0, abs=1e-9)
         assert np.min(d.values) >= 0.0
 
@@ -434,9 +480,10 @@ class TestEmpiricalDensity:
         eps = 0.1
         dyn = dynamics_preset("zero", epsilon=eps)
         up = _const_u_path(GRID, NT, T)
-        ens = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
-                                 sde.EnsembleConfig(20_000, seed=2, dt_sde=0.05))
-        d = sde.empirical_density(ens, GRID)
+        final = sde.simulate_paths(dyn, up, (0.0, 0.0), 0.0,
+                                   sde.EnsembleConfig(20_000, seed=2,
+                                                      dt_sde=0.05))
+        d = sde.empirical_density(final, GRID)
         var = 2 * eps * T
         x1g, x2g = GRID.meshgrid()
         ref = np.exp(-(x1g ** 2 + x2g ** 2) / (2 * var)) / (2 * np.pi * var)
@@ -451,7 +498,7 @@ class TestEmpiricalDensity:
         rng = np.random.default_rng(21)
         pts = np.column_stack([rng.normal(-0.6, 0.9, 4321),
                                rng.normal(1.2, 0.4, 4321)])
-        d = sde.empirical_density(_ensemble(pts), grid)
+        d = sde.empirical_density(pts, grid)
         ref = _kde_reference(pts, grid)
         assert np.max(np.abs(d.values - ref)) <= 1e-12 * np.max(ref)
 
@@ -460,10 +507,9 @@ class TestEmpiricalDensity:
         # direct sum over nodes x particles peaks at about 250 MB
         grid = default_grid(n1=64, n2=64)
         pts = np.random.default_rng(22).normal(size=(10_000, 2))
-        ens = _ensemble(pts)
         tracemalloc.start()
         try:
-            sde.empirical_density(ens, grid)
+            sde.empirical_density(pts, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,24 +518,21 @@ class TestEmpiricalDensity:
     def test_bandwidth_is_silverman_on_the_widest_axis(self):
         pts = np.random.default_rng(23).normal(size=(3001, 2)) * [0.5, 1.5]
         sig = np.std(pts, axis=0, ddof=1)
-        assert kde_bandwidth(_ensemble(pts)) == \
+        assert kde_bandwidth(pts) == \
             float(np.max(sig) * 3001 ** (-1.0 / 6.0))
 
     def test_coincident_particles_named(self):
         # zero spread: the bandwidth is the 1e-3 dx floor and every kernel
         # value at the nodes underflows to 0
         grid = Grid2D(-3.0, 2.0, -1.0, 3.0, 41, 23)
-        ens = _ensemble(np.tile([0.1, 0.1], (50, 1)))
+        pts = np.tile([0.1, 0.1], (50, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError,
                                match="every kernel value underflowed at "
                                      "bandwidth h=.*the particles coincide"):
-                sde.empirical_density(ens, grid)
+                sde.empirical_density(pts, grid)
 
     def test_empty_ensemble_rejected(self):
-        ens = sde.ParticleEnsemble(times=np.array([0.0]),
-                                   positions=np.empty((1, 0, 2)),
-                                   seed=0, dt_sde=0.1)
         with pytest.raises(ConfigurationError):
-            sde.empirical_density(ens, GRID)
+            sde.empirical_density(np.empty((0, 2)), GRID)
