@@ -1,67 +1,64 @@
 #!/usr/bin/env python3
-"""Compare the field dumps of two run directories slice by slice.
+"""Compare the fields of two run directories slice by slice.
 
     PYTHONPATH=src python scripts/compare_runs.py RUN_A RUN_B
 
 (``PYTHONPATH=src`` is only needed when degmfg is not installed.)
 
-For every slice CSV under u/ and m/ prints whether the two files are
-byte-identical (sha256) and the maximum absolute difference of their
-values, then one line per field with the worst slice and one with that
-worst difference relative to the field's largest |value| in either run (0
-where both fields are 0). If both runs have a summary.json with Picard
-``iters``, ``steps`` and ``residuals``, those are compared too. Then every value of summary.json and of run_summary.json
-(``timings`` left out) is compared exactly: one line per value that
-differs and one line per file. Exits 0 when both runs hold the same slices
-on the same grid, 1 otherwise (also, after one line naming it, when a run
-has no u/ or m/ directory).
+Each field, u/ and m/, is read as ``degmfg.io.read_path`` reads it: from its
+path.npy, on the box of the run's config.json, or else from its slice CSVs,
+so a run written before the binary format compares with one written after.
+For every time slice k prints whether slice k of the two runs is
+byte-identical (equal ``tobytes()``, which for the ``%.17g`` CSVs is equal
+files) and the maximum absolute difference of their values, then one line
+per field with the worst slice and one with that worst difference relative
+to the field's largest |value| in either run (0 where both fields are 0).
+If both runs have a summary.json with Picard ``iters``, ``steps`` and
+``residuals``, those are compared too. Then every value of summary.json
+and of run_summary.json (``timings`` left out) is compared exactly: one
+line per value that differs and one line per file. Exits 0 when both runs
+hold the same slices on the same grid, 1 otherwise (also, after one line
+naming it, when a run has no u/ or m/ directory or a field cannot be read).
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
 import numpy as np
 
-from degmfg.io import read_field_csv
+from degmfg.config import load_config
+from degmfg.errors import ConfigurationError
+from degmfg.io import read_path
 
 
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _slices(run_dir, field):
-    d = os.path.join(run_dir, field)
-    return sorted(n for n in os.listdir(d) if n.endswith(".csv"))
+def _read_field(run_dir, field):
+    box = load_config(os.path.join(run_dir, "config.json")).make_grid()
+    return read_path(os.path.join(run_dir, field), box)
 
 
 def compare_field(a, b, field):
     """Print one line per slice; return (n_identical, max_abs_diff) or None
     if the runs hold different slices or grids."""
-    names = _slices(a, field)
-    if names != _slices(b, field):
+    (ga, va), (gb, vb) = _read_field(a, field), _read_field(b, field)
+    if len(va) != len(vb):
         print("%s/: the runs hold different slices" % field)
         return None
+    if ga != gb:
+        print("%s/: grids differ" % field)
+        return None
     identical, worst, scale = 0, 0.0, 0.0
-    for name in names:
-        pa, pb = os.path.join(a, field, name), os.path.join(b, field, name)
-        ga, va = read_field_csv(pa)
-        gb, vb = read_field_csv(pb)
-        if ga != gb:
-            print("%s/%s: grids differ" % (field, name))
-            return None
-        same = _sha256(pa) == _sha256(pb)
-        diff = float(np.abs(va - vb).max())
+    for k, (sa, sb) in enumerate(zip(va, vb)):
+        same = sa.tobytes() == sb.tobytes()
+        diff = float(np.abs(sa - sb).max())
         identical += same
         worst = max(worst, diff)
-        scale = max(scale, float(np.abs(va).max()), float(np.abs(vb).max()))
-        print("%s/%s sha256 %s max|diff| %.3g"
-              % (field, name, "equal" if same else "differ", diff))
+        scale = max(scale, float(np.abs(sa).max()), float(np.abs(sb).max()))
+        print("%s/slice_%04d bytes %s max|diff| %.3g"
+              % (field, k, "equal" if same else "differ", diff))
     print("%s/: %d of %d slices byte-identical, max|diff| %.3g"
-          % (field, identical, len(names), worst))
+          % (field, identical, len(va), worst))
     print("%s/: max|diff| / max|value| %.3g"
           % (field, worst / scale if scale > 0 else 0.0))
     return identical, worst
@@ -130,8 +127,12 @@ def main(argv=None):
             if not os.path.isdir(os.path.join(run, f)):
                 print("%s: no %s/ directory" % (run, f))
                 return 1
-    ok = all([compare_field(args.a, args.b, f) is not None
-              for f in ("u", "m")])
+    try:
+        ok = all([compare_field(args.a, args.b, f) is not None
+                  for f in ("u", "m")])
+    except ConfigurationError as exc:
+        print("configuration error: %s" % exc)
+        return 1
     compare_picard(args.a, args.b)
     compare_json(args.a, args.b, "summary.json")
     compare_json(args.a, args.b, "run_summary.json", skip=("timings",))

@@ -2,8 +2,11 @@
 verification suite into reproducible runs.
 
 Subcommands: solve-hjb, solve-fpe, solve-mfg, sweep-eps, mc-validate, w1,
-verify, run. Exit codes: 0 success, 1 property failure, 2 configuration
-error, 3 solver failure.
+verify, run, export. The solving subcommands write a run directory holding
+each path as one binary file, u/path.npy and m/path.npy; export writes their
+slices beside them as field CSVs, the input format of w1 and of
+solve-hjb --m-path. Exit codes: 0 success, 1 property failure, 2
+configuration error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -247,6 +250,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_PROPERTY
 
 
+def _cmd_export(args) -> int:
+    dio.export_run(args.run)
+    return EXIT_OK
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = args.out or cfg.output_dir
@@ -353,6 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("run", _cmd_run, help="full pipeline: solve, validate, verify")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
+
+    sp = add("export", _cmd_export,
+             help="write the u/ and m/ slices of a run directory as CSVs")
+    sp.add_argument("--run", required=True)
     return p
 
 

@@ -1,14 +1,21 @@
-"""Run-directory serialization: CSV field dumps and JSON summaries.
+"""Run-directory serialization: binary paths, CSV field slices and JSON
+summaries.
+
+A run directory is self-describing: it contains the exact config used
+(config.json), the value path as u/path.npy, the density path as
+m/path.npy, and a summary.json. Each path.npy is the ``np.save`` of the
+whole (nt, n1, n2) float64 path, so a round trip is bit-exact; it holds no
+coordinates, and its mesh is config.json's, with the node counts taken from
+the array's shape. ``export_run`` writes the slices of both paths beside
+them as field CSVs, and a run directory written before the binary format,
+which holds only those CSVs, reads back from them.
 
 A field CSV is ASCII text: the header ``x1,x2,value``, then one row
 ``x1,x2,value`` per grid node in row-major order (x1 outer, x2 inner).
 Every number is written with ``%.17g``, so a round trip is bit-exact for
 doubles, and every line ends in ``\r\n`` (the layout of ``csv.writer``).
 Readers also accept ``\n`` line ends and any row order. A file that is not
-a full uniform grid of three-number rows is a ``ConfigurationError``. A
-run directory is self-describing: it contains the exact config used
-(config.json), the value path under u/, the density path under m/, and a
-summary.json.
+a full uniform grid of three-number rows is a ``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .grid import DensityPath, Grid2D, ValuePath, require_mesh
 
 _FMT = "%.17g"
 _HEADER = "x1,x2,value"
+_PATH_FILE = "path.npy"
 
 
 def _csv_template(grid: Grid2D) -> str:
@@ -168,16 +176,55 @@ def _read_path(dirname):
     return grid, np.stack(slices)
 
 
+def read_path(dirname, box: Grid2D):
+    """Read the path stored in ``dirname`` back into (Grid2D, values).
+
+    From its path.npy, the grid is ``box`` with the node counts of the
+    array's shape; a path.npy that is not a 3-D float64 array is a
+    ConfigurationError naming the file. Without a path.npy, the path is read
+    from the slice CSVs, in name order, and the grid from their coordinates.
+    """
+    file = os.path.join(dirname, _PATH_FILE)
+    try:
+        with open(file, "rb") as fh:
+            values = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
+        return _read_path(dirname)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigurationError("cannot read %s: %s" % (
+            file, getattr(exc, "strerror", None) or exc)) from None
+    if not isinstance(values, np.ndarray):  # an .npz archive
+        raise ConfigurationError("%s is not a .npy array" % file)
+    if (values.dtype != np.float64 or values.ndim != 3
+            or min(values.shape[1:]) < 4):
+        raise ConfigurationError(
+            "%s holds a %s array of shape %s, not an (nt, n1, n2) float64 "
+            "path with n1, n2 >= 4" % (file, values.dtype, values.shape))
+    _, n1, n2 = values.shape
+    grid = Grid2D(box.x1_min, box.x1_max, box.x2_min, box.x2_max, n1, n2)
+    return grid, values
+
+
 def save_run(run_dir, cfg: RunConfig, u_path: ValuePath, m_path: DensityPath,
              summary: dict):
-    """Write a self-describing run directory: config, fields, and the
-    command's ``summary`` as summary.json (the mesh is config.json's)."""
+    """Write a self-describing run directory: config, both paths, and the
+    command's ``summary`` as summary.json.
+
+    Both paths must lie on the mesh of ``cfg`` (its grid, time.nt and
+    time.dt), which is checked before anything is written: path.npy holds no
+    coordinates, so config.json is the only record of that mesh.
+    """
+    grid, nt, dt = cfg.make_grid(), cfg.time.nt, cfg.time.dt
+    u_dir, m_dir = os.path.join(run_dir, "u"), os.path.join(run_dir, "m")
+    require_mesh(u_dir, u_path, grid, nt, dt)
+    require_mesh(m_dir, m_path, grid, nt, dt)
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w",
               encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
-    _write_path(os.path.join(run_dir, "u"), u_path.grid, u_path.values)
-    _write_path(os.path.join(run_dir, "m"), m_path.grid, m_path.values)
+    for dirname, path in ((u_dir, u_path), (m_dir, m_path)):
+        os.makedirs(dirname, exist_ok=True)
+        np.save(os.path.join(dirname, _PATH_FILE), path.values)
     write_json(os.path.join(run_dir, "summary.json"), summary)
 
 
@@ -199,10 +246,18 @@ def load_run(run_dir):
                                  "false (got %r)" % (summary_file, validate))
     grid, nt, dt = cfg.make_grid(), cfg.time.nt, cfg.time.dt
     u_dir, m_dir = os.path.join(run_dir, "u"), os.path.join(run_dir, "m")
-    gu, uv = _read_path(u_dir)
+    gu, uv = read_path(u_dir, grid)
     u_path = ValuePath(gu, dt, uv)
     require_mesh(u_dir, u_path, grid, nt, dt)
-    gm, mv = _read_path(m_dir)
+    gm, mv = read_path(m_dir, grid)
     m_path = DensityPath(gm, dt, mv, validate_slices=validate)
     require_mesh(m_dir, m_path, grid, nt, dt)
     return u_path, m_path, cfg.make_dynamics(), cfg.make_coupling()
+
+
+def export_run(run_dir):
+    """Write the slices of both paths of a run directory as field CSVs,
+    u/slice_%04d.csv and m/slice_%04d.csv, beside its path.npy files."""
+    u_path, m_path, _, _ = load_run(run_dir)
+    for field, path in (("u", u_path), ("m", m_path)):
+        _write_path(os.path.join(run_dir, field), path.grid, path.values)

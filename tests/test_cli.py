@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from degmfg import cli
@@ -103,6 +104,7 @@ class TestSolveAndVerify:
         assert mfg["converged"] and mfg["iters"] == 1
         assert mfg["steps"] == [1.0]
         hjb_sup = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert main(["export", "--run", out]) == EXIT_OK
         with open(os.path.join(out, "u", "slice_0000.csv")) as fh:
             fh.readline()
             assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in fh)
@@ -226,14 +228,64 @@ class TestSolveAndVerify:
         assert main(["solve-fpe", "--config", ZERO_CFG,
                      "--out", out]) == EXIT_OK
         capsys.readouterr()
-        for k in (31, 32):
-            os.remove(os.path.join(out, "m", "slice_%04d.csv" % k))
+        path_file = os.path.join(out, "m", "path.npy")
+        np.save(path_file, np.load(path_file)[:31])
         assert main(["verify", "--run", out]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: %s lies on " % os.path.join(out, "m") \
             in err
         assert "with nt=31, dt=0.03125, not on " in err
         assert err.rstrip().endswith("with nt=33, dt=0.03125")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncate", "Failed to read all data for array"),
+        ("object", "Object arrays cannot be loaded when allow_pickle=False"),
+        ("float32", "holds a float32 array of shape (33, 24, 24)"),
+        ("2-D", "holds a float64 array of shape (33, 576)")])
+    def test_verify_of_a_malformed_path_file_is_exit_2(
+            self, tmp_path, capsys, hjb_run, damage, message):
+        run = str(tmp_path / "run")
+        shutil.copytree(hjb_run, run)
+        path_file = os.path.join(run, "m", "path.npy")
+        values = np.load(path_file)
+        if damage == "truncate":
+            with open(path_file, "rb") as fh:
+                data = fh.read()
+            with open(path_file, "wb") as fh:
+                fh.write(data[:-8])
+        elif damage == "object":
+            np.save(path_file, values.astype(object))
+        elif damage == "float32":
+            np.save(path_file, values.astype(np.float32))
+        else:
+            np.save(path_file, values.reshape(len(values), -1))
+        assert main(["verify", "--run", run]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert path_file in err and message in err
+
+    def test_export_writes_the_slices_of_the_loaded_paths(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["run", "--config", ZERO_CFG, "--out", out]) == EXIT_OK
+        u, m, _, _ = dio.load_run(out)
+        assert main(["export", "--run", out]) == EXIT_OK
+        for field, path in (("u", u), ("m", m)):
+            names = ["slice_%04d.csv" % k for k in range(path.nt)]
+            assert sorted(n for n in os.listdir(os.path.join(out, field))
+                          if n.endswith(".csv")) == names
+            written = [str(tmp_path / ("%s_%d.csv" % (field, k)))
+                       for k in range(path.nt)]
+            dio.write_fields(written, path.grid, path.values)
+            for name, ref in zip(names, written):
+                with open(os.path.join(out, field, name), "rb") as a, \
+                        open(ref, "rb") as b:
+                    assert a.read() == b.read()
+        # the CSV route, path.npy removed, loads the same arrays bit for bit
+        for field in ("u", "m"):
+            os.remove(os.path.join(out, field, "path.npy"))
+        u2, m2, _, _ = dio.load_run(out)
+        assert u2.values.tobytes() == u.values.tobytes()
+        assert m2.values.tobytes() == m.values.tobytes()
 
     @pytest.mark.parametrize("summary, code, message", [
         ({"nt": 33}, EXIT_OK, ""),  # no dt: the mesh is config.json's
@@ -361,6 +413,7 @@ class TestSmallTools:
         out = str(tmp_path / "fpe")
         assert main(["solve-fpe", "--config", ZERO_CFG,
                      "--out", out]) == EXIT_OK
+        assert main(["export", "--run", out]) == EXIT_OK
         capsys.readouterr()
         a = os.path.join(out, "m", "slice_0000.csv")
         assert main(["w1", "--a", a, "--b", a]) == EXIT_OK
@@ -370,6 +423,7 @@ class TestSmallTools:
         out = str(tmp_path / "fpe")
         assert main(["solve-fpe", "--config", STRESS_CFG,
                      "--out", out]) == EXIT_OK
+        assert main(["export", "--run", out]) == EXIT_OK
         capsys.readouterr()
         a = os.path.join(out, "m", "slice_0000.csv")
         b = os.path.join(out, "m", "slice_0063.csv")

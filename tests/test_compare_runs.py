@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from degmfg import io as dio
@@ -45,14 +46,14 @@ def test_changed_value_is_reported(two_runs, tmp_path):
     a, b = two_runs
     changed = str(tmp_path / "changed")
     shutil.copytree(b, changed)
-    path = os.path.join(changed, "m", "slice_0005.csv")
-    grid, values = dio.read_field_csv(path)
-    values[3, 4] += 0.25
-    dio.write_fields([path], grid, [values])
+    path = os.path.join(changed, "m", "path.npy")
+    values = np.load(path)
+    values[5, 3, 4] += 0.25
+    np.save(path, values)
     proc = _compare(a, changed)
     assert proc.returncode == 0, proc.stderr
-    assert "m/slice_0005.csv sha256 differ max|diff| 0.25\n" in proc.stdout
-    assert "m/slice_0004.csv sha256 equal max|diff| 0\n" in proc.stdout
+    assert "m/slice_0005 bytes differ max|diff| 0.25\n" in proc.stdout
+    assert "m/slice_0004 bytes equal max|diff| 0\n" in proc.stdout
     assert "m/: 32 of 33 slices byte-identical, max|diff| 0.25\n" \
         in proc.stdout
     assert "u/: 33 of 33 slices byte-identical" in proc.stdout
@@ -62,15 +63,13 @@ def test_relative_difference_per_field(two_runs, tmp_path):
     a, b = two_runs
     changed = str(tmp_path / "changed")
     shutil.copytree(b, changed)
-    path = os.path.join(changed, "m", "slice_0007.csv")
-    grid, values = dio.read_field_csv(path)
-    values[2, 2] = 3.0 * values.max()  # the largest value of either run
-    dio.write_fields([path], grid, [values])
-    scale = max(max(abs(dio.read_field_csv(os.path.join(run, "m", name))[1]).max()
-                    for name in os.listdir(os.path.join(run, "m")))
-                for run in (a, changed))
-    worst = abs(values - dio.read_field_csv(
-        os.path.join(a, "m", "slice_0007.csv"))[1]).max()
+    path = os.path.join(changed, "m", "path.npy")
+    values = np.load(path)
+    values[7, 2, 2] = 3.0 * values[7].max()  # the largest value of either run
+    np.save(path, values)
+    original = np.load(os.path.join(a, "m", "path.npy"))
+    scale = max(abs(original).max(), abs(values).max())
+    worst = abs(values[7] - original[7]).max()
     proc = _compare(a, changed)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -85,7 +84,8 @@ def test_missing_slice_fails(two_runs, tmp_path):
     a, b = two_runs
     short = str(tmp_path / "short")
     shutil.copytree(b, short)
-    os.remove(os.path.join(short, "u", "slice_0032.csv"))
+    path = os.path.join(short, "u", "path.npy")
+    np.save(path, np.load(path)[:32])
     proc = _compare(a, short)
     assert proc.returncode == 1
     assert "u/: the runs hold different slices" in proc.stdout
@@ -125,6 +125,21 @@ def test_empty_list_is_a_value(two_runs, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "summary.json eps_deltas: missing vs []\n" in proc.stdout
     assert "summary.json: 1 values differ\n" in proc.stdout
+
+
+def test_parent_csv_run_compares_with_its_binary_run(two_runs, tmp_path):
+    # a run directory of slice CSVs only, as written before path.npy
+    a, b = two_runs
+    csv_run = str(tmp_path / "csv")
+    shutil.copytree(b, csv_run)
+    assert main(["export", "--run", csv_run]) == EXIT_OK
+    for field in ("u", "m"):
+        os.remove(os.path.join(csv_run, field, "path.npy"))
+    proc = _compare(csv_run, a)
+    assert proc.returncode == 0, proc.stderr
+    for field in ("u", "m"):
+        assert ("%s/: 33 of 33 slices byte-identical, max|diff| 0\n" % field
+                in proc.stdout)
 
 
 @pytest.mark.parametrize("field", ["u", "m"])

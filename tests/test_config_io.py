@@ -329,6 +329,24 @@ class TestRunDirectory:
         assert dyn.name == cfg.dynamics.preset
         assert coupling.name == cfg.coupling.name
 
+    @pytest.mark.parametrize("field", ["u", "m"])
+    def test_off_mesh_path_is_refused_before_any_field_is_written(
+            self, tmp_path, field):
+        # path.npy holds no coordinates: config.json is its mesh
+        cfg = parse_config(_shipped("decoupled_zero.json"))
+        grid, hjb = cfg.make_grid(), cfg.make_hjb_config()
+        u_nt, m_nt = (hjb.nt - 1, hjb.nt) if field == "u" \
+            else (hjb.nt, hjb.nt - 1)
+        u = ValuePath(grid, hjb.dt, np.zeros((u_nt,) + grid.shape))
+        m = constant_path(cfg.make_initial_density(), hjb.dt, m_nt)
+        run_dir = tmp_path / "run"
+        with pytest.raises(ConfigurationError) as exc:
+            dio.save_run(run_dir, cfg, u, m, {})
+        assert exc.value.problems[0].startswith(
+            "%s lies on " % os.path.join(run_dir, field))
+        for sub in ("u", "m"):
+            assert not os.path.exists(run_dir / sub)
+
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             dio.load_run(tmp_path)

@@ -165,6 +165,7 @@ def _mc_value(tmp_path, path_grid, nt, dt):
 
 
 def _load_run(tmp_path, path_grid, nt, dt):
+    # save_run applies the rule before it writes, with load_run's names
     run = str(tmp_path / "run")
     cfg = replace(load_config(ZERO_CONFIG), grid=GRID, time=HjbConfig(1.0, 5))
     dio.save_run(run, cfg, _value_path(GRID, 5, 0.25),

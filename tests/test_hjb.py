@@ -249,7 +249,7 @@ def _godunov(backward, forward):
 
 @pytest.mark.parametrize("n1, n2", [(32, 32), (17, 9)])
 @pytest.mark.parametrize("h", ["zero", "one", "grushin"])
-def test_upwind_slopes_equal_the_padded_reference(n1, n2, h):
+def test_upwind_slopes_equal_the_one_sided_reference(n1, n2, h):
     grid = Grid2D(-3.0, 3.0, -2.0, 2.0, n1, n2)
     hg = {"zero": np.zeros(grid.shape), "one": np.ones(grid.shape),
           "grushin": np.repeat(grushin_h(grid.x1)[:, None], n2, axis=1)}[h]
