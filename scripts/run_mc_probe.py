@@ -25,6 +25,9 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config(args.config)
+    if args.n is not None:
+        cfg = dataclasses.replace(
+            cfg, mc=dataclasses.replace(cfg.mc, n_particles=args.n))
     sol = picard_solve(cfg.make_dynamics(), cfg.make_coupling(),
                        cfg.make_initial_density(), cfg.make_hjb_config(),
                        cfg.make_fixed_point())
@@ -37,9 +40,6 @@ def main():
               (3 * grid.n1 // 4, grid.n2 // 2),
               (grid.n1 // 2, grid.n2 // 4),
               (grid.n1 // 2, 3 * grid.n2 // 4)]
-    ens_cfg = cfg.make_ensemble()
-    if args.n:
-        ens_cfg = dataclasses.replace(ens_cfg, n_particles=args.n)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x1", "x2", "mc_mean", "mc_stderr", "pde_value",
@@ -47,7 +47,7 @@ def main():
         for i1, i2 in probes:
             x0 = (float(grid.x1[i1]), float(grid.x2[i2]))
             est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
-                               sol.m, sol.u, x0, 0.0, ens_cfg)
+                               sol.m, sol.u, x0, 0.0, cfg.make_ensemble())
             pde = float(sol.u.values[0, i1, i2])
             w.writerow([x0[0], x0[1], est.mean, est.std_error, pde,
                         abs(est.mean - pde)])

@@ -2,22 +2,26 @@
 verification suite into reproducible runs.
 
 Subcommands: solve-hjb, solve-fpe, solve-mfg, sweep-eps, mc-validate, w1,
-verify, run, export. The solving subcommands write a run directory holding
-each path as one binary file, u/path.npy and m/path.npy; export writes their
-slices beside them as field CSVs, the input format of w1 and of
-solve-hjb --m-path. Exit codes: 0 success, 1 property failure, 2
-configuration error, 3 solver failure.
+verify, run, export. A command builds one RunConfig and hands only that
+object on: a command-line override (mc-validate's --n and --seed) or a
+sweep level (sweep-eps's last epsilon) is an edit of it, so the config a
+run directory's config.json records is the one its fields were solved
+with. The solving subcommands write a run directory holding each path as
+one binary file, u/path.npy and m/path.npy; export writes their slices
+beside them as field CSVs, the input format of w1 and of solve-hjb
+--m-path. Exit codes: 0 success, 1 property failure, 2 configuration
+error, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +43,16 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+
+def _print_json(obj):
+    print(json.dumps(obj, sort_keys=True, default=dio.json_default))
+
+
+def _write_run(out, cfg: RunConfig, u, m, summary: dict):
+    """Save the run directory of ``cfg``'s fields, then print its summary."""
+    dio.save_run(out, cfg, u, m, summary)
+    _print_json(summary)
 
 
 def _constant_path(m0: DensityField, dt: float, nt: int) -> DensityPath:
@@ -63,7 +77,6 @@ def _load_m_path(args, cfg: RunConfig) -> DensityPath:
 
 def _cmd_solve_hjb(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
     dyn = cfg.make_dynamics()
     coupling = cfg.make_coupling()
     hjb_cfg = cfg.make_hjb_config()
@@ -75,14 +88,12 @@ def _cmd_solve_hjb(args) -> int:
         "lipschitz_estimate": lipschitz_estimate(u.values[0], u.grid),
         "residual_median": rep.quantiles[0],
     }
-    dio.save_run(out, cfg, u, m_path, summary)
-    print(json.dumps(summary, sort_keys=True, default=dio._json_default))
+    _write_run(args.out or cfg.output_dir, cfg, u, m_path, summary)
     return EXIT_OK
 
 
 def _cmd_solve_fpe(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
     dyn = cfg.make_dynamics()
     coupling = cfg.make_coupling()
     hjb_cfg = cfg.make_hjb_config()
@@ -94,21 +105,17 @@ def _cmd_solve_fpe(args) -> int:
     summary = {
         "mass_drift_max": report.mass_drift_max,
         "min_density": report.min_density,
-        "second_moments": list(report.second_moments),
+        "second_moments": [m.grid.second_moment(v) for v in m.values],
         "validate_density": not args.sabotage_upwind,
     }
-    dio.save_run(out, cfg, u, m, summary)
-    print(json.dumps(summary, sort_keys=True, default=dio._json_default))
+    _write_run(args.out or cfg.output_dir, cfg, u, m, summary)
     return EXIT_OK
 
 
-def _solve_mfg(cfg: RunConfig, eps: float | None):
-    dyn = cfg.make_dynamics()
-    if eps is not None:
-        dyn = dyn.with_epsilon(eps)
-    coupling = cfg.make_coupling()
-    sol = picard_solve(dyn, coupling, cfg.make_initial_density(),
-                       cfg.make_hjb_config(), cfg.make_fixed_point())
+def _solve_mfg(cfg: RunConfig):
+    sol = picard_solve(cfg.make_dynamics(), cfg.make_coupling(),
+                       cfg.make_initial_density(), cfg.make_hjb_config(),
+                       cfg.make_fixed_point())
     if not sol.converged:
         raise SolverError("Picard iteration did not converge within %d "
                           "iterations (last residual %g)"
@@ -130,17 +137,14 @@ def _picard_summary(sol) -> dict:
 
 def _cmd_solve_mfg(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
-    sol = _solve_mfg(cfg, args.eps)
-    summary = _picard_summary(sol)
-    dio.save_run(out, cfg, sol.u, sol.m, summary)
-    print(json.dumps(summary, sort_keys=True, default=dio._json_default))
+    sol = _solve_mfg(cfg)
+    _write_run(args.out or cfg.output_dir, cfg, sol.u, sol.m,
+               _picard_summary(sol))
     return EXIT_OK
 
 
 def _cmd_sweep_eps(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output_dir
     res = eps_sweep(cfg.make_dynamics(), cfg.make_coupling(),
                     cfg.make_initial_density(), cfg.make_hjb_config(),
                     cfg.make_fixed_point())
@@ -154,12 +158,14 @@ def _cmd_sweep_eps(args) -> int:
         "d1_deltas": [float(d) for d in res.d1_deltas],
         "eps_levels": [lv.epsilon for lv in res.levels],
     }
-    last = res.levels[-1].solution
-    dio.save_run(out, cfg, last.u, last.m, summary)
-    print(json.dumps(summary, sort_keys=True, default=dio._json_default))
+    last = res.levels[-1]
+    # the fields saved are the last level's: so is the config saved with them
+    _write_run(args.out or cfg.output_dir,
+               replace(cfg, dynamics=replace(cfg.dynamics,
+                                             epsilon=last.epsilon)),
+               last.solution.u, last.solution.m, summary)
     if res.aborted:
-        raise SolverError("eps sweep aborted at eps=%g"
-                          % res.levels[-1].epsilon)
+        raise SolverError("eps sweep aborted at eps=%g" % last.epsilon)
     return EXIT_OK
 
 
@@ -179,11 +185,11 @@ def _start_point(text: str, grid) -> tuple:
     return x0
 
 
-def _mc_summary(cfg: RunConfig, sol, x0, t0: float, ens_cfg) -> dict:
-    """Monte Carlo estimate of u(x0, t0) against the PDE value at the node
-    nearest (x0, t0)."""
+def _mc_summary(cfg: RunConfig, sol, x0, t0: float) -> dict:
+    """Monte Carlo estimate of u(x0, t0), with the ensemble of ``cfg.mc``,
+    against the PDE value at the node nearest (x0, t0)."""
     est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
-                       sol.m, sol.u, x0, t0, ens_cfg)
+                       sol.m, sol.u, x0, t0, cfg.make_ensemble())
     grid = sol.u.grid
     i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
     i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
@@ -199,19 +205,16 @@ def _mc_summary(cfg: RunConfig, sol, x0, t0: float, ens_cfg) -> dict:
 
 def _cmd_mc_validate(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    x0 = _start_point(args.x0, grid)
-    ens_cfg = dataclasses.replace(
-        cfg.mc,
-        n_particles=args.n if args.n is not None else cfg.mc.n_particles,
-        seed=args.seed if args.seed is not None else cfg.mc.seed)
-    hjb_cfg = cfg.make_hjb_config()
-    sde.step_count(hjb_cfg.T, hjb_cfg.dt, x0, args.t0, ens_cfg)
-    summary = _mc_summary(cfg, _solve_mfg(cfg, None), x0, args.t0, ens_cfg)
+    x0 = _start_point(args.x0, cfg.make_grid())
+    given = {"n_particles": args.n, "seed": args.seed}
+    cfg = replace(cfg, mc=replace(cfg.mc, **{
+        key: value for key, value in given.items() if value is not None}))
+    sde.step_count(cfg.time.T, cfg.time.dt, x0, args.t0, cfg.mc)
+    summary = _mc_summary(cfg, _solve_mfg(cfg), x0, args.t0)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         dio.write_json(os.path.join(args.out, "mc_validate.json"), summary)
-    print(json.dumps(summary, sort_keys=True, default=dio._json_default))
+    _print_json(summary)
     return EXIT_OK if summary["pass"] else EXIT_PROPERTY
 
 
@@ -239,14 +242,12 @@ def _cmd_verify(args) -> int:
     if args.tol_file:
         thresholds = parse_section("tol-file", VerifyThresholds(),
                                    dio.read_json(args.tol_file))
-    from .verify import run_property_suite
-    report = run_property_suite(args.run, thresholds)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        dio.write_json(os.path.join(args.out, "verify.json"), report)
-    else:
-        dio.write_json(os.path.join(args.run, "verify.json"), report)
-    print(json.dumps(report, sort_keys=True, default=dio._json_default))
+    u, m, dyn, coupling = dio.load_run(args.run)
+    report = report_to_dict(property_checks(u, m, dyn, coupling, thresholds))
+    out = args.out or args.run
+    os.makedirs(out, exist_ok=True)
+    dio.write_json(os.path.join(out, "verify.json"), report)
+    _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_PROPERTY
 
 
@@ -262,7 +263,7 @@ def _cmd_run(args) -> int:
         cfg_hash = hashlib.sha256(fh.read()).hexdigest()
     timings = {}
     t0 = time.monotonic()
-    sol = _solve_mfg(cfg, None)
+    sol = _solve_mfg(cfg)
     timings["solve_mfg"] = time.monotonic() - t0
     mfg_summary = _picard_summary(sol)
     t0 = time.monotonic()
@@ -272,7 +273,7 @@ def _cmd_run(args) -> int:
     t0 = time.monotonic()
     grid = sol.u.grid
     x0 = (grid.x1[grid.n1 // 2 + 2], grid.x2[grid.n2 // 2 - 2])
-    mc_summary = _mc_summary(cfg, sol, x0, 0.0, cfg.make_ensemble())
+    mc_summary = _mc_summary(cfg, sol, x0, 0.0)
     timings["mc_validate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -290,8 +291,7 @@ def _cmd_run(args) -> int:
         "all_passed": all_passed,
     }
     dio.write_json(os.path.join(out, "run_summary.json"), run_summary)
-    print(json.dumps({"all_passed": all_passed,
-                      "config_hash": cfg_hash}, sort_keys=True, default=dio._json_default))
+    _print_json({"all_passed": all_passed, "config_hash": cfg_hash})
     return EXIT_OK if all_passed else EXIT_PROPERTY
 
 
@@ -325,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("solve-mfg", _cmd_solve_mfg,
              help="Picard fixed point: full steps, theta damping as fallback")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--eps", type=float, default=None,
-                    help="override the viscosity from the config")
     sp.add_argument("--out", default=None)
 
     sp = add("sweep-eps", _cmd_sweep_eps,

@@ -82,7 +82,6 @@ class RunConfig:
 
 _DEFAULT = RunConfig()
 _SECTIONS = [f.name for f in fields(RunConfig) if f.name != "output_dir"]
-_TUPLE_FIELDS = {("fixed_point", "eps_schedule"), ("initial_density", "center")}
 
 
 def _build(section: str, make, problems: list):
@@ -129,10 +128,10 @@ def _parse_section(name: str, default, raw, problems: list):
     if not typed:
         return None
 
-    def make():
+    def make():  # a JSON array is a tuple where the default is a tuple
         return replace(default, **{
-            key: tuple(value) if (name, key) in _TUPLE_FIELDS else value
-            for key, value in raw.items() if key in known})
+            key: tuple(value) if isinstance(getattr(default, key), tuple)
+            else value for key, value in raw.items() if key in known})
 
     return _build(name, make, problems)
 
@@ -204,15 +203,8 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["fixed_point"]["eps_schedule"] = list(cfg.fixed_point.eps_schedule)
-    d["initial_density"]["center"] = list(cfg.initial_density.center)
-    return d
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def read_text(path) -> str:

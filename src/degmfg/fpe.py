@@ -14,7 +14,7 @@ its neighbour, so discrete mass is a telescoping identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +31,6 @@ from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion, upwind_slope
 class FpeReport:
     mass_drift_max: float = 0.0
     min_density: float = 0.0          # most negative pre-clamp value seen
-    second_moments: list = field(default_factory=list)
     renormalization_max: float = 0.0
 
 
@@ -127,7 +126,6 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     # the LU came from the HJB solve of this step (or was made here); held
     # on past this pair it fragments the heap: +47 MB peak RSS at 128^2
     implicit_diffusion.cache_clear()
-    report.second_moments = [grid.second_moment(v) for v in values]
     # the sabotaged (centered-flux) variant is a negative control: it must
     # reach the verify suite unclamped so the positivity check can fail on it
     return DensityPath(grid, dt, values, validate_slices=not sabotage_upwind)

@@ -123,7 +123,7 @@ def read_field_csv(path):
     return grid, values
 
 
-def _json_default(o):
+def json_default(o):
     if isinstance(o, np.bool_):
         return bool(o)
     if isinstance(o, np.integer):
@@ -137,7 +137,7 @@ def _json_default(o):
 
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
 
 

@@ -239,11 +239,3 @@ def report_to_dict(results: list[PropertyResult]) -> dict:
         "passed": all(r.passed for r in results),
         "properties": [asdict(r) for r in results],
     }
-
-
-def run_property_suite(run_dir, thresholds: VerifyThresholds | None = None) -> dict:
-    """Load a finished run directory and return the machine-readable report."""
-    from .io import load_run
-
-    u, m, dyn, coupling = load_run(run_dir)
-    return report_to_dict(property_checks(u, m, dyn, coupling, thresholds))

@@ -12,6 +12,7 @@ from degmfg import cli
 from degmfg import grid as dgrid
 from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
+from degmfg.config import load_config, serialize_config
 from degmfg.grid import truncated_gaussian
 from references import default_grid
 
@@ -118,6 +119,23 @@ class TestSolveAndVerify:
                      "--out", str(tmp_path / "sweep")]) == EXIT_OK
         sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert sweep["steps"] == [[1.0]] * len(sweep["eps_levels"])
+
+    def test_sweep_eps_saves_the_last_level_under_its_own_config(
+            self, tmp_path, capsys):
+        # decoupled_zero's own epsilon is the last level's, 0, which would
+        # hide a config.json copied from the input instead
+        raw = dio.read_json(ZERO_CFG)
+        raw["dynamics"]["epsilon"] = 0.05
+        config = str(tmp_path / "config.json")
+        dio.write_json(config, raw)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep-eps", "--config", config, "--out", out]) == EXIT_OK
+        sweep = json.loads(capsys.readouterr().out.splitlines()[-1])
+        saved = dio.read_json(os.path.join(out, "config.json"))
+        assert saved["dynamics"]["epsilon"] == 0.0 == sweep["eps_levels"][-1]
+        assert dio.load_run(out)[2].epsilon == 0.0
+        saved["dynamics"]["epsilon"] = 0.05
+        assert saved == json.loads(serialize_config(load_config(config)))
 
     def test_eps_deltas_only_in_the_sweep(self, tmp_path, capsys):
         # only sweep-eps has epsilon levels to difference
@@ -459,6 +477,12 @@ class TestSmallTools:
         dio.write_fields([a], grid, [truncated_gaussian(grid).values])
         assert main(["w1", "--a", a, "--b", a] + argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_solve_mfg_has_no_eps_flag(self, capsys):
+        # a run's epsilon is its config's dynamics.epsilon
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-mfg", "--config", ZERO_CFG, "--eps", "0"])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_w1_has_no_exact_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

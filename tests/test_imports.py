@@ -1,6 +1,7 @@
-"""Every name a degmfg module imports is used in that module, every public
-name is reached by the package, its scripts or its benchmark, and start-up
-loads only the runtime dependencies.
+"""Every name a degmfg module imports is used in that module, no module
+reads another's private names, every public name is reached by the package,
+its scripts or its benchmark, and start-up loads only the runtime
+dependencies.
 
 No linter ships with the project, so these AST scans are the check. An
 import kept on purpose carries ``# noqa: F401`` on its line.
@@ -53,6 +54,44 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def private_reads(source: str) -> list:
+    """The (line, "module._name") reads in ``source`` of another package
+    module's private name: ``from .module import _name``, or
+    ``alias._name`` where ``from . import module as alias`` bound alias."""
+    tree = ast.parse(source)
+    modules, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.append((node.lineno, "%s.%s"
+                                  % (node.module, alias.name)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            reads.append((node.lineno, "%s.%s"
+                          % (modules[node.value.id], node.attr)))
+    return sorted(reads)
+
+
+def test_scan_finds_a_private_read():
+    src = ("from . import io as dio, grid\nfrom .config import _DEFAULT, "
+           "load_config\nfrom .grid import Grid2D\n"
+           "print(dio._fmt, grid.x, grid._t, _DEFAULT, load_config, obj._y)\n")
+    assert private_reads(src) == [(2, "config._DEFAULT"), (4, "grid._t"),
+                                  (4, "io._fmt")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_reads_across_modules(module):
+    # a name another module needs is public, so the reach test below sees it
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert private_reads(fh.read()) == []
 
 
 def _referenced(tree, strings=False) -> collections.Counter:
