@@ -31,7 +31,7 @@ from .config import RunConfig, load_config, parse_section
 from .errors import ConfigurationError, SolverError
 from .fixed_point import eps_sweep, picard_solve
 from .fpe import FpeReport, solve_fpe_forward
-from .grid import DensityField, DensityPath
+from .grid import DensityField, DensityPath, Stencil
 from .hjb import solve_hjb_backward
 from .measures import SINKHORN_REG_FACTOR, GridDistance, sinkhorn_points, \
     wasserstein1_points
@@ -187,13 +187,13 @@ def _start_point(text: str, grid) -> tuple:
 
 def _mc_summary(cfg: RunConfig, sol, x0, t0: float) -> dict:
     """Monte Carlo estimate of u(x0, t0), with the ensemble of ``cfg.mc``,
-    against the PDE value at the node nearest (x0, t0)."""
+    against the PDE value at x0: the bilinear interpolant of the time slice
+    nearest t0."""
     est = sde.mc_value(cfg.make_dynamics(), cfg.make_coupling(),
                        sol.m, sol.u, x0, t0, cfg.make_ensemble())
-    grid = sol.u.grid
-    i1 = int(round((x0[0] - grid.x1_min) / grid.dx1))
-    i2 = int(round((x0[1] - grid.x2_min) / grid.dx2))
-    pde_value = float(sol.u.values[int(round(t0 / sol.u.dt)), i1, i2])
+    at = Stencil(sol.u.grid, np.array([x0], dtype=float))
+    pde_value = float(at.gather(
+        sol.u.values[int(round(t0 / sol.u.dt))].ravel())[0])
     return {
         "mc_mean": est.mean,
         "mc_stderr": est.std_error,

@@ -1,9 +1,13 @@
 """Kantorovich-Rubinstein (W1) distance machinery.
 
 Two routes between weighted point clouds:
-  * wasserstein1_points -- the discrete optimal transport LP (HiGHS), solved
-                           by column generation; GridDistance applies it to
-                           coarsened slices as the Picard stopping metric
+  * wasserstein1_points -- the discrete optimal transport LP, solved by
+                           column generation; GridDistance applies it to
+                           coarsened slices as the Picard stopping metric.
+                           Each pricing round is one column-wise HiGHS model
+                           (dual simplex, presolve off) passed straight to
+                           the bindings scipy ships, scipy.optimize._highspy;
+                           this is the one module that imports them
   * sinkhorn_points     -- log-domain entropic solver with reg annealing,
                            for supports too large for the LP; the returned
                            plan is rounded to the feasible polytope, so the
@@ -19,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+# the HiGHS build linprog(method="highs") runs, called without linprog's
+# input parsing and its per-column Python loop over bound duals
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import ConfigurationError, SolverError
 from .grid import DensityPath
@@ -51,7 +56,10 @@ def wasserstein1_points(xs, a, ys, b) -> float:
     """Exact W1 between weighted point clouds via the transport LP."""
     if len(a) * len(b) > MAX_LP_NODES ** 2:
         raise ConfigurationError("point clouds too large for the exact LP")
-    return _transport_lp(xs, np.asarray(a, float), ys, np.asarray(b, float))[0]
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if not all(np.isfinite(v).all() for v in (xs, a, ys, b)):
+        raise ConfigurationError("point clouds must be finite")
+    return _transport_lp(xs, a, ys, b)[0]
 
 
 def _northwest_corner(a, b):
@@ -67,23 +75,44 @@ def _northwest_corner(a, b):
 
 
 def _restricted_lp(cost, a, b, rows, cols):
-    """Transport LP over the pairs (rows, cols) only; the HiGHS result."""
-    n, m = len(a), len(b)
-    var = np.arange(len(rows))
-    # row-marginal constraints, then column marginals (last one redundant)
-    A = sparse.coo_matrix(
-        (np.ones(2 * len(var)),
-         (np.concatenate([rows, n + cols]), np.concatenate([var, var]))),
-        shape=(n + m, len(var))).tocsr()[:-1]
-    rhs = np.concatenate([a, b])[:-1]
+    """Transport LP over the pairs (rows, cols) only: (optimum, row duals).
+
+    One HiGHS model, column-wise: pair k has a 1 in source row rows[k] and
+    in sink row n + cols[k]. The last sink row is implied by the others and
+    left out, so the dual of a kept row is the one HiGHS returns and the
+    dropped row's dual is 0.
+    """
+    n, m, k = len(a), len(b), len(rows)
+    entries = np.stack([rows, n + cols], axis=1)
+    kept = entries < n + m - 1
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k
+    lp.num_row_ = lp.a_matrix_.num_row_ = n + m - 1
+    lp.col_cost_ = cost[rows, cols]
+    lp.col_lower_ = np.zeros(k)
+    lp.col_upper_ = np.full(k, _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b[:-1]])
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    lp.a_matrix_.index_ = entries[kept]
+    lp.a_matrix_.value_ = np.ones(kept.sum())
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
     # HiGHS presolve has declared feasible transport LPs (two coarsened
     # Gaussians with ~150 support points each) infeasible; the transport
     # polytope is never empty, so solve without it
-    res = linprog(cost[rows, cols], A_eq=A, b_eq=rhs, bounds=(0, None),
-                  method="highs", options={"presolve": False})
-    if not res.success:
-        raise SolverError("transport LP failed: %s" % res.message)
-    return res
+    highs.setOptionValue("presolve", "off")
+    # after refusing a model (a NaN weight) HiGHS still runs and reports
+    # an optimum of whatever it holds
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise SolverError("transport LP not solved: HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise SolverError("transport LP not solved: HiGHS model status %s"
+                          % highs.modelStatusToString(status))
+    return (highs.getInfo().objective_function_value,
+            np.array(highs.getSolution().row_dual))
 
 
 def _transport_lp(xs, a, ys, b):
@@ -106,13 +135,13 @@ def _transport_lp(xs, a, ys, b):
     rounds = 0
     while True:
         rows, cols = np.nonzero(cand)
-        res = _restricted_lp(cost, a, b, rows, cols)
+        value, duals = _restricted_lp(cost, a, b, rows, cols)
         rounds += 1
-        duals = np.append(res.eqlin.marginals, 0.0)
+        duals = np.append(duals, 0.0)
         enter = cost - duals[:n, None] - duals[None, n:] < -LP_PRICING_TOL
         enter &= ~cand
         if not enter.any():
-            return float(res.fun), rounds
+            return value, rounds
         cand |= enter
 
 

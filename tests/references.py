@@ -1,10 +1,13 @@
 """What the tests share and compare the package against, none of it on a
 command's path: grid, path and coupling fixtures, the exact W1 on node
 supports, particle trajectories, and independent references (one-sided
-differences, Hopf-Lax, a min-cost-flow W1, the only user of networkx, a
-C^2 check of the dynamics, the KDE bandwidth)."""
+differences, Hopf-Lax, a min-cost-flow W1, the only user of networkx, the
+transport LP through scipy's linprog, a C^2 check of the dynamics, the KDE
+bandwidth)."""
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from degmfg import sde
 from degmfg.coupling import CouplingSpec
@@ -85,6 +88,36 @@ def mincost_flow_reference(mu, nu, scale=10 ** 12):
             g.add_edge(("s", i), ("t", j), weight=int(round(cost[i, j] * scale)))
     flow_cost, _ = nx.network_simplex(g)
     return flow_cost / (scale * float(mass_scale))
+
+
+def _linprog_transport(cost, a, b, rows, cols):
+    """The transport LP over the pairs (rows, cols) through linprog's HiGHS
+    route, presolve off and the redundant last sink row dropped."""
+    n, m = len(a), len(b)
+    var = np.arange(len(rows))
+    A = sparse.coo_matrix(
+        (np.ones(2 * len(var)),
+         (np.concatenate([rows, n + cols]), np.concatenate([var, var]))),
+        shape=(n + m, len(var))).tocsr()[:-1]
+    res = linprog(cost[rows, cols], A_eq=A, b_eq=np.concatenate([a, b])[:-1],
+                  bounds=(0, None), method="highs",
+                  options={"presolve": False})
+    assert res.success, res.message
+    return res
+
+
+def dense_transport_lp(xs, a, ys, b):
+    """Oracle: the transport LP over all n*m pairs, one HiGHS solve."""
+    n, m = len(a), len(b)
+    rows, cols = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    return _linprog_transport(_cost_matrix(xs, ys), a, b, rows, cols).fun
+
+
+def linprog_restricted_lp(cost, a, b, rows, cols):
+    """A stand-in for ``measures._restricted_lp`` built on linprog:
+    (optimum, row duals) of the LP over the pairs (rows, cols)."""
+    res = _linprog_transport(cost, a, b, rows, cols)
+    return res.fun, res.eqlin.marginals
 
 
 def check_regularity(dyn, grid, bound=1e6):

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,6 +357,22 @@ class TestSmallTools:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["pass"]
         assert summary["abs_diff"] == 0.0
+
+    def test_mc_summary_reads_u_at_x0_not_at_the_nearest_node(self):
+        # u linear in space, so its bilinear interpolant is exact off the
+        # nodes; x0 = (0.5, 0) lies 0.65 cells from the nearest node in x1
+        cfg = load_config(ZERO_CFG)
+        cfg = replace(cfg, mc=replace(cfg.mc, n_particles=10))
+        grid, dt, nt = cfg.make_grid(), cfg.time.dt, cfg.time.nt
+        x1g, x2g = grid.meshgrid()
+        t = dt * np.arange(nt)[:, None, None]
+        u = dgrid.ValuePath(grid, dt, 0.25 + 0.3 * x1g - 0.2 * x2g + 0.1 * t)
+        m0 = cfg.make_initial_density()
+        m = dgrid.DensityPath(grid, dt, np.repeat(m0.values[None], nt, axis=0))
+        sol = SimpleNamespace(u=u, m=m)
+        summary = cli._mc_summary(cfg, sol, (0.5, 0.0), 0.5)
+        assert abs(summary["pde_value"] - (0.25 + 0.3 * 0.5 + 0.1 * 0.5)) \
+            <= 1e-12
 
     @pytest.mark.parametrize("x0, message", [
         ("a,0", "must be 'x1,x2'"),

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
-from scipy.optimize import linprog
 
-from degmfg.errors import ConfigurationError
+from degmfg import measures
+from degmfg.errors import ConfigurationError, SolverError
 from degmfg.grid import DensityField, DensityPath, Grid2D, truncated_gaussian
 from degmfg.measures import (
     GridDistance,
@@ -15,8 +14,8 @@ from degmfg.measures import (
     sinkhorn_points,
     wasserstein1_points,
 )
-from references import default_grid, mincost_flow_reference, node_support, \
-    node_w1
+from references import default_grid, dense_transport_lp, \
+    linprog_restricted_lp, mincost_flow_reference, node_support, node_w1
 
 
 def grid8(L=1.0):
@@ -27,21 +26,6 @@ def random_density(grid, rng):
     v = rng.uniform(0.05, 1.0, size=grid.shape)
     v /= grid.integrate(v)
     return DensityField(grid, v)
-
-
-def dense_transport_lp(xs, a, ys, b):
-    """Oracle: the transport LP over all n*m pairs, one HiGHS solve."""
-    n, m = len(a), len(b)
-    var = np.arange(n * m)
-    rows = np.concatenate([np.repeat(np.arange(n), m),
-                           n + np.tile(np.arange(m), n)])
-    A = sparse.coo_matrix((np.ones(2 * n * m), (rows, np.tile(var, 2))),
-                          shape=(n + m, n * m)).tocsr()[:-1]
-    res = linprog(_cost_matrix(xs, ys).ravel(), A_eq=A,
-                  b_eq=np.concatenate([a, b])[:-1], bounds=(0, None),
-                  method="highs", options={"presolve": False})
-    assert res.success
-    return res.fun
 
 
 def coarsened_gaussians(grid, center, variance):
@@ -94,6 +78,16 @@ class TestExactLP:
         m = DensityField(grid, v)
         with pytest.raises(ConfigurationError):
             wasserstein1_points(*node_support(m), *node_support(m))
+
+    @pytest.mark.parametrize("where", ["xs", "a", "ys", "b"])
+    def test_non_finite_input_is_refused(self, where):
+        clouds = {"xs": np.array([[0.0, 0.0], [1.0, 0.0]]),
+                  "a": np.array([0.5, 0.5]),
+                  "ys": np.array([[0.0, 1.0], [1.0, 1.0]]),
+                  "b": np.array([0.25, 0.75])}
+        clouds[where].flat[0] = np.nan
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            wasserstein1_points(**clouds)
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=10, deadline=None)
@@ -153,6 +147,32 @@ class TestColumnGeneration:
         xs, a, ys, b = coarsened_gaussians(grid, center, variance)
         value, _ = _transport_lp(xs, a, ys, b)
         assert abs(value - dense_transport_lp(xs, a, ys, b)) <= 1e-7
+
+    @pytest.mark.parametrize("center, variance", [
+        ((0.05, 0.0), 0.26), ((0.3, 0.1), 0.5), ((1.0, -1.0), 0.3)])
+    def test_same_optimum_and_rounds_as_linprog(self, monkeypatch, center,
+                                                variance):
+        grid = default_grid(n1=32, n2=32)
+        xs, a, ys, b = coarsened_gaussians(grid, center, variance)
+        value, rounds = _transport_lp(xs, a, ys, b)
+        monkeypatch.setattr(measures, "_restricted_lp", linprog_restricted_lp)
+        ref_value, ref_rounds = _transport_lp(xs, a, ys, b)
+        assert abs(value - ref_value) <= 1e-12
+        assert rounds == ref_rounds
+
+    def test_model_highs_rejects_is_an_error(self):
+        # HiGHS refuses a NaN row bound; the solve must not go on
+        cost = np.ones((2, 2))
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        with pytest.raises(SolverError, match="rejected the model"):
+            measures._restricted_lp(cost, np.array([np.nan, 0.5]),
+                                    np.array([0.5, 0.5]), rows, cols)
+
+    def test_unsolvable_lp_names_the_model_status(self):
+        # a negative sink weight leaves the transport polytope empty
+        xs = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(SolverError, match="model status Infeasible"):
+            _transport_lp(xs, np.array([0.5, 0.5]), xs, np.array([-0.5, 1.5]))
 
     def test_mass_across_the_box_needs_pricing_rounds(self):
         # the nearest partners of every point stay inside its own bump, so
