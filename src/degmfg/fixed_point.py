@@ -146,17 +146,14 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
 
     lp_res = float("nan")
     if converged:
-        lp_res = _lp_cross_check(prev, mu, idx, fp.lp_check_points)
+        # resolution check of the stopping metric: the same exact LP on
+        # supports coarsened to at most lp_check_points points instead of
+        # the stopping metric's finer ones; the gap is the coarsening error
+        lp_res = _path_residual(
+            prev, mu, GridDistance(grid, max_points=fp.lp_check_points), idx)
     return MfgSolution(u=u, m=mu, residual_history=history, epsilon=dyn.epsilon,
                        converged=converged, iterations=len(history),
                        steps=steps, lp_residual=lp_res)
-
-
-def _lp_cross_check(a: DensityPath, b: DensityPath, idx, max_points: int) -> float:
-    """Resolution check of the stopping metric: the same exact LP on supports
-    coarsened to at most ``max_points`` points instead of the stopping
-    metric's finer ones; the gap between the two is the coarsening error."""
-    return _path_residual(a, b, GridDistance(a.grid, max_points=max_points), idx)
 
 
 @dataclass

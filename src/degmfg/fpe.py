@@ -6,10 +6,11 @@ u^k = S^-1 (u^{k+1} - dt H(u^{k+1}) + dt F^k) linearized at u^{k+1}:
 the implicit diffusion is the W-weighted transposed solve of S = I - dt A
 (``hjb.implicit_diffusion``), the transport is W^-1 J^T W with J the
 derivative of the HJB's Godunov flux (``hjb.upwind_slopes``). Both PDEs
-read one set of slopes and one CFL rule: 1 - dt times the diagonal of J
-is the HJB step's monotonicity margin and the transport step's
-nonnegativity margin. Each face flux leaves one cell and enters
-its neighbour, so discrete mass is a telescoping identity.
+read one set of slopes and one CFL rule, ``hjb.check_cfl``, called at
+every step of both marches: 1 - dt times the diagonal of J is the HJB
+step's monotonicity margin and the transport step's nonnegativity margin.
+Each face flux leaves one cell and enters its neighbour, so discrete mass
+is a telescoping identity.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps it
 
 from .dynamics import DynamicsSpec
-from .errors import ConfigurationError, SolverError
+from .errors import SolverError
 from .grid import MASS_TOL, NEGATIVITY_TOL, DensityField, DensityPath, \
     Grid2D, ValuePath, require_mesh
-from .hjb import HjbConfig, assemble_diffusion, implicit_diffusion, upwind_slopes
+from .hjb import HjbConfig, assemble_diffusion, check_cfl, implicit_diffusion, \
+    upwind_slopes
 
 
 @dataclass
@@ -50,11 +52,11 @@ def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matri
 def flux_transpose(y: np.ndarray, p, grid: Grid2D, hg: np.ndarray) -> np.ndarray:
     """J^T y for J v = p1b D1- v + p1f D1+ v + h p2b D2- v + h p2f D2+ v.
 
-    J is the derivative of ``hjb.numerical_hamiltonian`` when
+    J is the derivative at u of the HJB's Godunov flux
+    ``hamiltonian(hjb.upwind_slopes(u, grid, hg))`` when
     p = (p1b, p1f, p2b, p2f) holds the parts max(p_i, 0) and min(p_i, 0)
-    of the slopes of ``hjb.upwind_slopes``. Each face carries one flux,
-    added to one neighbour and taken from the other, so the entries of
-    J^T y sum to zero.
+    of those slopes. Each face carries one flux, added to one neighbour and
+    taken from the other, so the entries of J^T y sum to zero.
     """
     p1b, p1f, p2b, p2f = p
     out = np.zeros_like(y)
@@ -89,12 +91,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         # W-adjoint of the HJB step S^-1 (I - dt J) linearized at u^{k+1}
         s = solve(m.ravel()).reshape(grid.shape)
         p1, p2 = upwind_slopes(u_path.values[k + 1], grid, hg)
-        cfl = dt * float(np.max(np.abs(p1) / grid.dx1
-                                + hg * np.abs(p2) / grid.dx2))
-        if cfl > 1.0 + 1e-12:
-            raise ConfigurationError(
-                "FPE transport CFL violated: max cell outflow coefficient %.4g > 1; "
-                "reduce dt or refine the value path" % cfl)
+        check_cfl((p1, p2), grid, hg, dt, "FPE")
         if sabotage_upwind:
             parts = (0.5 * p1, 0.5 * p1, 0.5 * p2, 0.5 * p2)
         else:

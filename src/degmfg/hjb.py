@@ -2,11 +2,13 @@
 
 IMEX time stepping: the diffusion part (epsilon * Laplace + L) is implicit
 (unconditionally stable, uniformly in epsilon), the Hamiltonian is explicit
-through the Godunov flux, the one numerical flux: it is monotone under the
-CFL rule that ``check_hjb_cfl`` checks a priori, so the scheme converges to
-the viscosity solution (Barles & Souganidis). The x2 slope is multiplied by
-h(x1) *before* squaring, so transport in x2 switches off wherever h
-vanishes.
+through the Godunov flux, the one numerical flux. ``check_cfl`` checks at
+every step that the Courant number of the step's own slopes is at most 1,
+so the step is monotone and the scheme converges to the viscosity solution
+(Barles & Souganidis). No a-priori slope bound would do: H is not coercive,
+and its x1-derivative h h' p2^2 steepens u in x1. The x2 slope is
+multiplied by h(x1) *before* squaring, so transport in x2 switches off
+wherever h vanishes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .dynamics import DynamicsSpec
 from .errors import ConfigurationError, SolverError
 from .grid import DensityPath, Grid2D, ValuePath, require_mesh
 from .operators import apply_L, diff1, diff2, half_sigma_sq, hamiltonian, \
-    lipschitz_estimate, sup_norm
+    sup_norm
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,12 @@ def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray):
     """Signed Godunov slopes (p1, p2) of u, p2 weighted by h.
 
     p > 0: the backward difference is active; p < 0: the forward one;
-    p = 0 at a local minimum. The derivative of ``numerical_hamiltonian``
-    at u is J v = p1+ D1- v + p1- D1+ v + h (p2+ D2- v + p2- D2+ v), with
+    p = 0 at a local minimum. The Godunov flux of H(x, p) = (1/2)|p|^2 at
+    u is ``hamiltonian((p1, p2))``, and its derivative at u is
+    J v = p1+ D1- v + p1- D1+ v + h (p2+ D2- v + p2- D2+ v), with
     p+ = max(p, 0) and p- = min(p, 0). One minus dt times its diagonal,
-    1 - dt (|p1|/dx1 + h |p2|/dx2), is the monotonicity (CFL) margin of
-    the step.
+    1 - dt (|p1|/dx1 + h |p2|/dx2), is the monotonicity margin of the step
+    that ``check_cfl`` checks.
     """
     # one difference per node pair and axis, between a zero at each end:
     # node i's backward slope is entry i, its forward slope entry i + 1,
@@ -128,22 +131,17 @@ def upwind_slopes(u: np.ndarray, grid: Grid2D, hg: np.ndarray):
             _godunov(hg * z2[:, :-1], hg * z2[:, 1:]))
 
 
-def numerical_hamiltonian(u: np.ndarray, grid: Grid2D,
-                          hg: np.ndarray) -> np.ndarray:
-    """Godunov flux for H(x, p) = (1/2)|p|^2, p = (d1 u, h(x1) d2 u)."""
-    return hamiltonian(upwind_slopes(u, grid, hg))
-
-
-def check_hjb_cfl(grid: Grid2D, dyn: DynamicsSpec, cfg: HjbConfig,
-                  lip_bound: float):
-    """Transport CFL of the explicit Hamiltonian step (diffusion is implicit)."""
-    hmax = float(np.abs(dyn.h_values(grid.x1)).max())
-    speed = lip_bound / grid.dx1 + hmax ** 2 * lip_bound / grid.dx2
-    if speed > 0 and cfg.dt * speed > 1.0 + 1e-12:
+def check_cfl(p, grid: Grid2D, hg: np.ndarray, dt: float, solver: str):
+    """Raise unless dt max(|p1|/dx1 + h |p2|/dx2), the Courant number of the
+    slopes p of ``upwind_slopes``, is at most 1 (to 1e-12): the HJB step's
+    monotonicity rule and the FPE step's nonnegativity rule."""
+    p1, p2 = p
+    courant = dt * float(np.max(np.abs(p1) / grid.dx1
+                                + hg * np.abs(p2) / grid.dx2))
+    if courant > 1.0 + 1e-12:
         raise ConfigurationError(
-            "transport CFL violated: dt=%.4g exceeds 1/(Lip/dx1 + h^2 Lip/dx2)"
-            "=%.4g with a-priori Lipschitz bound %.4g"
-            % (cfg.dt, 1.0 / speed, lip_bound))
+            "%s transport CFL violated: Courant number dt*max(|p1|/dx1 + "
+            "h|p2|/dx2) = %.4g > 1; reduce dt" % (solver, courant))
 
 
 def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
@@ -154,17 +152,15 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     dt = cfg.dt
     f = coupling.running_cost(m_path)
     g_vals = coupling.terminal_cost(m_path.slice(cfg.nt - 1)).values
-    # a-priori slope bound of the value function: Lip(G) + T * Lip(F)
-    check_hjb_cfl(grid, dyn, cfg, lipschitz_estimate(g_vals, grid)
-                  + cfg.T * lipschitz_estimate(f, grid))
 
     solve, _ = implicit_diffusion(grid, dyn, dt)
     hg = dyn.h_grid(grid)
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):
-        ham = numerical_hamiltonian(u[k + 1], grid, hg)
-        rhs = u[k + 1] - dt * ham + dt * f[k]
+        p = upwind_slopes(u[k + 1], grid, hg)
+        check_cfl(p, grid, hg, dt, "HJB")
+        rhs = u[k + 1] - dt * hamiltonian(p) + dt * f[k]
         u[k] = solve(rhs.ravel()).reshape(grid.shape)
         if not np.all(np.isfinite(u[k])):
             raise SolverError("HJB backward step %d produced non-finite values" % k)

@@ -6,8 +6,8 @@ one-sided differences. The x2 derivative of the gradient is weighted by
 h(x1). These are the pointwise operators of the residual check, the
 feedback and the property suite; the solvers' stencils live in ``hjb``
 (the FPE uses their W-adjoints). The boundary-frame rule and the
-difference-quotient Lipschitz estimate live here too, below both the HJB
-solver (its a-priori CFL bound) and the property suite.
+difference-quotient Lipschitz estimate of the property suite live here
+too.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from degmfg.coupling import CouplingSpec
 from degmfg.dynamics import DynamicsSpec, dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import (FpeReport, assemble_dual_diffusion, flux_transpose,
                         solve_fpe_forward)
 from degmfg.grid import DensityField, Grid2D, ValuePath, truncated_gaussian
 from degmfg.hjb import (HjbConfig, assemble_diffusion, implicit_diffusion,
-                        numerical_hamiltonian, upwind_slopes)
-from references import default_grid, one_sided, uniform_density
+                        solve_hjb_backward, upwind_slopes)
+from degmfg.operators import hamiltonian
+from references import constant_path, default_grid, one_sided, \
+    uniform_density
 
 
 def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -247,7 +250,7 @@ class TestTransportDuality:
         dyn, hg, u, m, v, p = self._setup(preset, grid)
         w = grid.cell_weights()
         # the flux is (1/2) J(u) u: J is its derivative at u
-        ham = numerical_hamiltonian(u, grid, hg)
+        ham = hamiltonian(upwind_slopes(u, grid, hg))
         assert np.abs(ham - 0.5 * _apply_j(u, p, grid, hg)).max() \
             <= 1e-14 * np.abs(ham).max()
         # <W^-1 J^T W m, v>_W == <m, J v>_W
@@ -313,47 +316,60 @@ class TestErrors:
                               _linear_upath(grid, cfg, c1=20.0),
                               dynamics_preset("zero", epsilon=0.0), cfg)
 
-    @pytest.mark.parametrize("courant", (0.99, 1.01))
-    @pytest.mark.parametrize("axis", (1, 2))
-    def test_cfl_is_the_hjb_monotonicity_rule(self, courant, axis):
-        # u = c x_i moves mass towards x_i = -2; the boundary half cell obeys
-        # the same rule dt c / dx <= 1 as the interior and as the HJB step
-        grid = default_grid(2.0, 33, 33)
+    # ids without a grid run 33x33 with h == 1; on 33x17 (dx2 = 2 dx1) each
+    # axis reads its own dx, and h = 0.5 and 0 pin the h^2 weight of x2
+    CFL_CASES = [pytest.param((33, 33), 1.0, axis, courant,
+                              id="%d-%s" % (axis, courant))
+                 for axis in (1, 2) for courant in (0.99, 1.01)] + [
+        pytest.param((33, 17), h, axis, courant,
+                     id="33x17-h%s-%d-%s" % (h, axis, courant))
+        for h in (1.0, 0.5, 0.0) for axis in (1, 2)
+        for courant in (0.99, 1.01)]
+
+    @staticmethod
+    def _cfl_case(shape, h, axis, courant, profile):
+        """Both solvers on u = profile(c x_i) with sigma == 0 and h constant,
+        c set so that the Courant number dt h_i^2 c / dx_i (h_1 = 1, h_2 = h)
+        of the step is ``courant``: the HJB from u_T = u with F = 0, the FPE
+        through u held still. Both must refuse the step above 1 and march
+        it below; with h = 0 nothing moves in x2 at any c."""
+        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, *shape)
         cfg = HjbConfig(T=1.0, nt=17)
-        c = courant * grid.dx1 / cfg.dt
-        args = (truncated_gaussian(grid, variance=0.2),
-                _linear_upath(grid, cfg, **{"c%d" % axis: c}),
-                dynamics_preset("zero", epsilon=0.0), cfg)
-        if courant > 1.0:
+        weight = 1.0 if axis == 1 else h * h
+        c = courant * (grid.dx1, grid.dx2)[axis - 1] / (cfg.dt * (weight or 1.0))
+        u_T = profile(c * grid.meshgrid()[axis - 1])
+        zero = lambda x1, x2: np.zeros_like(x1)
+        dyn = DynamicsSpec(sigma1=zero, sigma2=zero,
+                           h=lambda x1: np.full_like(x1, h))
+        coupling = CouplingSpec(F=lambda x1, x2, m: zero(x1, x2),
+                                G=lambda x1, x2, m: u_T, monotone=True)
+        m_path = constant_path(uniform_density(grid), cfg.dt, cfg.nt)
+        u_path = ValuePath(grid, cfg.dt, np.repeat(u_T[None], cfg.nt, axis=0))
+        fpe_args = (truncated_gaussian(grid, variance=0.2), u_path, dyn, cfg)
+        if courant > 1.0 and weight > 0.0:
+            with pytest.raises(ConfigurationError, match="HJB transport CFL"):
+                solve_hjb_backward(dyn, coupling, m_path, cfg)
             with pytest.raises(ConfigurationError, match="FPE transport CFL"):
-                solve_fpe_forward(*args)
+                solve_fpe_forward(*fpe_args)
             return
+        solve_hjb_backward(dyn, coupling, m_path, cfg)
         rep = FpeReport()
-        solve_fpe_forward(*args, report=rep)
+        solve_fpe_forward(*fpe_args, report=rep)
         assert rep.min_density >= 0.0
         assert rep.mass_drift_max <= 1e-12
 
-    @pytest.mark.parametrize("courant", (0.99, 1.01))
-    @pytest.mark.parametrize("axis", (1, 2))
-    def test_cfl_counts_one_face_at_a_ridge(self, courant, axis):
+    @pytest.mark.parametrize("shape, h, axis, courant", CFL_CASES)
+    def test_cfl_is_the_hjb_monotonicity_rule(self, shape, h, axis, courant):
+        # u = c x_i moves mass towards x_i = -2; the boundary half cell obeys
+        # the same rule dt c / dx <= 1 as the interior and as the HJB step
+        self._cfl_case(shape, h, axis, courant, lambda v: v)
+
+    @pytest.mark.parametrize("shape, h, axis, courant", CFL_CASES)
+    def test_cfl_counts_one_face_at_a_ridge(self, shape, h, axis, courant):
         # u = -c |x_i| sends mass away from x_i = 0 through both faces; the
         # Godunov flux makes one active there, so the rule is dt c / dx <= 1
         # (a flux that added both one-sided slopes would read 2 dt c / dx)
-        grid = default_grid(2.0, 33, 33)
-        cfg = HjbConfig(T=1.0, nt=17)
-        c = courant * grid.dx1 / cfg.dt
-        ridge = -c * np.abs(grid.meshgrid()[axis - 1])
-        args = (truncated_gaussian(grid, variance=0.2),
-                ValuePath(grid, cfg.dt, np.repeat(ridge[None], cfg.nt, axis=0)),
-                dynamics_preset("zero", epsilon=0.0), cfg)
-        if courant > 1.0:
-            with pytest.raises(ConfigurationError, match="FPE transport CFL"):
-                solve_fpe_forward(*args)
-            return
-        rep = FpeReport()
-        solve_fpe_forward(*args, report=rep)
-        assert rep.min_density >= 0.0
-        assert rep.mass_drift_max <= 1e-12
+        self._cfl_case(shape, h, axis, courant, lambda v: -np.abs(v))
 
     def test_sup_norm_growth_bounded(self):
         # barrier-style bound: growth factor of ||m||_inf stays below e^{C T}

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from degmfg.dynamics import dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath
-from degmfg.hjb import (HjbConfig, numerical_hamiltonian, pde_residual,
-                        solve_hjb_backward, upwind_slopes)
+from degmfg.hjb import HjbConfig, pde_residual, solve_hjb_backward, \
+    upwind_slopes
 from degmfg.operators import apply_L, degenerate_gradient, diff2, hamiltonian
 from references import const_coupling, constant_path, default_grid, \
     hopf_lax_oracle, one_sided, uniform_density
@@ -173,6 +174,20 @@ class TestSchemeProperties:
             solve_hjb_backward(dynamics_preset("zero", epsilon=0.0),
                                coup, _frozen_path(grid, cfg), cfg)
 
+    def test_slopes_steeper_than_the_data_are_refused(self):
+        # h = x1, G = 2 x2: Lip(G) + T Lip(F) = 2 gave the a-priori Courant
+        # number 0.380, yet the slopes of the march steepen until the step's
+        # own Courant number reads 1.006 (at x1 = -2.4, where h < 0 and the
+        # h-weighted slopes take the x2 difference from downwind); left to
+        # run, the march overflowed to non-finite values
+        grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 31, 4)
+        cfg = HjbConfig(T=1.0, nt=51)
+        dyn = replace(dynamics_preset("zero", epsilon=0.0), h=lambda x1: x1)
+        coup = CouplingSpec(F=_zeros, G=lambda x1, x2, m: 2.0 * x2,
+                            monotone=True)
+        with pytest.raises(ConfigurationError, match="HJB transport CFL"):
+            solve_hjb_backward(dyn, coup, _frozen_path(grid, cfg), cfg)
+
     def test_mesh_mismatch_is_configuration_error(self):
         grid = default_grid(3.0, 16, 16)
         cfg = HjbConfig(T=1.0, nt=16)
@@ -235,7 +250,7 @@ class TestUpwindSlopes:
     def test_hamiltonian_is_half_the_squared_slopes(self):
         grid, _, hg = self._setup(1)
         x1g, x2g = grid.meshgrid()
-        ham = numerical_hamiltonian(0.5 * x1g - 2.0 * x2g, grid, hg)
+        ham = hamiltonian(upwind_slopes(0.5 * x1g - 2.0 * x2g, grid, hg))
         # the first x1 row and the last x2 column are flat minima
         np.testing.assert_allclose(ham[1:, :-1],
                                    0.5 * (0.25 + 4.0 * hg[1:, :-1] ** 2),
@@ -395,8 +410,8 @@ class TestImplicitDiffusionOrdering:
 
 
 def test_hjb_does_not_import_verify():
-    # the a-priori CFL bound uses the Lipschitz estimate from operators, so
-    # the solver sits below the property suite
+    # the solver checks its CFL rule on its own slopes and reads no
+    # estimate of the property suite, so it sits below it
     src = os.path.dirname(os.path.dirname(os.path.abspath(degmfg.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
