@@ -31,7 +31,7 @@ from .config import RunConfig, load_config, parse_section
 from .errors import ConfigurationError, SolverError
 from .fixed_point import eps_sweep, picard_solve
 from .fpe import FpeReport, solve_fpe_forward
-from .grid import DensityField, DensityPath, Stencil
+from .grid import DensityField, DensityPath, Stencil, constant_path
 from .hjb import solve_hjb_backward
 from .measures import SINKHORN_REG_FACTOR, GridDistance, sinkhorn_points, \
     wasserstein1_points
@@ -55,12 +55,6 @@ def _write_run(out, cfg: RunConfig, u, m, summary: dict):
     _print_json(summary)
 
 
-def _constant_path(m0: DensityField, dt: float, nt: int) -> DensityPath:
-    """m0 held constant in time, validated once here so that no consumer
-    re-runs the density rule on it."""
-    return DensityPath(m0.grid, dt, np.repeat(m0.values[None], nt, axis=0))
-
-
 def _load_m_path(args, cfg: RunConfig) -> DensityPath:
     """Density path for the HJB stage: a CSV slice held constant in time,
     or the config's initial density if no CSV is given."""
@@ -72,7 +66,7 @@ def _load_m_path(args, cfg: RunConfig) -> DensityPath:
         m0 = DensityField(grid, values)
     else:
         m0 = cfg.make_initial_density()
-    return _constant_path(m0, hjb_cfg.dt, hjb_cfg.nt)
+    return constant_path(m0, hjb_cfg.dt, hjb_cfg.nt)
 
 
 def _cmd_solve_hjb(args) -> int:
@@ -100,13 +94,11 @@ def _cmd_solve_fpe(args) -> int:
     m_path0 = _load_m_path(args, cfg)
     u = solve_hjb_backward(dyn, coupling, m_path0, hjb_cfg)
     report = FpeReport()
-    m = solve_fpe_forward(m_path0.slice(0), u, dyn, hjb_cfg,
-                          sabotage_upwind=args.sabotage_upwind, report=report)
+    m = solve_fpe_forward(m_path0.slice(0), u, dyn, hjb_cfg, report=report)
     summary = {
         "mass_drift_max": report.mass_drift_max,
         "min_density": report.min_density,
         "second_moments": [m.grid.second_moment(v) for v in m.values],
-        "validate_density": not args.sabotage_upwind,
     }
     _write_run(args.out or cfg.output_dir, cfg, u, m, summary)
     return EXIT_OK
@@ -318,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--m-path", default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--sabotage-upwind", action="store_true",
-                    help="negative control: replace the upwind flux with a "
-                         "centered one and skip hard error checks")
 
     sp = add("solve-mfg", _cmd_solve_mfg,
              help="Picard fixed point: full steps, theta damping as fallback")

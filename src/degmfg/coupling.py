@@ -33,8 +33,9 @@ class CouplingSpec:
 
     def running_cost(self, m_path: DensityPath) -> np.ndarray:
         """F on every slice of a density path, one fresh (nt, n1, n2) array
-        the caller may overwrite; the density rule runs once over the stack
-        of an unvalidated path."""
+        the caller may overwrite. Every path the package builds is
+        validated; an unvalidated one, from an outside caller, meets the
+        density rule here, once over its stack."""
         if not m_path.validate_slices:
             m_path = DensityPath(m_path.grid, m_path.dt, m_path.values)
         return _evaluate(self.F, m_path)
@@ -89,24 +90,47 @@ def _bowl(x1g, x2g, amp, width):
     return amp * (1.0 - np.exp(-(x1g ** 2 + x2g ** 2) / (2.0 * width ** 2)))
 
 
+# the params of each built-in coupling, with their defaults
+_PARAMS = {
+    "nonlocal_smooth": dict(c1=0.5, c_terminal=0.5, delta=0.5, f_amp=0.2,
+                            g_amp=1.0, width=1.5),
+    "local_power": dict(c1=0.5, power=1.0, g_amp=1.0, width=1.5),
+    "decoupled": dict(f_amp=0.0, g_amp=0.0, width=1.5),
+}
+
+
 def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
-    """Named coupling instances: nonlocal_smooth, local_power, decoupled."""
-    params = dict(params or {})
+    """Named coupling instances: nonlocal_smooth, local_power, decoupled.
+
+    ``params`` replace the defaults and obey the section rules: an unknown
+    key, or a value that is not a number (true and false are not), is an
+    error that names the coupling and the key.
+    """
+    if name not in _PARAMS:
+        raise ConfigurationError("unknown coupling %r (known: %s)"
+                                 % (name, ", ".join(_PARAMS)))
+    p = dict(_PARAMS[name])
+    problems = []
+    for key, value in (params or {}).items():
+        if key not in p:
+            problems.append("%s: unknown param %r (known: %s)"
+                            % (name, key, sorted(p)))
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append("%s: param %r must be a number (got %r)"
+                            % (name, key, value))
+        else:
+            p[key] = float(value)
+    width = p["width"]
+
+    def bowl(amp):
+        return lambda x1g, x2g, m: _bowl(x1g, x2g, amp, width)
 
     if name == "nonlocal_smooth":
-        c1 = float(params.setdefault("c1", 0.5))
-        cg = float(params.setdefault("c_terminal", 0.5))
-        delta = float(params.setdefault("delta", 0.5))
-        f_amp = float(params.setdefault("f_amp", 0.2))
-        g_amp = float(params.setdefault("g_amp", 1.0))
-        width = float(params.setdefault("width", 1.5))
-        problems = []
+        delta = p["delta"]
         if delta <= 0:
             problems.append("kernel width delta must be > 0")
-        if c1 < 0 or cg < 0:
+        if p["c1"] < 0 or p["c_terminal"] < 0:
             problems.append("monotone coupling requires c1 >= 0 and c_terminal >= 0")
-        if problems:
-            raise ConfigurationError(problems)
 
         def smoothed(c, amp):
             def cost(x1g, x2g, m):
@@ -116,43 +140,17 @@ def builtin_coupling(name: str, params: dict | None = None) -> CouplingSpec:
                 return out
             return cost
 
-        return CouplingSpec(F=smoothed(c1, f_amp), G=smoothed(cg, g_amp),
-                            monotone=True, name=name, params=params)
-
-    if name == "local_power":
-        c1 = float(params.setdefault("c1", 0.5))
-        power = float(params.setdefault("power", 1.0))
-        g_amp = float(params.setdefault("g_amp", 1.0))
-        width = float(params.setdefault("width", 1.5))
-        problems = []
+        F = smoothed(p["c1"], p["f_amp"])
+        G = smoothed(p["c_terminal"], p["g_amp"])
+    elif name == "local_power":
+        c1, power = p["c1"], p["power"]
         if c1 < 0:
             problems.append("local_power with c1 < 0 is not monotone")
         if power <= 0:
             problems.append("local_power requires power > 0")
-        if problems:
-            raise ConfigurationError(problems)
-
-        def F(x1g, x2g, m):
-            return c1 * m.values ** power
-
-        def G(x1g, x2g, m):
-            return _bowl(x1g, x2g, g_amp, width)
-
-        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
-
-    if name == "decoupled":
-        f_amp = float(params.setdefault("f_amp", 0.0))
-        g_amp = float(params.setdefault("g_amp", 0.0))
-        width = float(params.setdefault("width", 1.5))
-
-        def F(x1g, x2g, m):
-            return _bowl(x1g, x2g, f_amp, width)
-
-        def G(x1g, x2g, m):
-            return _bowl(x1g, x2g, g_amp, width)
-
-        return CouplingSpec(F=F, G=G, monotone=True, name=name, params=params)
-
-    raise ConfigurationError(
-        "unknown coupling %r (known: nonlocal_smooth, local_power, decoupled)" % name)
-
+        F, G = (lambda x1g, x2g, m: c1 * m.values ** power), bowl(p["g_amp"])
+    else:
+        F, G = bowl(p["f_amp"]), bowl(p["g_amp"])
+    if problems:
+        raise ConfigurationError(problems)
+    return CouplingSpec(F=F, G=G, monotone=True, name=name, params=p)

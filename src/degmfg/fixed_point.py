@@ -26,7 +26,7 @@ from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
 from .fpe import solve_fpe_forward
-from .grid import DensityField, DensityPath, ValuePath
+from .grid import DensityField, DensityPath, ValuePath, constant_path
 from .hjb import HjbConfig, solve_hjb_backward
 from .measures import GridDistance
 # bench/tracer.py wraps this binding by name as "measures.lp"; the final
@@ -52,8 +52,9 @@ class FixedPointConfig:
         if self.max_outer_iters < 1:
             problems.append("max_outer_iters must be >= 1")
         sched = tuple(self.eps_schedule)
-        if any(e < 0 for e in sched):
-            problems.append("eps_schedule values must be nonnegative")
+        if any(e <= 0 for e in sched):
+            problems.append("eps_schedule values must be > 0; the sweep "
+                            "appends eps = 0 itself")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             problems.append("eps_schedule must be strictly decreasing")
         if self.n_check_slices < 2:
@@ -117,9 +118,7 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
     idx = _check_indices(cfg.nt, fp.n_check_slices)
 
     if initial_path is None:
-        initial_path = DensityPath(
-            grid, cfg.dt, np.repeat(m0.values[None], cfg.nt, axis=0),
-            validate_slices=False)
+        initial_path = constant_path(m0, cfg.dt, cfg.nt)
     u, mu = psi_map(initial_path, dyn, coupling, cfg)
 
     history, steps = [], []
@@ -131,8 +130,7 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
             m_next = m_raw
         else:
             m_next = DensityPath(
-                grid, cfg.dt, (1.0 - step) * mu.values + step * m_raw.values,
-                validate_slices=False)
+                grid, cfg.dt, (1.0 - step) * mu.values + step * m_raw.values)
         residual = _path_residual(m_next, mu, gd, idx)
         history.append(residual)
         steps.append(step)

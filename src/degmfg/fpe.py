@@ -10,7 +10,9 @@ read one set of slopes and one CFL rule, ``hjb.check_cfl``, called at
 every step of both marches: 1 - dt times the diagonal of J is the HJB
 step's monotonicity margin and the transport step's nonnegativity margin.
 Each face flux leaves one cell and enters its neighbour, so discrete mass
-is a telescoping identity.
+is a telescoping identity. Every step is checked: a mass drift beyond 1e-8
+or a value below -1e-12 is a SolverError, and values in [-1e-12, 0) are
+clamped and the slice renormalized.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ def flux_transpose(y: np.ndarray, p, grid: Grid2D, hg: np.ndarray) -> np.ndarray
 
 
 def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
-                      cfg: HjbConfig, sabotage_upwind: bool = False,
-                      report: FpeReport | None = None) -> DensityPath:
-    """March m forward from m0 under drift D_G u and (regularized) diffusion."""
+                      cfg: HjbConfig, report: FpeReport | None = None
+                      ) -> DensityPath:
+    """March m forward from m0 under drift D_G u and (regularized)
+    diffusion; the path returned meets the density rule."""
     grid = m0.grid
     require_mesh("u_path", u_path, grid, cfg.nt, cfg.dt)
     dt = cfg.dt
@@ -81,7 +84,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         report = FpeReport()
 
     _, solve = implicit_diffusion(grid, dyn, dt)
-    hg = dyn.h_grid(grid)
+    hg = np.abs(dyn.h_grid(grid))  # H reads h only through h^2
     w = grid.cell_weights()
     m = m0.values.copy()
     values = np.empty((cfg.nt,) + grid.shape)
@@ -92,38 +95,31 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
         s = solve(m.ravel()).reshape(grid.shape)
         p1, p2 = upwind_slopes(u_path.values[k + 1], grid, hg)
         check_cfl((p1, p2), grid, hg, dt, "FPE")
-        if sabotage_upwind:
-            parts = (0.5 * p1, 0.5 * p1, 0.5 * p2, 0.5 * p2)
-        else:
-            parts = (np.maximum(p1, 0.0), np.minimum(p1, 0.0),
-                     np.maximum(p2, 0.0), np.minimum(p2, 0.0))
+        parts = (np.maximum(p1, 0.0), np.minimum(p1, 0.0),
+                 np.maximum(p2, 0.0), np.minimum(p2, 0.0))
         m_new = s - dt * flux_transpose(w * s, parts, grid, hg) / w
         pre_min = float(m_new.min())
         report.min_density = min(report.min_density, pre_min)
         mass = grid.integrate(m_new)
         drift = abs(mass - 1.0)
         report.mass_drift_max = max(report.mass_drift_max, drift)
-        if not sabotage_upwind:
-            if drift > MASS_TOL:
-                raise SolverError(
-                    "FPE mass drift %.3g at step %d exceeds 1e-8; the conservative "
-                    "scheme is structurally broken" % (drift, k + 1))
-            if pre_min < -NEGATIVITY_TOL:
-                raise SolverError(
-                    "FPE negativity %.3g at step %d below the -1e-12 clamp floor"
-                    % (pre_min, k + 1))
-            if pre_min < 0.0:
-                m_new = np.clip(m_new, 0.0, None)
-                new_mass = grid.integrate(m_new)
-                report.renormalization_max = max(report.renormalization_max,
-                                                 abs(new_mass - mass))
-                m_new /= new_mass
+        if drift > MASS_TOL:
+            raise SolverError(
+                "FPE mass drift %.3g at step %d exceeds 1e-8; the conservative "
+                "scheme is structurally broken" % (drift, k + 1))
+        if pre_min < -NEGATIVITY_TOL:
+            raise SolverError(
+                "FPE negativity %.3g at step %d below the -1e-12 clamp floor"
+                % (pre_min, k + 1))
+        if pre_min < 0.0:
+            m_new = np.clip(m_new, 0.0, None)
+            new_mass = grid.integrate(m_new)
+            report.renormalization_max = max(report.renormalization_max,
+                                             abs(new_mass - mass))
+            m_new /= new_mass
         m = m_new
         values[k + 1] = m
     # the LU came from the HJB solve of this step (or was made here); held
     # on past this pair it fragments the heap: +47 MB peak RSS at 128^2
     implicit_diffusion.cache_clear()
-    # the sabotaged (centered-flux) variant is a negative control: it must
-    # reach the verify suite unclamped so the positivity check can fail on it
-    return DensityPath(grid, dt, values, validate_slices=not sabotage_upwind)
-
+    return DensityPath(grid, dt, values)

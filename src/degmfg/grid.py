@@ -256,9 +256,9 @@ class ValuePath:
 class DensityPath(ValuePath):
     """Time-stacked density m(., t_k); every slice obeys the density rule.
 
-    ``validate_slices=False`` admits the values unchecked and unclipped
-    (paths built from valid densities, and the negative control that must
-    reach the property suite as it is).
+    ``validate_slices=False`` admits the values unchecked and unclipped,
+    for a caller that hands the property suite a path as it is (a negative
+    control); no path the package builds or reads takes it.
     """
 
     validate_slices: bool = field(default=True, compare=False)
@@ -268,6 +268,12 @@ class DensityPath(ValuePath):
 
     def slice(self, k: int) -> DensityField:
         return DensityField(self.grid, self.values[k])
+
+
+def constant_path(m0: DensityField, dt: float, nt: int) -> DensityPath:
+    """m0 held over nt slices dt apart, a validated path, so that no
+    consumer re-runs the density rule on it."""
+    return DensityPath(m0.grid, dt, np.repeat(m0.values[None], nt, axis=0))
 
 
 def require_mesh(name: str, path: ValuePath, grid: Grid2D, nt: int,

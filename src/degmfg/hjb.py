@@ -154,7 +154,7 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
     g_vals = coupling.terminal_cost(m_path.slice(cfg.nt - 1)).values
 
     solve, _ = implicit_diffusion(grid, dyn, dt)
-    hg = dyn.h_grid(grid)
+    hg = np.abs(dyn.h_grid(grid))  # H reads h only through h^2
     u = np.empty((cfg.nt,) + grid.shape)
     u[-1] = g_vals
     for k in range(cfg.nt - 2, -1, -1):

@@ -3,8 +3,9 @@ summaries.
 
 A run directory is self-describing: it contains the exact config used
 (config.json), the value path as u/path.npy, the density path as
-m/path.npy, and a summary.json. Each path.npy is the ``np.save`` of the
-whole (nt, n1, n2) float64 path, so a round trip is bit-exact; it holds no
+m/path.npy, and summary.json, the record the command printed, which
+``load_run`` does not read. Each path.npy is the ``np.save`` of the whole
+(nt, n1, n2) float64 path, so a round trip is bit-exact; it holds no
 coordinates, and its mesh is config.json's, with the node counts taken from
 the array's shape. ``export_run`` writes the slices of both paths beside
 them as field CSVs, and a run directory written before the binary format,
@@ -231,26 +232,23 @@ def save_run(run_dir, cfg: RunConfig, u_path: ValuePath, m_path: DensityPath,
 def load_run(run_dir):
     """Read a run directory back: (u_path, m_path, dynamics, coupling).
 
-    Both paths must lie on the mesh of config.json: its grid, time.nt and
-    time.dt. summary.json must be a JSON object; its ``validate_density``,
-    a JSON boolean, defaults to true.
+    Reads config.json, u/ and m/, not summary.json. Both paths must lie on
+    the mesh of config.json (its grid, time.nt and time.dt), and every
+    slice of m/ must meet the density rule; a ConfigurationError names the
+    directory that breaks either.
     """
     cfg = load_config(os.path.join(run_dir, "config.json"))
-    summary_file = os.path.join(run_dir, "summary.json")
-    summary = read_json(summary_file)
-    if not isinstance(summary, dict):
-        raise ConfigurationError("%s must be a JSON object" % summary_file)
-    validate = summary.get("validate_density", True)
-    if not isinstance(validate, bool):
-        raise ConfigurationError("%s: validate_density must be true or "
-                                 "false (got %r)" % (summary_file, validate))
     grid, nt, dt = cfg.make_grid(), cfg.time.nt, cfg.time.dt
     u_dir, m_dir = os.path.join(run_dir, "u"), os.path.join(run_dir, "m")
     gu, uv = read_path(u_dir, grid)
     u_path = ValuePath(gu, dt, uv)
     require_mesh(u_dir, u_path, grid, nt, dt)
     gm, mv = read_path(m_dir, grid)
-    m_path = DensityPath(gm, dt, mv, validate_slices=validate)
+    try:
+        m_path = DensityPath(gm, dt, mv)
+    except ConfigurationError as exc:
+        raise ConfigurationError(["%s: %s" % (m_dir, problem)
+                                  for problem in exc.problems]) from None
     require_mesh(m_dir, m_path, grid, nt, dt)
     return u_path, m_path, cfg.make_dynamics(), cfg.make_coupling()
 

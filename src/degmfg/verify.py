@@ -221,7 +221,8 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
                 rep.fraction_below_tol, th.residual_fraction_min,
                 "tol=%.3g, quantiles=%s" % (rep.tol, list(rep.quantiles))))
         except (ConfigurationError,) as exc:
-            # e.g. a sabotaged density path cannot even be evaluated
+            # a path admitted unvalidated (validate_slices=False) that
+            # breaks the density rule: F runs the rule and refuses it
             results.append(PropertyResult(
                 "ae_residual_fraction", False, 0.0,
                 th.residual_fraction_min, "not evaluable: %s" % exc))

@@ -3,7 +3,8 @@ command's path: grid, path and coupling fixtures, the exact W1 on node
 supports, particle trajectories, and independent references (one-sided
 differences, Hopf-Lax, a min-cost-flow W1, the only user of networkx, the
 transport LP through scipy's linprog, a C^2 check of the dynamics, the KDE
-bandwidth)."""
+bandwidth), and the negative control of the FPE march: the same step with
+a centered flux."""
 
 import numpy as np
 from scipy import sparse
@@ -12,7 +13,9 @@ from scipy.optimize import linprog
 from degmfg import sde
 from degmfg.coupling import CouplingSpec
 from degmfg.errors import ConfigurationError
+from degmfg.fpe import flux_transpose
 from degmfg.grid import DensityField, DensityPath, Grid2D, ScalarField
+from degmfg.hjb import check_cfl, implicit_diffusion, upwind_slopes
 from degmfg.measures import GridDistance, _cost_matrix, wasserstein1_points
 
 
@@ -31,6 +34,27 @@ def constant_path(m0, dt, nt, validate_slices=True):
     """The density m0 held over nt slices dt apart."""
     return DensityPath(m0.grid, dt, np.repeat(m0.values[None], nt, axis=0),
                        validate_slices=validate_slices)
+
+
+def centered_flux_fpe(m0, u_path, dyn, cfg):
+    """The negative control of ``fpe.solve_fpe_forward``: its march with the
+    centered parts p/2 of the slopes in place of the upwind ones, and no
+    mass or sign check, clamp or renormalization. Returns the path,
+    admitted unvalidated, and its most negative value."""
+    grid = m0.grid
+    _, solve = implicit_diffusion(grid, dyn, cfg.dt)
+    hg = np.abs(dyn.h_grid(grid))
+    w = grid.cell_weights()
+    values = np.empty((cfg.nt,) + grid.shape)
+    values[0] = m0.values
+    for k in range(cfg.nt - 1):
+        s = solve(values[k].ravel()).reshape(grid.shape)
+        p1, p2 = upwind_slopes(u_path.values[k + 1], grid, hg)
+        check_cfl((p1, p2), grid, hg, cfg.dt, "FPE")
+        parts = (0.5 * p1, 0.5 * p1, 0.5 * p2, 0.5 * p2)
+        values[k + 1] = s - cfg.dt * flux_transpose(w * s, parts, grid, hg) / w
+    return (DensityPath(grid, cfg.dt, values, validate_slices=False),
+            float(values.min()))
 
 
 def const_coupling(f=0.0, g=0.0):

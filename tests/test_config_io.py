@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from degmfg.config import RunConfig, parse_config, serialize_config
+from degmfg.config import CouplingSection, RunConfig, parse_config, \
+    serialize_config
 from degmfg.errors import ConfigurationError
 from degmfg.fixed_point import FixedPointConfig
 from degmfg.grid import Grid2D, ValuePath
@@ -80,6 +81,24 @@ class TestParseConfig:
         assert any(p.startswith("coupling:") and "delta" in p for p in problems)
         assert any(p.startswith("mc:") and "n_particles" in p
                    for p in problems)
+
+    @pytest.mark.parametrize("name, key", [
+        ("nonlocal_smooth", "c1"), ("local_power", "power"),
+        ("decoupled", "g_amp")])
+    def test_coupling_params_obey_the_section_rules(self, name, key):
+        # as in a section, an unknown key and a value that is not a number
+        # are errors, each naming the coupling and the key
+        text = json.dumps({"coupling": {"name": name, "params": {
+            key: True, "typo_key": 3, "width": "1.5"}}})
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(text)
+        known = sorted(RunConfig(coupling=CouplingSection(name))
+                       .make_coupling().params)
+        assert exc.value.problems == [
+            "coupling: %s: param %r must be a number (got True)" % (name, key),
+            "coupling: %s: unknown param 'typo_key' (known: %s)"
+            % (name, known),
+            "coupling: %s: param 'width' must be a number (got '1.5')" % name]
 
     @pytest.mark.parametrize("mc", [{"dt_sde": "abc"},
                                     {"n_particles": 0, "dt_sde": 0.5}])

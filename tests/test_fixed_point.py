@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             FixedPointConfig(eps_schedule=(0.1, -0.05))
 
+    def test_a_zero_eps_level_is_rejected(self):
+        # the sweep appends eps = 0 itself: a 0 entry would solve it twice
+        with pytest.raises(ConfigurationError,
+                           match="> 0; the sweep appends eps = 0 itself"):
+            FixedPointConfig(eps_schedule=(0.1, 0.0))
+
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ConfigurationError):
             FixedPointConfig(tol_d1=0.0)

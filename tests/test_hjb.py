@@ -175,18 +175,35 @@ class TestSchemeProperties:
                                coup, _frozen_path(grid, cfg), cfg)
 
     def test_slopes_steeper_than_the_data_are_refused(self):
-        # h = x1, G = 2 x2: Lip(G) + T Lip(F) = 2 gave the a-priori Courant
-        # number 0.380, yet the slopes of the march steepen until the step's
-        # own Courant number reads 1.006 (at x1 = -2.4, where h < 0 and the
-        # h-weighted slopes take the x2 difference from downwind); left to
-        # run, the march overflowed to non-finite values
+        # h = |x1|, G = c x2: the first step's Courant number reads 0.09 c
+        # (0.450, 0.540), yet H's x1-derivative h h' p2^2 steepens u in x1
+        # until a later step's reads 1.001 (c = 5) or 1.067 (c = 6)
         grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 31, 4)
         cfg = HjbConfig(T=1.0, nt=51)
-        dyn = replace(dynamics_preset("zero", epsilon=0.0), h=lambda x1: x1)
+        dyn = replace(dynamics_preset("zero", epsilon=0.0), h=np.abs)
+        for c, courant in ((5.0, "1.001"), (6.0, "1.067")):
+            coup = CouplingSpec(F=_zeros, G=lambda x1, x2, m: c * x2,
+                                monotone=True)
+            with pytest.raises(ConfigurationError, match="HJB transport CFL"
+                               ".* = %s > 1" % courant):
+                solve_hjb_backward(dyn, coup, _frozen_path(grid, cfg), cfg)
+
+    def test_a_negative_h_marches_as_its_absolute_value(self):
+        # H reads h through h^2, so h = x1 and h = |x1| are one game; both
+        # marches weight the slopes by |h|, so u and m agree bit for bit
+        # (with h itself, h = x1 read Courant 1.006 at x1 = -2.4 and the
+        # HJB step was refused)
+        grid = Grid2D(-3.0, 3.0, -3.0, 3.0, 31, 4)
+        cfg = HjbConfig(T=1.0, nt=51)
         coup = CouplingSpec(F=_zeros, G=lambda x1, x2, m: 2.0 * x2,
                             monotone=True)
-        with pytest.raises(ConfigurationError, match="HJB transport CFL"):
-            solve_hjb_backward(dyn, coup, _frozen_path(grid, cfg), cfg)
+        fields = []
+        for h in (lambda x1: x1, np.abs):
+            dyn = replace(dynamics_preset("zero", epsilon=0.0), h=h)
+            u = solve_hjb_backward(dyn, coup, _frozen_path(grid, cfg), cfg)
+            m = solve_fpe_forward(uniform_density(grid), u, dyn, cfg)
+            fields.append((u.values.tobytes(), m.values.tobytes()))
+        assert fields[0] == fields[1]
 
     def test_mesh_mismatch_is_configuration_error(self):
         grid = default_grid(3.0, 16, 16)

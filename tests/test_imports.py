@@ -1,8 +1,8 @@
 """Every name a degmfg module imports is used in that module, no module
 reads another's private names, only ``measures`` imports from a private
-scipy module (the HiGHS bindings), every public name is reached by the
-package, its scripts or its benchmark, and start-up loads only the runtime
-dependencies.
+scipy module (the HiGHS bindings), no call in the package admits a density
+path unvalidated, every public name is reached by the package, its scripts
+or its benchmark, and start-up loads only the runtime dependencies.
 
 No linter ships with the project, so these AST scans are the check. An
 import kept on purpose carries ``# noqa: F401`` on its line.
@@ -130,6 +130,34 @@ def test_only_measures_imports_private_scipy(module):
     # holds that surface, so a scipy release that moves it breaks one file
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert private_scipy_imports(fh.read()) == []
+
+
+def unvalidated_paths(source: str) -> list:
+    """The lines in ``source`` of each call that passes ``validate_slices``
+    anything but the literal True: False, or a value that may be false."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "validate_slices"
+                          and not (isinstance(kw.value, ast.Constant)
+                                   and kw.value.value is True)
+                          for kw in node.keywords))
+
+
+def test_scan_finds_an_unvalidated_path():
+    src = ("DensityPath(g, dt, v, validate_slices=False)\n"
+           "DensityPath(g, dt, v)\nf(validate_slices=True)\n"
+           "x = dict(validate_slices=False)\n"
+           "# DensityPath(g, dt, v, validate_slices=False)\n"
+           "DensityPath(g, dt,\n    v, validate_slices=not flag)\n")
+    assert unvalidated_paths(src) == [1, 4, 6]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_package_builds_only_validated_paths(module):
+    # every density path a command builds or reads meets the density rule;
+    # an unvalidated one is for outside callers (a negative control, say)
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert unvalidated_paths(fh.read()) == []
 
 
 def _referenced(tree, strings=False) -> collections.Counter:

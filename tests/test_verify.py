@@ -18,8 +18,8 @@ from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
                            lipschitz_estimate, property_checks,
                            report_to_dict, semiconcavity_estimate,
                            time_lipschitz_estimate, VerifyThresholds)
-from references import const_coupling, constant_path, default_grid, \
-    uniform_density
+from references import centered_flux_fpe, const_coupling, constant_path, \
+    default_grid, uniform_density
 
 DIAG = Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
@@ -268,7 +268,7 @@ class TestPropertySuite:
         u = ValuePath(grid, cfg.dt,
                       np.repeat((1.5 * x1g)[None], cfg.nt, axis=0))
         m0 = truncated_gaussian(grid)
-        m = solve_fpe_forward(m0, u, dyn, cfg, sabotage_upwind=True)
+        m, _ = centered_flux_fpe(m0, u, dyn, cfg)
         results = property_checks(u, m, dyn, const_coupling())
         by_name = {r.name: r for r in results}
         assert not by_name["positivity"].passed
