@@ -321,8 +321,10 @@ class TestSolveAndVerify:
 
     @pytest.mark.parametrize("summary, code, message", [
         ({"nt": 33}, EXIT_OK, ""),  # no dt: the mesh is config.json's
-        ({"dt": "abc"}, EXIT_OK, "")],
-        ids=("no-dt", "text-dt"))
+        ({"dt": "abc"}, EXIT_OK, ""),
+        ([1], EXIT_OK, ""),  # not an object: never read, so not an error
+        ({"validate_density": "no"}, EXIT_OK, "")],
+        ids=("no-dt", "text-dt", "list", "text-validate-density"))
     def test_verify_reads_only_validate_density_from_the_summary(
             self, tmp_path, capsys, hjb_run, summary, code, message):
         run = str(tmp_path / "run")
