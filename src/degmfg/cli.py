@@ -216,9 +216,8 @@ def _cmd_w1(args) -> int:
     ga, va = dio.read_field_csv(args.a)
     gb, vb = dio.read_field_csv(args.b)
     da, db = DensityField(ga, va), DensityField(gb, vb)
-    gd = GridDistance(ga, max_points=args.max_points)
-    xs, wa = gd.coarsen(da.values)
-    ys, wb = gd.coarsen(db.values)
+    xs, wa = GridDistance(ga, max_points=args.max_points).coarsen(da.values)
+    ys, wb = GridDistance(gb, max_points=args.max_points).coarsen(db.values)
     if args.sinkhorn:
         reg = SINKHORN_REG_FACTOR * ga.diameter if args.reg is None \
             else args.reg
@@ -264,7 +263,8 @@ def _cmd_run(args) -> int:
 
     t0 = time.monotonic()
     grid = sol.u.grid
-    x0 = (grid.x1[grid.n1 // 2 + 2], grid.x2[grid.n2 // 2 - 2])
+    x0 = (grid.x1[min(grid.n1 // 2 + 2, grid.n1 - 1)],
+          grid.x2[grid.n2 // 2 - 2])
     mc_summary = _mc_summary(cfg, sol, x0, 0.0)
     timings["mc_validate"] = time.monotonic() - t0
 

@@ -202,21 +202,6 @@ class DensityField(ScalarField):
 
 
 @dataclass(frozen=True)
-class Direction:
-    eta1: float
-    eta2: float
-
-    def __post_init__(self):
-        norm2 = self.eta1 ** 2 + self.eta2 ** 2
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ConfigurationError(
-                "direction (%g, %g) is not unit length" % (self.eta1, self.eta2))
-
-    def as_array(self):
-        return np.array([self.eta1, self.eta2])
-
-
-@dataclass(frozen=True)
 class ValuePath:
     """Time-stacked scalar field u(., t_k), t_k = k*dt, t_{nt-1} = T."""
 

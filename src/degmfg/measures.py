@@ -13,9 +13,11 @@ Two routes between weighted point clouds:
                            plan is rounded to the feasible polytope, so the
                            biased value never undershoots the exact one
 
-GridDistance.coarsen turns a density slice into such a cloud; with
-max_points = n_nodes it keeps every node of positive mass. The ground cost
-is the Euclidean distance |x - y|, matching the d1 metric.
+GridDistance.coarsen turns a density slice into such a cloud, by block
+aggregation for every block size: each block's mass sits at the block's
+centre of mass, so at block size 1 (max_points >= n_nodes) every node of
+positive mass is a point. The ground cost is the Euclidean distance
+|x - y|, matching the d1 metric.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ SUPPORT_EPS = 1e-15
 LP_CANDIDATES = 8      # nearest partners per source and per sink, first LP
 LP_PRICING_TOL = 1e-9  # a pair enters once its reduced cost is below -tol
 SINKHORN_REG_FACTOR = 3e-3  # default entropic reg, times the grid diameter
-
-
-def _node_support(grid, values):
-    """(points, weights) of the node masses W * values, zero-mass nodes dropped."""
-    x1g, x2g = grid.meshgrid()
-    w = grid.cell_weights() * values
-    keep = w > SUPPORT_EPS * w.max()
-    pts = np.stack([x1g[keep], x2g[keep]], axis=1)
-    wt = w[keep]
-    return pts, wt / wt.sum()
 
 
 def _cost_matrix(xs, ys):
@@ -262,10 +254,9 @@ class GridDistance:
             self.block += 1
 
     def coarsen(self, values: np.ndarray):
-        """Aggregate node masses onto block representative points."""
+        """(points, weights) of the slice's block masses, each at its
+        block's centre of mass; blocks of no mass are dropped."""
         b = self.block
-        if b == 1:
-            return _node_support(self.grid, values)
         w = self.grid.cell_weights() * values
         n1, n2 = self.grid.shape
         k1, k2 = -(-n1 // b), -(-n2 // b)
@@ -299,11 +290,11 @@ class HolderEstimate:
     n_pairs: int
 
 
-def holder_halftime_estimate(path: DensityPath, distance=None) -> HolderEstimate:
-    """Time-Holder estimator for a density path over dyadic time pairs."""
+def holder_halftime_estimate(path: DensityPath) -> HolderEstimate:
+    """Time-Holder estimator for a density path over dyadic time pairs,
+    with the ``GridDistance`` of the path's grid."""
     nt = path.nt
-    if distance is None:
-        distance = GridDistance(path.grid).distance
+    distance = GridDistance(path.grid).distance
     pairs = []
     lag = 1
     while lag <= nt - 1:

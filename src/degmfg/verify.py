@@ -1,11 +1,13 @@
 """Named, runnable property checks on solved fields.
 
 Each estimator measures a regularity constant (spatial/temporal Lipschitz,
-directional semiconcavity, a.e. PDE residual) and the
+semiconcavity along node offsets, a.e. PDE residual) and the
 suite aggregates them into a machine-readable pass/fail report against
 config-visible thresholds. Sup-type estimators exclude a boundary frame
 (default 10% of each axis) because artificial-boundary effects are not part
-of the properties under test.
+of the properties under test. Every estimator reads node values only: the
+semiconcavity quotients step along the axes and the lattice diagonals
+(dx1, +-dx2), on square and non-square spacing alike.
 """
 
 from __future__ import annotations
@@ -17,17 +19,11 @@ import numpy as np
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigurationError
-from .grid import MASS_TOL, NEGATIVITY_TOL, DensityPath, Direction, Grid2D, \
-    Stencil, ValuePath
+from .grid import MASS_TOL, NEGATIVITY_TOL, DensityPath, Grid2D, ValuePath
 from .operators import DEFAULT_BOUNDARY_FRAME, check_boundary_frame, \
     interior_box, lipschitz_estimate, sup_norm
 
-AXES_AND_DIAGONALS = (
-    Direction(1.0, 0.0),
-    Direction(0.0, 1.0),
-    Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
-    Direction(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
-)
+AXES_AND_DIAGONALS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 def time_lipschitz_estimate(u: ValuePath, boundary_frame: float = 0.0) -> float:
@@ -36,71 +32,44 @@ def time_lipschitz_estimate(u: ValuePath, boundary_frame: float = 0.0) -> float:
     return sup_norm(np.diff(vals, axis=0)) / u.dt
 
 
-def _lattice_vector(eta: Direction, grid: Grid2D):
-    """Integer node offset (p, q) whose physical direction equals eta, if any.
-
-    Axes and (on square-spacing grids) diagonals align with the lattice, so
-    shifted samples are exact node values and the difference quotients carry
-    no interpolation error.
-    """
-    for p, q in ((1, 0), (-1, 0), (0, 1), (0, -1),
-                 (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        d = np.array([p * grid.dx1, q * grid.dx2])
-        d /= np.linalg.norm(d)
-        if abs(d[0] - eta.eta1) < 1e-12 and abs(d[1] - eta.eta2) < 1e-12:
-            return p, q
-    return None
-
-
-def _second_differences(v: np.ndarray, grid: Grid2D, eta: Direction):
-    """Yield (s, u(x + s eta) - 2 u(x) + u(x - s eta)) for s = j dx, j = 1, 2,
-    on the trailing (n1, n2) axes of ``v``, at the nodes x whose span
-    x +- 2 s eta stays inside the box.
-
-    Along the lattice the shifted samples are node values read by index
-    shift; along other directions they are read from the bilinear stencil.
-    """
-    flat = v.reshape(v.shape[:-2] + (-1,))
-    i1, i2 = np.indices(grid.shape).reshape(2, -1)
-    x = np.stack([grid.x1[i1], grid.x2[i2]], axis=1)
-    lo, hi = (grid.x1_min, grid.x2_min), (grid.x1_max, grid.x2_max)
-    lattice = _lattice_vector(eta, grid)
-    for j in (1, 2):
-        if lattice is not None:
-            p, q = lattice
-            s = j * math.hypot(p * grid.dx1, q * grid.dx2)
-            r1, r2 = 2 * j * abs(p), 2 * j * abs(q)
-            at = np.flatnonzero((i1 >= r1) & (i1 < grid.n1 - r1)
-                                & (i2 >= r2) & (i2 < grid.n2 - r2))
-            shift = j * (p * grid.n2 + q)
-            minus, plus = flat[..., at - shift], flat[..., at + shift]
-        else:
-            s = j * min(grid.dx1, grid.dx2)
-            step = s * eta.as_array()
-            ends = (x - 2 * step, x + 2 * step)
-            at = np.flatnonzero(np.all([(y >= lo) & (y <= hi) for y in ends],
-                                       axis=(0, 2)))
-            minus, plus = (Stencil(grid, x[at] + k * step).gather(flat)
-                           for k in (-1, 1))
-        if not at.size:
-            raise ConfigurationError(
-                "direction stencil leaves the domain everywhere")
-        yield s, plus - 2.0 * flat[..., at] + minus
-
-
-def semiconcavity_estimate(u: np.ndarray, grid: Grid2D, eta: Direction,
+def semiconcavity_estimate(u: np.ndarray, grid: Grid2D, offset: tuple,
                            boundary_frame: float = 0.0) -> float:
-    """Max centered second difference quotient along eta for s in {dx, 2dx},
-    of one slice or of every slice of a path.
+    """Max centered second difference quotient
+    (u(x + j h) - 2 u(x) + u(x - j h)) / |j h|^2 along the node offset
+    ``offset`` = (p, q), h = (p dx1, q dx2), for j = 1, 2, of one slice or
+    of every slice of a path.
+
+    The samples are node values read by index shift. Scale j reads the
+    nodes x whose span x +- 2 j h stays inside the frame; a scale that no
+    node fits is skipped, and an offset that no scale fits (fewer than 5
+    nodes inside the frame on an axis it moves along) raises.
 
     An upper bound C here certifies the one-sided inequality
     lam*u(x) + (1-lam)*u(y) - u(lam x + (1-lam) y) <= C lam (1-lam) |x-y|^2
-    along the sampled direction.
+    along h.
     """
     index, sub = interior_box(grid, boundary_frame)
     v = np.asarray(u)[index]
-    return max(float((d2 / s ** 2).max())
-               for s, d2 in _second_differences(v, sub, eta))
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    i1, i2 = np.indices(sub.shape).reshape(2, -1)
+    p, q = offset
+    quotients = []
+    for j in (1, 2):
+        r1, r2 = 2 * j * abs(p), 2 * j * abs(q)
+        at = np.flatnonzero((i1 >= r1) & (i1 < sub.n1 - r1)
+                            & (i2 >= r2) & (i2 < sub.n2 - r2))
+        if at.size:
+            shift = j * (p * sub.n2 + q)
+            d2 = flat[..., at + shift] - 2.0 * flat[..., at] \
+                + flat[..., at - shift]
+            s = j * math.hypot(p * sub.dx1, q * sub.dx2)
+            quotients.append(float((d2 / s ** 2).max()))
+    if not quotients:
+        raise ConfigurationError(
+            "semiconcavity along offset (%d, %d) needs at least 5 nodes per "
+            "axis inside the boundary frame, which leaves %d x %d"
+            % (p, q, sub.n1, sub.n2))
+    return max(quotients)
 
 
 @dataclass(frozen=True)
@@ -179,8 +148,8 @@ def property_checks(u: ValuePath, m: DensityPath, dyn: DynamicsSpec, coupling,
         tlip, th.time_lipschitz_max))
 
     sampled = u.values[::max(1, u.nt // 8)]
-    semi = max(semiconcavity_estimate(sampled, u.grid, eta, frame)
-               for eta in AXES_AND_DIAGONALS)
+    semi = max(semiconcavity_estimate(sampled, u.grid, offset, frame)
+               for offset in AXES_AND_DIAGONALS)
     results.append(PropertyResult(
         "semiconcavity", semi <= th.semiconcavity_max and math.isfinite(semi),
         semi, th.semiconcavity_max, "axes and diagonals, subsampled in time"))

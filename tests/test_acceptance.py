@@ -155,8 +155,9 @@ def test_criterion_04_uniform_semiconcavity(sweep):
         u = lv.solution.u
         sampled = u.values[::max(1, u.nt // 8)]
         estimates.append(max(
-            semiconcavity_estimate(sampled, u.grid, eta, boundary_frame=0.1)
-            for eta in AXES_AND_DIAGONALS))
+            semiconcavity_estimate(sampled, u.grid, offset,
+                                   boundary_frame=0.1)
+            for offset in AXES_AND_DIAGONALS))
     dev = _band_dev(estimates)
     ok = all(np.isfinite(estimates)) and dev < 0.3
     _report(4, "uniform semiconcavity across eps", ok,
@@ -200,13 +201,11 @@ def test_criterion_05_vanishing_viscosity(sweep):
 
 def test_criterion_06_w1_holder_in_time(sweep):
     _, res = sweep
-    gd = GridDistance(res.levels[0].solution.m.grid)
     ratios, slopes = [], []
     for lv in res.levels:
         if lv.epsilon == 0.0:
             continue
-        est = holder_halftime_estimate(lv.solution.m,
-                                       distance=gd.distance)
+        est = holder_halftime_estimate(lv.solution.m)
         ratios.append(est.max_ratio)
         slopes.append(est.slope)
     dev = _band_dev(ratios)

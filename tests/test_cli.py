@@ -16,6 +16,7 @@ from degmfg import io as dio
 from degmfg.cli import EXIT_CONFIG, EXIT_OK, main
 from degmfg.config import load_config, serialize_config
 from degmfg.grid import truncated_gaussian
+from degmfg.measures import GridDistance, wasserstein1_points
 from references import centered_flux_fpe, default_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -166,6 +167,26 @@ class TestSolveAndVerify:
         assert set(printed) >= {"epsilon", "lp_residual"}
         assert set(summary["timings"]) == {"solve_mfg", "save_run",
                                            "mc_validate", "verify"}
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_run_on_the_smallest_grids(self, tmp_path, capsys, n):
+        # the start point of the MC check stays on the grid; semiconcavity
+        # needs 5 nodes per axis inside the 10% frame, which leaves 4 at
+        # n = 4 and n = 6
+        cfg = load_config(ZERO_CFG)
+        cfg = replace(cfg, grid=replace(cfg.grid, n1=n, n2=n))
+        config = tmp_path / "config.json"
+        config.write_text(serialize_config(cfg))
+        out = str(tmp_path / "run")
+        code = main(["run", "--config", str(config), "--out", out])
+        if n in (4, 6):
+            assert code == EXIT_CONFIG
+            assert "needs at least 5 nodes per axis inside the boundary " \
+                "frame, which leaves 4 x 4" in capsys.readouterr().err
+        else:
+            assert code == EXIT_OK
+            assert dio.read_json(os.path.join(out, "run_summary.json"))[
+                "all_passed"]
 
     def test_solve_mfg_summary_file_is_what_it_prints(self, tmp_path, capsys):
         # the mesh lives in config.json alone: summary.json adds nothing
@@ -319,30 +340,18 @@ class TestSolveAndVerify:
         assert u2.values.tobytes() == u.values.tobytes()
         assert m2.values.tobytes() == m.values.tobytes()
 
-    @pytest.mark.parametrize("summary, code, message", [
-        ({"nt": 33}, EXIT_OK, ""),  # no dt: the mesh is config.json's
-        ({"dt": "abc"}, EXIT_OK, ""),
-        ([1], EXIT_OK, ""),  # not an object: never read, so not an error
-        ({"validate_density": "no"}, EXIT_OK, "")],
-        ids=("no-dt", "text-dt", "list", "text-validate-density"))
-    def test_verify_reads_only_validate_density_from_the_summary(
-            self, tmp_path, capsys, hjb_run, summary, code, message):
-        run = str(tmp_path / "run")
-        shutil.copytree(hjb_run, run)
-        dio.write_json(os.path.join(run, "summary.json"), summary)
-        assert main(["verify", "--run", run]) == code
-        assert message in capsys.readouterr().err
-
     def test_verify_does_not_read_the_summary(self, tmp_path, capsys,
                                               hjb_run):
         # the same exit code and report whether summary.json is missing,
-        # is not an object, is not JSON or holds any keys at all
+        # is not an object, is not JSON or holds any keys at all: the mesh
+        # is config.json's, so a summary without dt or with a text dt too
         run = str(tmp_path / "run")
         shutil.copytree(hjb_run, run)
         summary = os.path.join(run, "summary.json")
         outcomes = []
         for text in (None, "[1]", "not json {", '{"validate_density": "no"}',
-                     '{"validate_density": false, "nt": 3}'):
+                     '{"validate_density": false, "nt": 3}', '{"nt": 33}',
+                     '{"dt": "abc"}'):
             if text is None:
                 os.remove(summary)
             else:
@@ -516,6 +525,34 @@ class TestSmallTools:
         assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
         exact = float(capsys.readouterr().out)
         assert abs(exact - 0.407061697866) <= 1e-9
+
+    def test_w1_coarsens_each_field_on_its_own_grid(self, tmp_path, capsys):
+        # a field and its translate by (5, 5): the same values on a shifted
+        # box are 5 sqrt(2) apart, not 0
+        grid = default_grid(n1=16, n2=16)
+        shifted = dgrid.Grid2D(0.0, 10.0, 0.0, 10.0, 16, 16)
+        values = truncated_gaussian(grid).values
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        dio.write_fields([a], grid, [values])
+        dio.write_fields([b], shifted, [values])
+        assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
+        assert abs(float(capsys.readouterr().out) - 5.0 * np.sqrt(2.0)) \
+            <= 1e-5
+
+    def test_w1_between_grids_of_different_sizes(self, tmp_path, capsys):
+        # 16^2 nodes keep block size 1, 20^2 take block size 2 at the
+        # default 320 points: each side is coarsened on its own grid
+        fine = default_grid(n1=20, n2=20)
+        coarse = default_grid(n1=16, n2=16)
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        dio.write_fields([a], coarse, [truncated_gaussian(coarse).values])
+        dio.write_fields([b], fine, [truncated_gaussian(fine).values])
+        assert main(["w1", "--a", a, "--b", b]) == EXIT_OK
+        ref = wasserstein1_points(
+            *GridDistance(coarse).coarsen(truncated_gaussian(coarse).values),
+            *GridDistance(fine).coarsen(truncated_gaussian(fine).values))
+        assert capsys.readouterr().out == "%.12g\n" % ref
+        assert 0.0 < ref < 0.5
 
     @pytest.mark.parametrize("argv, message", [
         (["--reg", "0.1"], "--reg is read only with --sinkhorn"),

@@ -2,7 +2,8 @@
 reads another's private names, only ``measures`` imports from a private
 scipy module (the HiGHS bindings), no call in the package admits a density
 path unvalidated, every public name is reached by the package, its scripts
-or its benchmark, and start-up loads only the runtime dependencies.
+or its benchmark, every defaulted parameter of a public function is passed
+by one of them, and start-up loads only the runtime dependencies.
 
 No linter ships with the project, so these AST scans are the check. An
 import kept on purpose carries ``# noqa: F401`` on its line.
@@ -229,6 +230,99 @@ def test_every_public_name_is_reached_outside_the_tests():
                 _sources(os.path.join(ROOT, "bench")).values()]
     names = unreached(_sources(SRC), readers)
     assert names == [], "reached only by the tests: %s" % ", ".join(names)
+
+
+def _defaulted(fn, method):
+    """(name, position) of each parameter of ``fn`` with a default; the
+    position counts the arguments a call passes (self excluded) and is
+    None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - method) for i, a in enumerate(positional)
+           if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unpassed_defaults(modules: dict, callers: list) -> list:
+    """The "module.name(param)" of each defaulted parameter of a public
+    function or method of ``modules`` (module name -> source) that no call
+    in ``modules`` or ``callers`` (sources) passes, by keyword or by
+    position. A call reaches every def of the name it calls, ``f(...)``
+    and ``obj.f(...)`` alike; ``Cls(...)`` reaches ``Cls.__init__``. A call
+    with ``*args`` or ``**kwargs`` may pass anything."""
+    calls = collections.defaultdict(list)
+    for source in list(modules.values()) + callers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call) and isinstance(n.func,
+                                                      (ast.Name, ast.Attribute)):
+                name = getattr(n.func, "id", None) or n.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in n.args) \
+                    or any(kw.arg is None for kw in n.keywords)
+                calls[name].append((len(n.args), starred,
+                                    {kw.arg for kw in n.keywords}))
+    found = []
+    for mod, source in modules.items():
+        for qualname, node in _public_defs(ast.parse(source)):
+            defs = [(qualname, node.name, node, 0)]
+            if isinstance(node, ast.ClassDef):
+                defs = [("%s.__init__" % qualname, node.name, m, 1)
+                        for m in node.body if isinstance(m, ast.FunctionDef)
+                        and m.name == "__init__"]
+            elif "." in qualname:
+                defs = [(qualname, node.name, node, 1)]
+            for label, name, fn, method in defs:
+                found += ["%s.%s(%s)" % (mod, label, param)
+                          for param, at in _defaulted(fn, method)
+                          if not any(starred or param in keywords
+                                     or (at is not None and n_args > at)
+                                     for n_args, starred, keywords
+                                     in calls[name])]
+    return sorted(found)
+
+
+def test_scan_finds_an_unpassed_default():
+    lib = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+           "def _hidden(a=1):\n    pass\n\n"
+           "class Box:\n    def __init__(self, size=1, fill=0):\n"
+           "        pass\n\n    def put(self, x, where=None):\n"
+           "        pass\n\n    def _drop(self, x=0):\n        pass\n\n"
+           "def g(x=0):\n    pass\n")
+    caller = ("f(0, 1, d=2)\nBox(fill=3).put(1)\nobj.put(1, 2)\n"
+              "g(*args)\n")
+    assert unpassed_defaults({"lib": lib}, [caller]) == [
+        "lib.Box.__init__(size)", "lib.f(c)", "lib.f(e)"]
+    assert unpassed_defaults({"lib": lib}, []) == [
+        "lib.Box.__init__(fill)", "lib.Box.__init__(size)",
+        "lib.Box.put(where)", "lib.f(b)", "lib.f(c)", "lib.f(d)", "lib.f(e)",
+        "lib.g(x)"]
+
+
+# defaulted parameters that no call in the package, its scripts or its
+# benchmark passes, each kept for a reader outside them
+KEPT_DEFAULTS = {
+    "measures.sinkhorn_points(iters)":
+        "criterion 13 runs the solver at fixed settings (ROADMAP item 8)",
+    "measures.sinkhorn_points(tol)":
+        "criterion 13 runs the solver at fixed settings (ROADMAP item 8)",
+    "fixed_point.picard_solve(initial_path)":
+        "criterion 12 starts a run from another path; ROADMAP item 6 "
+        "warm-starts the sweep with it",
+    "verify.ae_residual_report(tol)":
+        "the refinement test compares levels at one common tolerance",
+}
+
+
+def test_every_default_is_passed_outside_the_tests():
+    # a default that no caller overrides is a knob that nothing reads
+    callers = list(_sources(os.path.join(ROOT, "scripts")).values())
+    callers += list(_sources(os.path.join(ROOT, "bench")).values())
+    found = unpassed_defaults(_sources(SRC), callers)
+    assert found == sorted(KEPT_DEFAULTS), \
+        "defaults passed only by the tests: %s" % ", ".join(
+            sorted(set(found) - set(KEPT_DEFAULTS)))
 
 
 def test_runtime_dependencies_are_numpy_and_scipy():

@@ -259,11 +259,3 @@ class TestDynamicsChecks:
         # vanishes faster than any polynomial near 0
         x = np.array([0.05, 0.1, 0.2])
         assert np.all(grushin_h(x) < x ** 8)
-
-    def test_direction_unit_invariant(self):
-        from degmfg.grid import Direction
-        Direction(1.0, 0.0)
-        s = 1 / np.sqrt(2)
-        Direction(s, s)
-        with pytest.raises(ConfigurationError):
-            Direction(1.0, 1.0)

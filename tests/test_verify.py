@@ -10,8 +10,7 @@ from degmfg.coupling import builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
-from degmfg.grid import Direction, Grid2D, ScalarField, ValuePath, \
-    truncated_gaussian
+from degmfg.grid import Grid2D, ScalarField, ValuePath, truncated_gaussian
 from degmfg.hjb import HjbConfig, solve_hjb_backward
 from degmfg.operators import interior_box
 from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
@@ -21,7 +20,7 @@ from degmfg.verify import (AXES_AND_DIAGONALS, ae_residual_report,
 from references import centered_flux_fpe, const_coupling, constant_path, \
     default_grid, uniform_density
 
-DIAG = Direction(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+DIAG = (1, 1)
 
 
 def _field(grid, fn):
@@ -61,43 +60,21 @@ class TestTimeLipschitz:
 class TestSemiconcavity:
     def test_negative_quadratic_every_direction(self):
         u = _field(default_grid(3.0, 32, 32), lambda x1, x2: -(x1 ** 2 + x2 ** 2))
-        for eta in AXES_AND_DIAGONALS:
-            est = semiconcavity_estimate(u.values, u.grid, eta)
-            assert abs(est - (-2.0)) < 1e-10  # exact for lattice-aligned eta
+        for offset in AXES_AND_DIAGONALS:
+            est = semiconcavity_estimate(u.values, u.grid, offset)
+            assert abs(est - (-2.0)) < 1e-10  # node values: exact
 
     def test_linear_is_zero(self):
         u = _field(default_grid(3.0, 32, 32), lambda x1, x2: 2.0 * x1 - x2)
-        for eta in AXES_AND_DIAGONALS:
-            assert abs(semiconcavity_estimate(u.values, u.grid, eta)) < 1e-12
+        for offset in AXES_AND_DIAGONALS:
+            assert abs(semiconcavity_estimate(u.values, u.grid, offset)) \
+                < 1e-12
 
     def test_mixed_quadratic_directional(self):
         # u = x1*x2: second derivative along (1,1)/sqrt(2) is +1, along axes 0
         u = _field(default_grid(3.0, 32, 32), lambda x1, x2: x1 * x2)
         assert abs(semiconcavity_estimate(u.values, u.grid, DIAG) - 1.0) < 1e-10
-        assert abs(semiconcavity_estimate(u.values, u.grid,
-                                          Direction(1.0, 0.0))) < 1e-12
-
-
-def _rgi_semiconcavity(u, eta):
-    """The estimate as it was computed off the node lattice: five samples
-    x + k s eta, k = -2..2, read with scipy's RegularGridInterpolator at the
-    nodes where all five lie in the box."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    g = u.grid
-    interp = RegularGridInterpolator((g.x1, g.x2), u.values, method="linear")
-    x1g, x2g = g.meshgrid()
-    pts = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
-    best = -math.inf
-    for j in (1, 2):
-        s = j * min(g.dx1, g.dx2)
-        shifted = [pts + k * s * eta.as_array() for k in (-2, -1, 0, 1, 2)]
-        mask = np.logical_and.reduce(
-            [(y[:, 0] >= g.x1_min) & (y[:, 0] <= g.x1_max)
-             & (y[:, 1] >= g.x2_min) & (y[:, 1] <= g.x2_max) for y in shifted])
-        _, m1, c, p1, _ = [interp(y[mask]) for y in shifted]
-        best = max(best, float(((p1 - 2.0 * c + m1) / s ** 2).max()))
-    return best
+        assert abs(semiconcavity_estimate(u.values, u.grid, (1, 0))) < 1e-12
 
 
 def _rough_path(grid, nt, seed):
@@ -106,8 +83,6 @@ def _rough_path(grid, nt, seed):
     return vals / np.abs(vals).max()
 
 
-OFF_LATTICE = (DIAG, Direction(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
-               Direction(math.cos(0.3), math.sin(0.3)))
 NON_SQUARE = (Grid2D(-3.0, 2.0, -1.5, 2.5, 41, 23),
               Grid2D(-5.0, 5.0, -5.0, 5.0, 40, 64),
               Grid2D(0.0, 1.0, -2.0, 2.0, 17, 33))
@@ -118,24 +93,24 @@ class TestSemiconcavityOnPaths:
     @pytest.mark.parametrize("frame", [0.0, 0.1])
     def test_path_estimate_is_the_max_over_slices(self, grid, frame):
         vals = _rough_path(grid, 5, 3)
-        for eta in AXES_AND_DIAGONALS + OFF_LATTICE[2:]:
-            per_slice = [semiconcavity_estimate(v, grid, eta, frame)
+        for offset in AXES_AND_DIAGONALS:
+            per_slice = [semiconcavity_estimate(v, grid, offset, frame)
                          for v in vals]
-            assert semiconcavity_estimate(vals, grid, eta, frame) \
+            assert semiconcavity_estimate(vals, grid, offset, frame) \
                 == max(per_slice)
 
     @pytest.mark.parametrize("grid", NON_SQUARE)
-    def test_off_lattice_matches_the_interpolator_route(self, grid):
-        for seed in (4, 5):
-            u = ScalarField(grid, _rough_path(grid, 1, seed)[0])
-            for eta in OFF_LATTICE:
-                ref = _rgi_semiconcavity(u, eta)
-                est = semiconcavity_estimate(u.values, grid, eta)
-                assert abs(est - ref) <= 1e-13 * abs(ref)
+    def test_lattice_diagonals_are_exact_on_non_square_grids(self, grid):
+        # |x|^2 has second difference 2|h|^2 along every step h; node
+        # values carry no interpolation error, so every offset reads 2
+        u = _field(grid, lambda x1, x2: x1 ** 2 + x2 ** 2)
+        for offset in AXES_AND_DIAGONALS:
+            assert abs(semiconcavity_estimate(u.values, grid, offset) - 2.0) \
+                <= 1e-9
 
     def test_lattice_directions_read_node_values(self):
-        # on a square grid the diagonals align with the lattice: the
-        # estimate is the node-value quotient, bit for bit
+        # the diagonal offset reads node values: the estimate is the
+        # node-value quotient, bit for bit
         grid = default_grid(3.0, 24, 24)
         v = _rough_path(grid, 1, 6)[0]
         s = math.hypot(grid.dx1, grid.dx2)
@@ -148,9 +123,32 @@ class TestSemiconcavityOnPaths:
 
     def test_direction_leaving_the_box_everywhere(self):
         grid = Grid2D(0.0, 1.0, 0.0, 0.01, 8, 4)
-        with pytest.raises(ConfigurationError,
-                           match="direction stencil leaves the domain"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "semiconcavity along offset (1, 1) needs at least 5 nodes "
+                "per axis inside the boundary frame, which leaves 8 x 4")):
             semiconcavity_estimate(np.zeros(grid.shape), grid, DIAG)
+        # along x1 the 8 nodes fit the scale j = 1
+        assert semiconcavity_estimate(np.zeros(grid.shape), grid, (1, 0)) \
+            == 0.0
+
+    @pytest.mark.parametrize("n", [5, 8, 9])
+    def test_only_the_scales_that_fit_are_read(self, n):
+        # j = 2 needs 9 nodes on an axis the offset moves along, j = 1
+        # needs 5; below 9 only j = 1 is read
+        grid = default_grid(3.0, n, n)
+        v = _rough_path(grid, 1, 8)[0]
+        for p, q in AXES_AND_DIAGONALS:
+            s = math.hypot(p * grid.dx1, q * grid.dx2)
+            ref = []
+            for j in (1, 2) if n >= 9 else (1,):
+                r1, r2 = 2 * j * abs(p), 2 * j * abs(q)
+                c = v[r1:n - r1, r2:n - r2]
+                plus = v[r1 + j * p:n - r1 + j * p, r2 + j * q:n - r2 + j * q]
+                minus = v[r1 - j * p:n - r1 - j * p,
+                          r2 - j * q:n - r2 - j * q]
+                ref.append(float(((plus - 2.0 * c + minus)
+                                  / (j * s) ** 2).max()))
+            assert semiconcavity_estimate(v, grid, (p, q)) == max(ref)
 
 
 class TestRestrictionMonotonicity:
@@ -163,9 +161,9 @@ class TestRestrictionMonotonicity:
         for frame in (0.1, 0.2):
             assert (lipschitz_estimate(u.values, grid, frame)
                     <= lipschitz_estimate(u.values, grid) + 1e-14)
-            for eta in AXES_AND_DIAGONALS:
-                assert (semiconcavity_estimate(vals, grid, eta, frame)
-                        <= semiconcavity_estimate(vals, grid, eta) + 1e-14)
+            for offset in AXES_AND_DIAGONALS:
+                assert (semiconcavity_estimate(vals, grid, offset, frame)
+                        <= semiconcavity_estimate(vals, grid, offset) + 1e-14)
 
     def test_frame_bounds_validated(self):
         u = _field(default_grid(3.0, 32, 32), lambda x1, x2: x1)
