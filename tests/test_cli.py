@@ -340,6 +340,20 @@ class TestSolveAndVerify:
         assert u2.values.tobytes() == u.values.tobytes()
         assert m2.values.tobytes() == m.values.tobytes()
 
+    @pytest.mark.parametrize("summary, code, message", [
+        ({"nt": 33}, EXIT_OK, ""),  # no dt: the mesh is config.json's
+        ({"dt": "abc"}, EXIT_OK, ""),
+        ([1], EXIT_OK, ""),  # not an object: never read, so not an error
+        ({"validate_density": "no"}, EXIT_OK, "")],
+        ids=("no-dt", "text-dt", "list", "text-validate-density"))
+    def test_verify_reads_only_validate_density_from_the_summary(
+            self, tmp_path, capsys, hjb_run, summary, code, message):
+        run = str(tmp_path / "run")
+        shutil.copytree(hjb_run, run)
+        dio.write_json(os.path.join(run, "summary.json"), summary)
+        assert main(["verify", "--run", run]) == code
+        assert message in capsys.readouterr().err
+
     def test_verify_does_not_read_the_summary(self, tmp_path, capsys,
                                               hjb_run):
         # the same exit code and report whether summary.json is missing,

@@ -77,6 +77,33 @@ class TestSemiconcavity:
         assert abs(semiconcavity_estimate(u.values, u.grid, (1, 0))) < 1e-12
 
 
+def _rgi_semiconcavity(u, offset):
+    """The estimate read off the node lattice: five samples x + k j h,
+    k = -2..2, h = (p dx1, q dx2), read with scipy's linear
+    RegularGridInterpolator at the nodes where all five lie in the box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    g = u.grid
+    interp = RegularGridInterpolator((g.x1, g.x2), u.values, method="linear")
+    x1g, x2g = g.meshgrid()
+    pts = np.stack([x1g.ravel(), x2g.ravel()], axis=1)
+    h = np.array([offset[0] * g.dx1, offset[1] * g.dx2])
+    tol = 0.5 * min(g.dx1, g.dx2)
+    best = -math.inf
+    for j in (1, 2):
+        shifted = [pts + k * j * h for k in (-2, -1, 0, 1, 2)]
+        mask = np.logical_and.reduce(
+            [(y[:, 0] >= g.x1_min - tol) & (y[:, 0] <= g.x1_max + tol)
+             & (y[:, 1] >= g.x2_min - tol) & (y[:, 1] <= g.x2_max + tol)
+             for y in shifted])
+        samples = [np.clip(y[mask], [g.x1_min, g.x2_min],
+                           [g.x1_max, g.x2_max]) for y in shifted]
+        _, m1, c, p1, _ = [interp(y) for y in samples]
+        s = j * float(np.hypot(*h))
+        best = max(best, float(((p1 - 2.0 * c + m1) / s ** 2).max()))
+    return best
+
+
 def _rough_path(grid, nt, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(nt,) + grid.shape).cumsum(axis=1).cumsum(axis=2)
@@ -98,6 +125,17 @@ class TestSemiconcavityOnPaths:
                          for v in vals]
             assert semiconcavity_estimate(vals, grid, offset, frame) \
                 == max(per_slice)
+
+    @pytest.mark.parametrize("grid", NON_SQUARE)
+    def test_off_lattice_matches_the_interpolator_route(self, grid):
+        # an interpolator read at the coordinates x + k j h lands on nodes,
+        # so it agrees with the index-shift route up to coordinate rounding
+        for seed in (4, 5):
+            u = ScalarField(grid, _rough_path(grid, 1, seed)[0])
+            for offset in AXES_AND_DIAGONALS:
+                ref = _rgi_semiconcavity(u, offset)
+                est = semiconcavity_estimate(u.values, grid, offset)
+                assert abs(est - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("grid", NON_SQUARE)
     def test_lattice_diagonals_are_exact_on_non_square_grids(self, grid):
