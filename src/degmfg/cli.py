@@ -263,8 +263,9 @@ def _cmd_run(args) -> int:
 
     t0 = time.monotonic()
     grid = sol.u.grid
-    x0 = (grid.x1[min(grid.n1 // 2 + 2, grid.n1 - 1)],
-          grid.x2[grid.n2 // 2 - 2])
+    # off centre, clamped to the interior nodes 1..n-2: never on a wall
+    x0 = (grid.x1[min(grid.n1 // 2 + 2, grid.n1 - 2)],
+          grid.x2[max(grid.n2 // 2 - 2, 1)])
     mc_summary = _mc_summary(cfg, sol, x0, 0.0)
     timings["mc_validate"] = time.monotonic() - t0
 

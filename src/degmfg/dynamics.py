@@ -51,11 +51,10 @@ class DynamicsSpec:
 
 def grushin_h(x1):
     """h(x) = exp(-1/x^2) for x != 0, h(0) = 0; vanishes to any order at 0."""
-    x1 = np.asarray(x1, dtype=float)
-    out = np.zeros_like(x1)
-    nz = x1 != 0.0
-    out[nz] = np.exp(-1.0 / x1[nz] ** 2)
-    return out
+    # -1/x^2 is -inf where x^2 is 0 (divide) or subnormal (overflow), and
+    # exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(-1.0 / np.asarray(x1, dtype=float) ** 2)
 
 
 def _const(c):

@@ -6,13 +6,17 @@ degenerate gradient of u, bilinear in space and linear in time; diffusion
 diag(sqrt(2*eps + sigma_i^2)). Paths reflect at the box boundary, mirroring
 the Neumann truncation of the PDE solvers. Each step builds one bilinear
 ``grid.Stencil`` of the particle positions and gathers every grid field
-from it: both feedback components at both time slices and, for value
-estimates, the running cost. A particle block holds one step, never a
-trajectory: the kernel reports each step's positions to a visitor and
-returns the final positions. Randomness is counter-based: each block of
-particles draws from its own Philox stream keyed by (seed, block index),
-one (block, 2) array of normals per step, so ensembles are bit-identical
-regardless of scheduling, and sums use numpy's pairwise reduction.
+from it: both feedback components and, for value estimates, the running
+cost, each at the two time slices around the step's time, or at the one
+slice when the step falls on a mesh time (every step when dt_sde = dt).
+The kernel holds positions for one step, never a trajectory: it reports
+each step's positions to a visitor and returns the final positions. A
+step advances a chunk of up to CHUNK_BLOCKS particle blocks as one set of
+arrays. Randomness is counter-based: each block of particles draws from
+its own Philox stream keyed by (seed, block index), one (block, 2) array
+of normals per step into its rows of the chunk's noise, so ensembles are
+bit-identical whatever the chunking, and sums use numpy's pairwise
+reduction.
 
 The empirical density is a product-kernel Gaussian KDE with Silverman's
 per-axis bandwidths: the 2-D kernel factors over the axes, so the estimate
@@ -34,6 +38,7 @@ from .grid import DensityField, DensityPath, Grid2D, Stencil, ValuePath, \
 from .operators import degenerate_gradient
 
 PARTICLE_BLOCK = 4096
+CHUNK_BLOCKS = 16  # blocks one step advances together: 65 536 particles
 SEED_LIMIT = 2 ** 44  # a block's Philox key is seed * 2**20 + block, in 64 bits
 MC_SLACK = 0.05  # absolute slack of the Monte Carlo pass rule (discretization bias)
 
@@ -84,17 +89,20 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Fold positions back into [lo, hi] by mirror reflection; the offset
-    x - lo is reduced modulo 2 span only where it lies outside [0, 2 span)."""
+    x - lo is reduced modulo 2 span only where it lies outside [0, 2 span).
+    When no offset left [0, span] neither the modulo nor the mirror runs,
+    and the result is the same lo + (x - lo)."""
     span = hi - lo
     y = x - lo
-    np.mod(y, 2.0 * span, out=y, where=(y < 0.0) | (y >= 2.0 * span))
-    y = np.where(y > span, 2.0 * span - y, y)
+    if y.min() < 0.0 or y.max() > span:
+        np.mod(y, 2.0 * span, out=y, where=(y < 0.0) | (y >= 2.0 * span))
+        y = np.where(y > span, 2.0 * span - y, y)
     return lo + y
 
 
 class _SlicedField:
     """A stack of grid slices on the time mesh: bilinear in space, linear in
-    time."""
+    time. At a mesh time only that one slice is read."""
 
     def __init__(self, dt: float, slices: np.ndarray):
         self.dt = dt
@@ -105,6 +113,8 @@ class _SlicedField:
         s = min(max(t / self.dt, 0.0), self.nt - 1.0)
         k = min(int(s), self.nt - 2)
         w = s - k
+        if w == 0.0:
+            return stencil.gather(self.flat[k])
         return ((1 - w) * stencil.gather(self.flat[k])
                 + w * stencil.gather(self.flat[k + 1]))
 
@@ -134,9 +144,13 @@ def step_count(T: float, dt: float, x0, t0: float, cfg: EnsembleConfig) -> int:
         raise ConfigurationError("t0 must lie in [0, T)")
     cfg.check_step(dt)
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2 and x0.shape != (cfg.n_particles, 2):
+    if x0.shape not in ((2,), (cfg.n_particles, 2)):
         raise ConfigurationError(
-            "array x0 must have shape (n_particles, 2)")
+            "x0 must be a point of shape (2,) or an array of shape "
+            "(n_particles, 2) = (%d, 2), got shape %s"
+            % (cfg.n_particles, x0.shape))
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError("x0 contains non-finite values")
     n = (T - t0) / cfg.dt_sde
     n_steps = int(round(n))
     if n_steps < 1 or abs(n - n_steps) > 1e-9:
@@ -153,42 +167,56 @@ def _euler_maruyama(dyn: DynamicsSpec, u_path: ValuePath, x0, t0: float,
 
     Particles run in blocks of PARTICLE_BLOCK, block ``b`` on the Philox
     stream keyed by (seed, b), which yields the block's (nb, 2) normals
-    step by step. Before every step the kernel calls
-    ``visit(lo, hi, step, t, x, alpha1, alpha2, *values)`` with the block's
-    particle range, the positions, the feedback there and the values there
-    of each ``_SlicedField`` in ``fields``, all read from one stencil.
+    step by step. Each step advances a chunk of up to CHUNK_BLOCKS blocks
+    as one set of arrays, each block's normals drawn into its own rows of
+    the chunk's noise buffer, so the draws are those of a block run alone.
+    Before every step the kernel calls
+    ``visit(lo, hi, step, t, x, alpha1, alpha2, *values)`` with the chunk's
+    particle range, the (hi - lo, 2) positions, the feedback there and the
+    values there of each ``_SlicedField`` in ``fields``, all read from one
+    stencil; no array handed to ``visit`` is written afterwards.
     Returns the final positions, shape (n_particles, 2).
     """
     grid = u_path.grid
     # the feedback -(p1, p2), negated in place: two path-sized arrays
     alpha1, alpha2 = (_SlicedField(u_path.dt, np.negative(p, out=p))
                       for p in degenerate_gradient(u_path.values, grid, dyn))
-    sq_dt = math.sqrt(cfg.dt_sde)
+    dt, sq_dt = cfg.dt_sde, math.sqrt(cfg.dt_sde)
     x0 = np.asarray(x0, dtype=float)
-    final = np.empty((cfg.n_particles, 2))
-    n_blocks = -(-cfg.n_particles // PARTICLE_BLOCK)
-    for blk in range(n_blocks):
-        lo = blk * PARTICLE_BLOCK
-        hi = min(lo + PARTICLE_BLOCK, cfg.n_particles)
-        nb = hi - lo
-        rng = _block_generator(cfg.seed, blk)
-        x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
+    n = cfg.n_particles
+    final = np.empty((n, 2))
+    n_blocks = -(-n // PARTICLE_BLOCK)
+    for first in range(0, n_blocks, CHUNK_BLOCKS):
+        blocks = range(first, min(first + CHUNK_BLOCKS, n_blocks))
+        lo = first * PARTICLE_BLOCK
+        hi = min(blocks.stop * PARTICLE_BLOCK, n)
+        draws = [(_block_generator(cfg.seed, b),
+                  slice(b * PARTICLE_BLOCK - lo,
+                        min((b + 1) * PARTICLE_BLOCK, n) - lo))
+                 for b in blocks]
+        noise = np.empty((hi - lo, 2))
+        x = np.empty((2, hi - lo))  # one contiguous row per coordinate
+        x[:] = x0[:, None] if x0.ndim == 1 else x0[lo:hi].T
         for step in range(n_steps):
-            t = t0 + step * cfg.dt_sde
-            st = Stencil(grid, x)
+            t = t0 + step * dt
+            st = Stencil(grid, x.T)
             a1, a2 = alpha1.gather(st, t), alpha2.gather(st, t)
-            visit(lo, hi, step, t, x, a1, a2,
+            visit(lo, hi, step, t, x.T, a1, a2,
                   *(f.gather(st, t) for f in fields))
-            hx = dyn.h_values(x[:, 0])
-            s1 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma1_sq(x[:, 0], x[:, 1]))
-            s2 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma2_sq(x[:, 0], x[:, 1]))
-            noise = rng.standard_normal((nb, 2))
-            x = x + np.stack([a1, a2 * hx], axis=1) * cfg.dt_sde \
-                + np.stack([s1 * noise[:, 0], s2 * noise[:, 1]],
-                           axis=1) * sq_dt
-            x[:, 0] = _reflect(x[:, 0], grid.x1_min, grid.x1_max)
-            x[:, 1] = _reflect(x[:, 1], grid.x2_min, grid.x2_max)
-        final[lo:hi] = x
+            s1 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma1_sq(x[0], x[1]))
+            s2 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma2_sq(x[0], x[1]))
+            for rng, rows in draws:
+                rng.standard_normal(out=noise[rows])
+            moved = np.empty_like(x)
+            moved[0] = _reflect(x[0] + a1 * dt + s1 * noise[:, 0] * sq_dt,
+                                grid.x1_min, grid.x1_max)
+            moved[1] = _reflect(
+                x[1] + a2 * dyn.h_values(x[0]) * dt + s2 * noise[:, 1] * sq_dt,
+                grid.x2_min, grid.x2_max)
+            x = moved
+            # the chunk's peak is a stencil build: free this step's arrays
+            del st, a1, a2, s1, s2
+        final[lo:hi] = x.T
     return final
 
 

@@ -1,10 +1,12 @@
 """What the tests share and compare the package against, none of it on a
 command's path: grid, path and coupling fixtures, the exact W1 on node
 supports, particle trajectories, and independent references (one-sided
-differences, Hopf-Lax, a min-cost-flow W1, the only user of networkx, the
-transport LP through scipy's linprog, a C^2 check of the dynamics, the KDE
-bandwidth), and the negative control of the FPE march: the same step with
-a centered flux."""
+differences, Hopf-Lax, the per-block Euler-Maruyama kernel, a
+min-cost-flow W1, the only user of networkx, the transport LP through
+scipy's linprog, a C^2 check of the dynamics, the KDE bandwidth), and the
+negative control of the FPE march: the same step with a centered flux."""
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -14,9 +16,11 @@ from degmfg import sde
 from degmfg.coupling import CouplingSpec
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import flux_transpose
-from degmfg.grid import DensityField, DensityPath, Grid2D, ScalarField
+from degmfg.grid import DensityField, DensityPath, Grid2D, ScalarField, \
+    Stencil
 from degmfg.hjb import check_cfl, implicit_diffusion, upwind_slopes
 from degmfg.measures import GridDistance, _cost_matrix, wasserstein1_points
+from degmfg.operators import degenerate_gradient
 
 
 def default_grid(box_half_width=5.0, n1=64, n2=64):
@@ -181,6 +185,63 @@ def check_regularity(dyn, grid, bound=1e6):
 def kde_bandwidth(pts):
     """The Silverman bandwidth scale used by empirical_density (max axis)."""
     return float(np.max(sde._silverman(pts)))
+
+
+def reflect_full_modulo(x, lo, hi):
+    """Mirror reflection into [lo, hi] with the modulo applied to every
+    coordinate."""
+    span = hi - lo
+    y = np.mod(x - lo, 2.0 * span)
+    y = np.where(y > span, 2.0 * span - y, y)
+    return lo + y
+
+
+def per_block_euler_maruyama(dyn, u_path, x0, t0, cfg, n_steps, visit,
+                             fields=()):
+    """The reference of ``sde._euler_maruyama``: one PARTICLE_BLOCK block at
+    a time, all its steps before the next block, each step reading both
+    time slices of every field and stacking the (nb, 2) update. Calls
+    ``visit`` once per block and step; returns the final positions."""
+    grid = u_path.grid
+
+    def in_time(flat):  # (nt, n_nodes) slices, linear in time
+        def at(st, t):
+            s = min(max(t / u_path.dt, 0.0), len(flat) - 1.0)
+            k = min(int(s), len(flat) - 2)
+            w = s - k
+            return (1 - w) * st.gather(flat[k]) + w * st.gather(flat[k + 1])
+        return at
+
+    alpha1, alpha2 = (in_time(-p.reshape(len(p), -1)) for p in
+                      degenerate_gradient(u_path.values, grid, dyn))
+    values = [in_time(f.flat) for f in fields]
+    sq_dt = math.sqrt(cfg.dt_sde)
+    x0 = np.asarray(x0, dtype=float)
+    final = np.empty((cfg.n_particles, 2))
+    n_blocks = -(-cfg.n_particles // sde.PARTICLE_BLOCK)
+    for blk in range(n_blocks):
+        lo = blk * sde.PARTICLE_BLOCK
+        hi = min(lo + sde.PARTICLE_BLOCK, cfg.n_particles)
+        nb = hi - lo
+        rng = np.random.Generator(np.random.Philox(
+            key=(np.uint64(cfg.seed) << np.uint64(20)) + np.uint64(blk)))
+        x = np.tile(x0, (nb, 1)) if x0.ndim == 1 else x0[lo:hi].copy()
+        for step in range(n_steps):
+            t = t0 + step * cfg.dt_sde
+            st = Stencil(grid, x)
+            a1, a2 = alpha1(st, t), alpha2(st, t)
+            visit(lo, hi, step, t, x, a1, a2, *(f(st, t) for f in values))
+            hx = dyn.h_values(x[:, 0])
+            s1 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma1_sq(x[:, 0], x[:, 1]))
+            s2 = np.sqrt(2.0 * dyn.epsilon + dyn.sigma2_sq(x[:, 0], x[:, 1]))
+            noise = rng.standard_normal((nb, 2))
+            x = x + np.stack([a1, a2 * hx], axis=1) * cfg.dt_sde \
+                + np.stack([s1 * noise[:, 0], s2 * noise[:, 1]],
+                           axis=1) * sq_dt
+            x[:, 0] = reflect_full_modulo(x[:, 0], grid.x1_min, grid.x1_max)
+            x[:, 1] = reflect_full_modulo(x[:, 1], grid.x2_min, grid.x2_max)
+        final[lo:hi] = x
+    return final
 
 
 def trajectory(dyn, u_path, x0, t0, cfg):

@@ -99,7 +99,7 @@ class TestSolveAndVerify:
     def test_decoupled_zero_pipeline(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["run", "--config", ZERO_CFG, "--out", out]) == EXIT_OK
-        summary = json.load(open(os.path.join(out, "run_summary.json")))
+        summary = dio.read_json(os.path.join(out, "run_summary.json"))
         assert summary["all_passed"]
         # decoupled zero config: the value fields are identically zero
         mfg = summary["solve_mfg"]
@@ -145,10 +145,10 @@ class TestSolveAndVerify:
                      "--out", mfg_out]) == EXIT_OK
         printed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert main(["run", "--config", ZERO_CFG, "--out", run_out]) == EXIT_OK
-        run_summary = json.load(open(os.path.join(run_out, "run_summary.json")))
+        run_summary = dio.read_json(os.path.join(run_out, "run_summary.json"))
         for summary in (printed, run_summary["solve_mfg"],
-                        json.load(open(os.path.join(mfg_out, "summary.json"))),
-                        json.load(open(os.path.join(run_out, "summary.json")))):
+                        dio.read_json(os.path.join(mfg_out, "summary.json")),
+                        dio.read_json(os.path.join(run_out, "summary.json"))):
             assert "steps" in summary and "eps_deltas" not in summary
         capsys.readouterr()
         assert main(["sweep-eps", "--config", ZERO_CFG,
@@ -188,6 +188,30 @@ class TestSolveAndVerify:
             assert dio.read_json(os.path.join(out, "run_summary.json"))[
                 "all_passed"]
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
+    def test_run_starts_the_mc_check_off_the_walls(self, tmp_path,
+                                                   monkeypatch, n):
+        # the node (n1//2 + 2, n2//2 - 2), clamped to 1..n-2: at n = 5 the
+        # unclamped node is the box corner; from n = 7 on it is unchanged
+        starts = []
+        summary = cli._mc_summary
+
+        def capture(cfg, sol, x0, t0):
+            starts.append(x0)
+            return summary(cfg, sol, x0, t0)
+
+        monkeypatch.setattr(cli, "_mc_summary", capture)
+        cfg = load_config(ZERO_CFG)
+        cfg = replace(cfg, grid=replace(cfg.grid, n1=n, n2=n))
+        config = tmp_path / "config.json"
+        config.write_text(serialize_config(cfg))
+        main(["run", "--config", str(config), "--out", str(tmp_path / "r")])
+        grid = cfg.make_grid()
+        (x1, x2), = starts
+        assert grid.x1[0] < x1 < grid.x1[-1] and grid.x2[0] < x2 < grid.x2[-1]
+        if n >= 7:
+            assert (x1, x2) == (grid.x1[n // 2 + 2], grid.x2[n // 2 - 2])
+
     def test_solve_mfg_summary_file_is_what_it_prints(self, tmp_path, capsys):
         # the mesh lives in config.json alone: summary.json adds nothing
         out = str(tmp_path / "mfg")
@@ -205,8 +229,8 @@ class TestSolveAndVerify:
         for sub in ("u", "m"):
             assert _hash_tree(os.path.join(out_a, sub)) == \
                 _hash_tree(os.path.join(out_b, sub))
-        sa = json.load(open(os.path.join(out_a, "run_summary.json")))
-        sb = json.load(open(os.path.join(out_b, "run_summary.json")))
+        sa = dio.read_json(os.path.join(out_a, "run_summary.json"))
+        sb = dio.read_json(os.path.join(out_b, "run_summary.json"))
         sa.pop("timings"), sb.pop("timings")
         assert sa == sb
 

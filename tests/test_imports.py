@@ -206,8 +206,13 @@ def unreached(modules: dict, readers: list) -> list:
                   if seen[node.name] <= _referenced(node)[node.name])
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _sources(directory):
-    return {n[:-3]: open(os.path.join(directory, n), encoding="utf-8").read()
+    return {n[:-3]: _read(os.path.join(directory, n))
             for n in sorted(os.listdir(directory)) if n.endswith(".py")}
 
 

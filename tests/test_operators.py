@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,14 @@ class TestDynamicsChecks:
         # vanishes faster than any polynomial near 0
         x = np.array([0.05, 0.1, 0.2])
         assert np.all(grushin_h(x) < x ** 8)
+
+    def test_grushin_h_is_silent_where_the_square_underflows(self):
+        # 1e-160 ** 2 underflows to 0 and 1e-155 ** 2 is subnormal, so
+        # -1/x^2 is -inf: h must read exp(-inf) = 0 quietly, as at +-0
+        x = np.array([0.0, -0.0, 5e-324, 1e-160, -1e-160, 1e-155, 1e-154,
+                      0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = grushin_h(x)
+        assert np.array_equal(h[:-1], np.zeros(7))
+        assert h[-1] == np.exp(-4.0)

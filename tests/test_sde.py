@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from degmfg.hjb import HjbConfig, solve_hjb_backward
 from degmfg.operators import degenerate_gradient
 from degmfg import sde
 from references import const_coupling, constant_path, default_grid, \
-    kde_bandwidth, trajectory
+    kde_bandwidth, per_block_euler_maruyama, reflect_full_modulo, trajectory
 
 
 def _const_u_path(grid, nt, T, value=0.0):
@@ -153,6 +154,21 @@ class TestSimulatePaths:
         with pytest.raises(ConfigurationError):
             sde.simulate_paths(dyn, up, (0.0, 0.0), T, cfg)
 
+    @pytest.mark.parametrize("x0", [
+        (0.1, 0.2, 0.3), (0.1,), (np.nan, 0.0), (0.0, np.inf),
+        np.zeros((10, 3)), np.zeros((9, 2)), np.full((10, 2), np.nan)],
+        ids=["three", "one", "nan", "inf", "n_by_3", "too_few", "nan_array"])
+    def test_malformed_start_rejected(self, x0):
+        # a finite point (2,) or a finite (n_particles, 2) array, else the
+        # documented ConfigurationError before the kernel runs
+        dyn = dynamics_preset("zero")
+        up = _const_u_path(GRID, NT, T)
+        cfg = sde.EnsembleConfig(n_particles=10, seed=0, dt_sde=0.1)
+        with pytest.raises(ConfigurationError, match="x0"):
+            sde.step_count(up.horizon, up.dt, x0, 0.0, cfg)
+        with pytest.raises(ConfigurationError, match="x0"):
+            sde.simulate_paths(dyn, up, x0, 0.0, cfg)
+
     def test_bad_ensemble_config_rejected(self):
         with pytest.raises(ConfigurationError):
             sde.EnsembleConfig(n_particles=0)
@@ -227,6 +243,72 @@ class TestSimulatePaths:
             sde.EnsembleConfig(seed=2 ** 44)
 
 
+class TestChunkedKernel:
+    """The kernel steps a chunk of blocks as one set of arrays; positions,
+    feedback and field values are those of the per-block reference."""
+
+    N = 5 * sde.PARTICLE_BLOCK + 3
+
+    @pytest.mark.parametrize("preset", ["grushin_exp", "sin_sigma"])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("start", ["point", "array"])
+    def test_equals_the_per_block_reference(self, monkeypatch, preset,
+                                            substeps, start):
+        # two blocks a chunk: the chunks are blocks 0-1, 2-3 and 4-5, the
+        # last block 3 particles; dt_sde = dt puts every step on a mesh time
+        monkeypatch.setattr(sde, "CHUNK_BLOCKS", 2)
+        grid = Grid2D(-3.0, 3.0, -2.0, 2.0, 17, 9)
+        rng = np.random.default_rng(8)
+        up = ValuePath(grid, 0.1, rng.normal(size=(5,) + grid.shape))
+        f = sde._SlicedField(0.1, rng.normal(size=(5,) + grid.shape))
+        dyn = dynamics_preset(preset, epsilon=0.3)
+        n, n_steps = self.N, 4 * substeps
+        cfg = sde.EnsembleConfig(n_particles=n, seed=6,
+                                 dt_sde=up.dt / substeps)
+        x0 = (0.2, -0.1) if start == "point" else np.column_stack(
+            [rng.uniform(-3.0, 3.0, n), rng.uniform(-2.0, 2.0, n)])
+        runs = []
+        for kernel in (sde._euler_maruyama, per_block_euler_maruyama):
+            calls = []  # the arrays as handed over, kept and not copied
+            final = kernel(dyn, up, x0, 0.0, cfg, n_steps,
+                           lambda *args: calls.append(args), fields=(f,))
+            runs.append((final, calls))
+        (final, calls), (ref_final, ref_calls) = runs
+        assert np.array_equal(final, ref_final)
+        chunk = 2 * sde.PARTICLE_BLOCK
+        assert sorted({args[:2] for args in calls}) == \
+            [(0, chunk), (chunk, 2 * chunk), (2 * chunk, n)]
+        assert len(calls) == 3 * n_steps
+        # x, a1, a2 and F over all steps and particles, read after the run:
+        # an array written after its visit would differ from the reference
+        for got, ref in zip(*(self._assemble(c, n, n_steps)
+                              for c in (calls, ref_calls))):
+            assert np.array_equal(got, ref)
+
+    @staticmethod
+    def _assemble(calls, n, n_steps):
+        times = np.full(n_steps, np.nan)
+        out = [np.full((n_steps, n, 2), np.nan)] \
+            + [np.full((n_steps, n), np.nan) for _ in range(3)]
+        for lo, hi, step, t, *arrays in calls:
+            times[step] = t
+            for o, a in zip(out, arrays):
+                o[step, lo:hi] = a
+        return [times] + out
+
+    def test_every_step_reads_one_slice_on_the_mesh(self):
+        # dt_sde = dt on [0, 1]: t / dt lands on the slice index at every
+        # step of the shipped and benchmarked meshes, so each step reads
+        # one slice
+        for nt in (33, 64, 128, 256):
+            f = sde._SlicedField(1.0 / (nt - 1), np.zeros((nt, 3, 3)))
+            reads = []
+            st = SimpleNamespace(gather=lambda flat: reads.append(1) or 0.0)
+            for step in range(nt - 1):
+                f.gather(st, step * f.dt)
+            assert len(reads) == nt - 1
+
+
 class TestStencil:
     GRID = Grid2D(-3.0, 2.0, -1.5, 2.5, 13, 7)
 
@@ -285,14 +367,6 @@ class TestStencil:
             assert np.array_equal(f.gather(Stencil(g, pts), t), ref)
 
 
-def _reflect_reference(x, lo, hi):
-    """Mirror reflection with the modulo applied to every coordinate."""
-    span = hi - lo
-    y = np.mod(x - lo, 2.0 * span)
-    y = np.where(y > span, 2.0 * span - y, y)
-    return lo + y
-
-
 class TestReflect:
     @pytest.mark.parametrize("lo, hi", [(-5.0, 5.0), (-1.5, 2.5),
                                         (0.0, 1.0), (0.3, 0.7)])
@@ -310,10 +384,16 @@ class TestReflect:
             rng.uniform(lo - 7.0 * span, lo - span, 50),
             rng.uniform(hi + span, hi + 7.0 * span, 50),
             lo + np.arange(-6, 7) * span])
-        x = np.concatenate([inside, edges, outside])
-        out = sde._reflect(x, lo, hi)
-        assert out.tobytes() == _reflect_reference(x, lo, hi).tobytes()
-        assert np.all((out >= lo) & (out <= hi))
+        # the whole set, then the inside points alone (no fold runs) and
+        # with one point past either wall, at most a span out
+        for x in [np.concatenate([inside, edges, outside]), inside] + [
+                np.append(inside, p) for p in (
+                    np.nextafter(hi, np.inf), hi + 0.5 * span,
+                    np.nextafter(lo + 2.0 * span, -np.inf),
+                    np.nextafter(lo, -np.inf), lo - 0.5 * span)]:
+            out = sde._reflect(x, lo, hi)
+            assert out.tobytes() == reflect_full_modulo(x, lo, hi).tobytes()
+            assert np.all((out >= lo) & (out <= hi))
 
     def test_inside_points_keep_the_offset_round_trip(self):
         # lo + (x - lo) is not always x in floating point: 0.1 in [-5, 5]
@@ -461,6 +541,25 @@ class TestPeakMemory:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 4.5, peaks
+
+    def test_a_chunk_bounds_the_step_arrays(self):
+        # 3 * 10^5 particles, over five chunks, on a small path: beyond the
+        # (n, 2) result the kernel holds one chunk's step arrays (about 24
+        # float64 words a particle), not the whole ensemble's
+        grid = Grid2D(-3.0, 3.0, -2.0, 2.0, 17, 9)
+        up = ValuePath(grid, 0.25, np.random.default_rng(4).normal(
+            size=(5,) + grid.shape))
+        dyn = dynamics_preset("grushin_exp", epsilon=0.05)
+        n = 300_000
+        cfg = sde.EnsembleConfig(n_particles=n, seed=0, dt_sde=up.dt)
+        tracemalloc.start()
+        try:
+            sde.simulate_paths(dyn, up, (0.3, -0.2), 0.0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sde.CHUNK_BLOCKS * sde.PARTICLE_BLOCK <= 65_536
+        assert peak - 16 * n <= 32 * 8 * 65_536, peak
 
 
 class TestEmpiricalDensity:
