@@ -4,9 +4,10 @@ vanishing-viscosity sweep.
 One application of the map psi solves the backward HJE with a frozen density
 path and then pushes the initial density forward through the FPE with the
 resulting feedback. A fixed point of psi is a solution of the coupled
-system. The iteration takes the full step m <- psi(m) while the stopping
-residual contracts; once a full step fails to contract it damps every
-further step by ``theta`` (full steps can cycle under a strong coupling).
+system. The iteration takes the full step m <- psi(m) while each step cuts
+the stopping residual below ``CONTRACTION`` (0.9) times the previous one;
+once a full step fails to, it damps every further step by ``theta`` (full
+steps can cycle, or stall, under a strong coupling).
 The stopping metric is max-over-time d1 between consecutive paths: the
 exact transport LP between slices block-coarsened by ``GridDistance`` to at
 most 320 support points (256 on the 32x32 default grid). At the final
@@ -33,6 +34,9 @@ from .measures import GridDistance
 # cross-check's LPs now run inside GridDistance.distance ("measures.distance")
 from .measures import wasserstein1_points  # noqa: F401
 
+# a full step must cut the residual below this fraction of the previous one;
+# a stall that shrinks it by less never fires a fallback that waits for a rise
+CONTRACTION = 0.9
 
 @dataclass(frozen=True)
 class FixedPointConfig:
@@ -101,9 +105,10 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
                  initial_path: DensityPath | None = None) -> MfgSolution:
     """Safeguarded Picard iteration m^{k+1} = (1-s_k) m^k + s_k psi(m^k).
 
-    The step s_k is 1 while the residual r_k = d1(m^{k+1}, m^k) decreases;
-    from the first k > 0 with r_k >= r_{k-1} on, every later step is
-    ``fp.theta`` (with theta = 1 every step is full). ``steps`` records s_k.
+    The step s_k is 1 while the residual r_k = d1(m^{k+1}, m^k) falls below
+    ``CONTRACTION`` r_{k-1}; from the first k > 0 with
+    r_k >= ``CONTRACTION`` r_{k-1} on, every later step is ``fp.theta``
+    (with theta = 1 every step is full). ``steps`` records s_k.
     The initial guess is psi applied to the time-constant extension of m0
     (so a decoupled system converges in exactly one further iteration). On
     convergence the exact-LP distance between the last two iterates at the
@@ -139,7 +144,7 @@ def picard_solve(dyn: DynamicsSpec, coupling: CouplingSpec, m0: DensityField,
         if residual <= fp.tol_d1:
             converged = True
             break
-        if step == 1.0 and k > 0 and residual >= history[-2]:
+        if step == 1.0 and k > 0 and residual >= CONTRACTION * history[-2]:
             step = float(fp.theta)
 
     lp_res = float("nan")

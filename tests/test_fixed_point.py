@@ -10,8 +10,8 @@ from degmfg.config import load_config
 from degmfg.coupling import builtin_coupling
 from degmfg.dynamics import dynamics_preset
 from degmfg.errors import ConfigurationError
-from degmfg.fixed_point import FixedPointConfig, eps_sweep, picard_solve, \
-    psi_map
+from degmfg.fixed_point import CONTRACTION, FixedPointConfig, eps_sweep, \
+    picard_solve, psi_map
 from degmfg.grid import DensityPath, truncated_gaussian
 from references import constant_path, default_grid
 from degmfg.hjb import HjbConfig
@@ -145,7 +145,8 @@ class TestCoupled:
 
 
 class TestSafeguardedStep:
-    """Full steps while the residual contracts, then theta for good."""
+    """Full steps while the residual contracts by CONTRACTION, then theta
+    for good."""
 
     STRONG = builtin_coupling("nonlocal_smooth",
                               {"c1": 1.5, "c_terminal": 1.5})
@@ -172,10 +173,11 @@ class TestSafeguardedStep:
         n_full = sol.steps.index(0.25)
         assert n_full >= 2
         assert sol.steps == [1.0] * n_full + [0.25] * (sol.iterations - n_full)
-        # the last full step is the first that failed to contract
+        # the last full step is the first that failed to cut the residual
+        # below CONTRACTION times the previous one
         h = sol.residual_history
-        assert h[n_full - 1] >= h[n_full - 2]
-        assert all(h[i + 1] < h[i] for i in range(n_full - 2))
+        assert h[n_full - 1] >= CONTRACTION * h[n_full - 2]
+        assert all(h[i + 1] < CONTRACTION * h[i] for i in range(n_full - 2))
 
     def test_grushin_default_takes_two_full_steps(self):
         cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
