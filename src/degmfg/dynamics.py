@@ -26,7 +26,7 @@ class DynamicsSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails every comparison
             raise ConfigurationError("epsilon must be >= 0")
 
     def with_epsilon(self, epsilon: float) -> "DynamicsSpec":

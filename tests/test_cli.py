@@ -499,6 +499,18 @@ class TestSmallTools:
                 in capsys.readouterr().err)
         assert not os.path.exists(tmp_path / "out")
 
+    def test_nan_epsilon_is_exit_2(self, tmp_path, capsys):
+        # NaN passes every rule written as a comparison like "epsilon < 0"
+        raw = dio.read_json(ZERO_CFG)
+        raw["dynamics"] = dict(raw["dynamics"], epsilon=float("nan"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ("configuration error: dynamics: epsilon must be >= 0"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("tol, message", [
         ({"lipschitz_max": "abc"},
          "tol-file: lipschitz_max must be a number (got 'abc')"),
