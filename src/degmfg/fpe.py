@@ -2,17 +2,20 @@
 equation driven by a value path.
 
 Each step is the W-adjoint (W the trapezoid cell weights) of the HJB step
-u^k = S^-1 (u^{k+1} - dt H(u^{k+1}) + dt F^k) linearized at u^{k+1}:
-the implicit diffusion is the W-weighted transposed solve of S = I - dt A
-(``hjb.implicit_diffusion``), the transport is W^-1 J^T W with J the
-derivative of the HJB's Godunov flux (``hjb.upwind_slopes``). Both PDEs
-read one set of slopes and one CFL rule, ``hjb.check_cfl``, called at
-every step of both marches: 1 - dt times the diagonal of J is the HJB
-step's monotonicity margin and the transport step's nonnegativity margin.
-Each face flux leaves one cell and enters its neighbour, so discrete mass
-is a telescoping identity. Every step is checked: a mass drift beyond 1e-8
-or a value below -1e-12 is a SolverError, and values in [-1e-12, 0) are
-clamped and the slice renormalized.
+u^k = S^-1 (u^{k+1} - dt H(u^{k+1}) + dt F^k) linearized at u^{k+1}.
+The implicit diffusion is W^-1 S^-T W. The HJB's S^-1 = K1 K2 is split by
+axis into line inverses (``hjb.implicit_diffusion``), so the FPE applies
+the transposed factors in reverse order, K2^T K1^T, between the cell
+weights; each factor is >= 0 and keeps W-mass. The transport is
+W^-1 J^T W with J the derivative of the HJB's Godunov flux
+(``hjb.upwind_slopes``). Both PDEs read one set of slopes and one CFL rule,
+``hjb.check_cfl``, called at every step of both marches: 1 - dt times the
+diagonal of J is the HJB step's monotonicity margin and the transport
+step's nonnegativity margin. Each face flux leaves one cell and enters its
+neighbour, so discrete mass is a telescoping identity. Every step is
+checked: a mass drift beyond 1e-8 or a value below -1e-12 is a
+SolverError, and values in [-1e-12, 0) are clamped and the slice
+renormalized.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ def assemble_dual_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matri
 
     A = epsilon*Laplace + L with reflecting ends (``hjb.assemble_diffusion``),
     so this is the flux form of epsilon*Laplace + (1/2) sum d^2(sigma_i^2 .)
-    with zero boundary fluxes. The solver never builds it (it solves with
-    the transposed HJB matrix); it is the reference the tests check against.
+    with zero boundary fluxes. The solver never builds it (it applies the
+    transposed line inverses of the HJB's step); it is the reference the
+    tests check against.
     """
     w = grid.cell_weights().ravel()
     return (sparse.diags(1.0 / w) @ assemble_diffusion(grid, dyn).T
@@ -92,7 +96,7 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
     report.min_density = float(m.min())
     for k in range(cfg.nt - 1):
         # W-adjoint of the HJB step S^-1 (I - dt J) linearized at u^{k+1}
-        s = solve(m.ravel()).reshape(grid.shape)
+        s = solve(m)
         p1, p2 = upwind_slopes(u_path.values[k + 1], grid, hg)
         check_cfl((p1, p2), grid, hg, dt, "FPE")
         parts = (np.maximum(p1, 0.0), np.minimum(p1, 0.0),
@@ -119,7 +123,4 @@ def solve_fpe_forward(m0: DensityField, u_path: ValuePath, dyn: DynamicsSpec,
             m_new /= new_mass
         m = m_new
         values[k + 1] = m
-    # the LU came from the HJB solve of this step (or was made here); held
-    # on past this pair it fragments the heap: +47 MB peak RSS at 128^2
-    implicit_diffusion.cache_clear()
     return DensityPath(grid, dt, values)

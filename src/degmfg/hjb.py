@@ -1,24 +1,40 @@
 """Backward-in-time solver for the degenerate Hamilton-Jacobi equation.
 
-IMEX time stepping: the diffusion part (epsilon * Laplace + L) is implicit
-(unconditionally stable, uniformly in epsilon), the Hamiltonian is explicit
-through the Godunov flux, the one numerical flux. ``check_cfl`` checks at
-every step that the Courant number of the step's own slopes is at most 1,
-so the step is monotone and the scheme converges to the viscosity solution
-(Barles & Souganidis). No a-priori slope bound would do: H is not coercive,
-and its x1-derivative h h' p2^2 steepens u in x1. The x2 slope is
-multiplied by h(x1) *before* squaring, so transport in x2 switches off
-wherever h vanishes.
+IMEX time stepping: the diffusion part A = A1 + A2 (epsilon * Laplace + L,
+A_i its part along axis i) is implicit (unconditionally stable, uniformly
+in epsilon), the Hamiltonian is explicit through the Godunov flux, the one
+numerical flux.
+
+The implicit step is split by axis, the locally one-dimensional step
+S^-1 = (I - dt A1)^-1 (I - dt A2)^-1 (Yanenko, *The Method of Fractional
+Steps*, 1971; Hundsdorfer & Verwer, 2003, ch. IV). Since
+S = I - dt A + dt^2 A2 A1, the split adds dt^2 A2 A1 to each step, an
+error of first order in dt over the march, the order of the scheme. Each
+factor is a batch of independent lines, held as their dense inverses
+(``line_inverses``): >= 0 with unit row sums, so the step keeps the
+maximum principle, and its W-adjoint, the FPE's step, keeps mass and sign.
+When the coefficients of an axis are the same on every line, as for every
+preset, the axis holds one (n, n) matrix and a solve is one gemm per axis.
+A ``DynamicsSpec`` whose sigma varies across lines holds one matrix per
+line, 2 L n^2 doubles for L lines of n nodes: 32 MiB at 128^2, 256 MiB at
+256^2, all of it read by every solve. Each march builds its own step: at
+128^2 that takes about 2 ms, or 50 ms with a matrix per line.
+
+``check_cfl`` checks at every step that the Courant number of the step's
+own slopes is at most 1, so the step is monotone and the scheme converges
+to the viscosity solution (Barles & Souganidis). No a-priori slope bound
+would do: H is not coercive, and its x1-derivative h h' p2^2 steepens u in
+x1. The x2 slope is multiplied by h(x1) *before* squaring, so transport in
+x2 switches off wherever h vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 unused; bench/tracer.py wraps it
 
 from .coupling import CouplingSpec
 from .dynamics import DynamicsSpec
@@ -57,11 +73,17 @@ def _neumann_second_difference(n, dx):
     return sparse.csr_matrix(a) / dx ** 2
 
 
+def diffusion_coefficients(grid: Grid2D, dyn: DynamicsSpec):
+    """(c1, c2) = epsilon + sigma_i^2 / 2 on the grid, shape (n1, n2) each."""
+    return tuple(dyn.epsilon + c for c in half_sigma_sq(grid, dyn))
+
+
 def assemble_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
-    """epsilon*(d11 + d22) + (1/2)(sigma1^2 d11 + sigma2^2 d22), Neumann BC."""
-    x1g, x2g = grid.meshgrid()
-    c1 = dyn.epsilon + 0.5 * dyn.sigma1_sq(x1g, x2g)
-    c2 = dyn.epsilon + 0.5 * dyn.sigma2_sq(x1g, x2g)
+    """epsilon*(d11 + d22) + (1/2)(sigma1^2 d11 + sigma2^2 d22), Neumann BC.
+
+    The march never builds it (its step holds the line inverses of
+    ``implicit_diffusion``); it is the reference the tests check against."""
+    c1, c2 = diffusion_coefficients(grid, dyn)
     d1 = _neumann_second_difference(grid.n1, grid.dx1)
     d2 = _neumann_second_difference(grid.n2, grid.dx2)
     eye1 = sparse.identity(grid.n1, format="csr")
@@ -72,32 +94,89 @@ def assemble_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
             + sparse.diags(c2.ravel()) @ op2).tocsr()
 
 
-@lru_cache(maxsize=1)
-def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
-    """(hjb_solve, fpe_solve) of the implicit diffusion step, one LU of I - dt A.
+def line_inverses(c: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    """The dense inverses, shape (L, n, n), of I - dt diag(c_l) D for the
+    lines c_l of the (lines, n) table c, D the reflecting second difference
+    of ``_neumann_second_difference``; L = 1 when every line is the same.
 
-    hjb_solve solves (I - dt A) u = r; fpe_solve solves its W-adjoint
-    W^-1 (I - dt A)^T W m = r (W the trapezoid cell weights) by the transposed
-    solve. A 1 = 0 gives <w, m> = <w, r>, and the inverse of the transposed
-    M-matrix is nonnegative. Without diffusion both return their input.
-
-    The 5-point matrix is structurally symmetric, so the LU's columns are
-    ordered by minimum degree on A + A^T (George & Liu, SIAM Review 31,
-    1989) rather than SuperLU's default COLAMD: at 128^2 that halves the
-    fill (1.22M -> 0.66M nonzeros in L + U) and with it the cost of both
-    solves.
-
-    The last factorization is kept, keyed on (grid, dyn, dt), so the HJB
-    solve and the FPE solve after it share one LU; the FPE solve releases
-    it when its march ends.
+    I - dt diag(c) D has diagonal 1 + a_k + b_k, a_k >= 0 and b_k >= 0 the
+    negated entries left and right of it, and unit row sums. Thomas
+    elimination without pivoting, on the identity and over all lines at
+    once, then forms every number by adding a nonnegative term: the row
+    sums of the reduced matrix are s_k = 1 + g_k s_{k-1} with
+    g_k = a_k / p_{k-1}, and its pivots p_k = s_k + b_k >= 1. So the
+    inverse is >= 0 entrywise in floating point, and its rows sum to 1.
     """
-    diff = assemble_diffusion(grid, dyn)
-    if not abs(diff).sum() > 0:
+    if np.all(c == c[:1]):
+        c = c[:1]
+    r = dt / dx ** 2 * c
+    left, right = r.copy(), r.copy()
+    left[:, 0], right[:, -1] = 0.0, 0.0
+    left[:, -1] *= 2.0  # the reflecting ends couple to one neighbour, twice
+    right[:, 0] *= 2.0
+    lines, n = c.shape
+    k = np.broadcast_to(np.eye(n), (lines, n, n)).copy()
+    pivot = np.empty((lines, n))
+    pivot[:, 0] = 1.0 + right[:, 0]
+    row_sum = np.ones(lines)
+    for i in range(1, n):
+        g = left[:, i] / pivot[:, i - 1]
+        k[:, i] += g[:, None] * k[:, i - 1]
+        row_sum = 1.0 + g * row_sum
+        pivot[:, i] = row_sum + right[:, i]
+    k[:, -1] /= pivot[:, -1, None]
+    for i in range(n - 2, -1, -1):
+        k[:, i] += right[:, i, None] * k[:, i + 1]
+        k[:, i] /= pivot[:, i, None]
+    return k
+
+
+def _columns(k, x):
+    """k[j] times column j of the (n, m) array x; k[0] times every column
+    when L = 1, one gemm."""
+    n, m = x.shape
+    return (k @ x.reshape(n, len(k), -1).transpose(1, 0, 2)
+            ).transpose(1, 0, 2).reshape(n, m)
+
+
+def _rows(x, k):
+    """Row i of the (n, m) array x times k[i]; every row times k[0] when
+    L = 1, one gemm."""
+    return (x.reshape(len(k), -1, x.shape[1]) @ k).reshape(x.shape)
+
+
+def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
+    """(hjb_solve, fpe_solve) of the implicit diffusion step, split by axis.
+
+    With A = A1 + A2 (A_i = diag(c_i) D_i, ``assemble_diffusion``) the step
+    solves S u = r for S = (I - dt A2)(I - dt A1), the locally
+    one-dimensional step (Yanenko 1971): S^-1 = K1 K2 with K_i the line
+    inverses of ``line_inverses``, one per line x2 = const (K1) or
+    x1 = const (K2). hjb_solve(r) is K1 (r K2^T) on the (n1, n2) slice;
+    fpe_solve(r), its W-adjoint (W the trapezoid cell weights), is
+    W^-1 (K1^T (W r)) K2. With L = 1 each product is one gemm. Each K_i
+    is >= 0 with unit row sums, so the HJB step keeps the maximum principle
+    and the FPE step keeps mass and sign. r holds a slice, flat or
+    (n1, n2); the result has its shape. Where c1 and c2 are 0 both solves
+    return their input.
+    """
+    c1, c2 = diffusion_coefficients(grid, dyn)
+    if np.all(c1 == 0) and np.all(c2 == 0):  # False for a NaN coefficient
         return (lambda r: r), (lambda r: r)
-    lu = splu(sparse.csc_matrix(sparse.identity(grid.n_nodes) - dt * diff),
-              permc_spec="MMD_AT_PLUS_A")
-    w = grid.cell_weights().ravel()
-    return lu.solve, lambda r: lu.solve(w * r, trans="T") / w
+    k1 = line_inverses(c1.T, grid.dx1, dt)
+    k2 = line_inverses(c2, grid.dx2, dt)
+    k1t, k2t = k1.transpose(0, 2, 1), k2.transpose(0, 2, 1)
+    w = grid.cell_weights()
+
+    def hjb_solve(r):
+        return _columns(k1, _rows(np.reshape(r, grid.shape), k2t)
+                        ).reshape(np.shape(r))
+
+    def fpe_solve(r):
+        return (_rows(_columns(k1t, w * np.reshape(r, grid.shape)), k2)
+                / w).reshape(np.shape(r))
+
+    return hjb_solve, fpe_solve
 
 
 def _godunov(backward, forward):
@@ -161,7 +240,7 @@ def solve_hjb_backward(dyn: DynamicsSpec, coupling: CouplingSpec,
         p = upwind_slopes(u[k + 1], grid, hg)
         check_cfl(p, grid, hg, dt, "HJB")
         rhs = u[k + 1] - dt * hamiltonian(p) + dt * f[k]
-        u[k] = solve(rhs.ravel()).reshape(grid.shape)
+        u[k] = solve(rhs)
         if not np.all(np.isfinite(u[k])):
             raise SolverError("HJB backward step %d produced non-finite values" % k)
 

@@ -3,8 +3,9 @@ command's path: grid, path and coupling fixtures, the exact W1 on node
 supports, particle trajectories, and independent references (one-sided
 differences, Hopf-Lax, the per-block Euler-Maruyama kernel, a
 min-cost-flow W1, the only user of networkx, the transport LP through
-scipy's linprog, a C^2 check of the dynamics, the KDE bandwidth), and the
-negative control of the FPE march: the same step with a centered flux."""
+scipy's linprog, a C^2 check of the dynamics, the KDE bandwidth, the sparse
+per-axis factors of the implicit diffusion step), and the negative control
+of the FPE march: the same step with a centered flux."""
 
 import math
 
@@ -59,6 +60,27 @@ def centered_flux_fpe(m0, u_path, dyn, cfg):
         values[k + 1] = s - cfg.dt * flux_transpose(w * s, parts, grid, hg) / w
     return (DensityPath(grid, cfg.dt, values, validate_slices=False),
             float(values.min()))
+
+
+def split_diffusion_factors(grid, dyn, dt):
+    """The sparse (I - dt A1, I - dt A2), A_i = diag(c_i) D_i with
+    c_i = epsilon + sigma_i^2 / 2 and D_i the second difference along axis
+    i with reflecting ghost nodes, built by Kronecker products;
+    A1 + A2 is ``hjb.assemble_diffusion``."""
+    x1g, x2g = grid.meshgrid()
+    factors = []
+    for axis, (n, dx, sigma_sq) in enumerate((
+            (grid.n1, grid.dx1, dyn.sigma1_sq), (grid.n2, grid.dx2, dyn.sigma2_sq))):
+        d = sparse.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
+                         [-1, 0, 1], format="lil")
+        d[0, 1] = d[n - 1, n - 2] = 2.0
+        eyes = [sparse.identity(grid.n1), sparse.identity(grid.n2)]
+        eyes[axis] = d.tocsr() / dx ** 2
+        c = dyn.epsilon + 0.5 * sigma_sq(x1g, x2g)
+        factors.append(sparse.csc_matrix(
+            sparse.identity(grid.n_nodes)
+            - dt * sparse.diags(c.ravel()) @ sparse.kron(*eyes)))
+    return tuple(factors)
 
 
 def const_coupling(f=0.0, g=0.0):

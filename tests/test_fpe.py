@@ -15,7 +15,7 @@ from degmfg.hjb import (HjbConfig, assemble_diffusion, implicit_diffusion,
                         solve_hjb_backward, upwind_slopes)
 from degmfg.operators import hamiltonian
 from references import centered_flux_fpe, constant_path, default_grid, \
-    one_sided, uniform_density
+    one_sided, split_diffusion_factors, uniform_density
 
 
 def conservative_diff2(g: np.ndarray, dx: float, axis: int) -> np.ndarray:
@@ -180,16 +180,20 @@ class TestDualDiffusion:
     @pytest.mark.parametrize("eps", (0.0, 0.05))
     @pytest.mark.parametrize("grid", GRIDS, ids=("32x32", "17x9"))
     def test_implicit_solves_are_adjoint(self, preset, eps, grid):
-        # the FPE step is the W-weighted transposed solve of the HJB matrix
+        # the HJB step solves (I - dt A2)(I - dt A1) u = s, one axis at a
+        # time; the FPE step is its W-weighted transpose, the transposed
+        # factors in reverse order
         dyn = dynamics_preset(preset, epsilon=eps)
         dt = 1.0 / 63.0
         hjb_solve, fpe_solve = implicit_diffusion(grid, dyn, dt)
         w = grid.cell_weights().ravel()
         r, s = np.random.default_rng(11).standard_normal((2, grid.n_nodes))
         m, u = fpe_solve(r), hjb_solve(s)
-        dual = sparse.csc_matrix(sparse.identity(grid.n_nodes)
-                                 - dt * assemble_dual_diffusion(grid, dyn))
-        expected = spsolve(dual, r)
+        f1, f2 = split_diffusion_factors(grid, dyn, dt)
+        eye = sparse.identity(grid.n_nodes)
+        assert abs(f1 + f2 - 2.0 * eye
+                   + dt * assemble_diffusion(grid, dyn)).max() <= 1e-13
+        expected = spsolve(f2.T.tocsc(), spsolve(f1.T.tocsc(), w * r)) / w
         assert np.abs(m - expected).max() <= 1e-13 * np.abs(expected).max()
         # <fpe_solve(r), s>_W == <r, hjb_solve(s)>_W
         lhs = np.sum(w * m * s)

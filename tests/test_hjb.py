@@ -7,12 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 import degmfg
 from degmfg import hjb
 from degmfg.coupling import CouplingSpec, builtin_coupling
-from degmfg.dynamics import dynamics_preset, grushin_h
+from degmfg.dynamics import DynamicsSpec, dynamics_preset, grushin_h
 from degmfg.errors import ConfigurationError
 from degmfg.fpe import solve_fpe_forward
 from degmfg.grid import DensityPath, Grid2D, ScalarField, ValuePath
@@ -370,60 +369,86 @@ class TestPdeResidual:
                          const_coupling(), m)
 
 
-class TestImplicitDiffusionOrdering:
-    def test_minimum_degree_order_cuts_the_fill(self, monkeypatch):
-        # the 5-point matrix is structurally symmetric: a minimum-degree
-        # order on A + A^T keeps L + U well below SuperLU's default COLAMD
-        built = []
+PRESETS = ("grushin_exp", "sin_sigma", "nondegenerate", "fully_degenerate_x2",
+           "zero")
+# sigma1 varies across the lines x2 = const, sigma2 across x1 = const
+ACROSS_LINES = DynamicsSpec(
+    sigma1=lambda x1, x2: 0.5 + 0.25 * np.sin(3.0 * x2),
+    sigma2=lambda x1, x2: 0.5 + 0.25 * np.cos(2.0 * x1),
+    h=grushin_h, epsilon=0.01)
+NON_SQUARE = Grid2D(-2.0, 3.0, -1.0, 0.5, 17, 9)
+DYNAMICS = [dynamics_preset(p, epsilon=e) for p in PRESETS
+            for e in (0.0, 0.05)] + [ACROSS_LINES]
 
-        def recording_splu(a, **kwargs):
-            lu = splu(a, **kwargs)
-            built.append((a, lu))
-            return lu
 
-        monkeypatch.setattr(hjb, "splu", recording_splu)
-        hjb.implicit_diffusion.cache_clear()
-        grid = default_grid(5.0, 64, 64)
-        hjb.implicit_diffusion(grid, dynamics_preset("grushin_exp",
-                                                     epsilon=0.1), 1.0 / 63)
-        (a, lu), = built
-        default = splu(a)
-        fill = lu.L.nnz + lu.U.nnz
-        assert fill <= 0.7 * (default.L.nnz + default.U.nnz), fill
+class TestImplicitDiffusion:
+    """The split implicit step: per-axis line inverses, each >= 0 with unit
+    row sums."""
 
-    def test_hjb_and_fpe_of_one_step_share_one_lu(self, monkeypatch):
-        calls = []
+    def _built(self, monkeypatch, grid, dyn, dt=1.0 / 63.0):
+        """The solves of ``implicit_diffusion`` and the stacks it built."""
+        stacks, build = [], hjb.line_inverses
 
-        def counting_splu(a, **kwargs):
-            calls.append(a.shape)
-            return splu(a, **kwargs)
+        def recording(c, dx, dt):
+            stacks.append(build(c, dx, dt))
+            return stacks[-1]
 
-        monkeypatch.setattr(hjb, "splu", counting_splu)
-        hjb.implicit_diffusion.cache_clear()
-        grid = default_grid(3.0, 17, 17)
-        cfg = HjbConfig(T=0.5, nt=17)
-        coupling = CouplingSpec(
-            F=_zeros, G=lambda x1, x2, m: 0.25 * (x1 ** 2 + x2 ** 2),
-            monotone=True)
-        dyn = dynamics_preset("grushin_exp", epsilon=0.1)
-        u = solve_hjb_backward(dyn, coupling, _frozen_path(grid, cfg), cfg)
-        m = solve_fpe_forward(uniform_density(grid), u,
-                              dynamics_preset("grushin_exp", epsilon=0.1), cfg)
-        assert len(calls) == 1
-        # the FPE releases the LU it was left
-        assert hjb.implicit_diffusion.cache_info().currsize == 0
-        # so it factors afresh, to the same bytes
-        again = solve_fpe_forward(uniform_density(grid), u, dyn, cfg)
-        assert len(calls) == 2
-        assert np.array_equal(again.values, m.values)
-        # an equal (grid, dyn, dt) reuses the LU; another eps or dt does not
-        slow = dyn.with_epsilon(0.05)
-        for _ in range(2):
-            solve_hjb_backward(slow, coupling, _frozen_path(grid, cfg), cfg)
-        assert len(calls) == 3
-        cfg2 = HjbConfig(T=0.5, nt=33)
-        solve_hjb_backward(slow, coupling, _frozen_path(grid, cfg2), cfg2)
-        assert len(calls) == 4
+        with monkeypatch.context() as mp:
+            mp.setattr(hjb, "line_inverses", recording)
+            solves = hjb.implicit_diffusion(grid, dyn, dt)
+        return solves, stacks
+
+    @pytest.mark.parametrize("grid", (default_grid(5.0, 32, 32), NON_SQUARE),
+                             ids=("32x32", "17x9"))
+    @pytest.mark.parametrize("dyn", DYNAMICS,
+                             ids=lambda d: "%s-%g" % (d.name, d.epsilon))
+    def test_line_inverses_are_nonnegative_with_unit_row_sums(
+            self, monkeypatch, grid, dyn):
+        (hjb_solve, fpe_solve), stacks = self._built(monkeypatch, grid, dyn)
+        if dyn.name == "zero" and dyn.epsilon == 0.0:
+            assert stacks == []  # no diffusion: nothing is built
+        for k in stacks:
+            assert k.min() >= 0.0
+            assert np.abs(k.sum(axis=-1) - 1.0).max() <= 1e-13
+        # so a nonnegative input gives a nonnegative output
+        r = np.random.default_rng(2).uniform(0.0, 1.0, grid.shape)
+        r[:, ::3] = 0.0
+        assert hjb_solve(r).min() >= 0.0 and fpe_solve(r).min() >= 0.0
+
+    @pytest.mark.parametrize("preset", PRESETS[:-1])
+    def test_separable_presets_hold_one_matrix_per_axis(self, monkeypatch,
+                                                         preset):
+        # every line of an axis has the same coefficients: each solve is one
+        # gemm per axis
+        grid = NON_SQUARE
+        _, stacks = self._built(monkeypatch, grid,
+                                dynamics_preset(preset, epsilon=0.05))
+        assert [k.shape for k in stacks] == [(1, 17, 17), (1, 9, 9)]
+
+    def test_coefficients_that_vary_across_lines_hold_one_matrix_a_line(
+            self, monkeypatch):
+        grid = NON_SQUARE
+        (hjb_solve, fpe_solve), stacks = self._built(monkeypatch, grid,
+                                                     ACROSS_LINES)
+        assert [k.shape for k in stacks] == [(9, 17, 17), (17, 9, 9)]
+        # line j of x1 (column j of a slice) goes through its own inverse
+        k1, k2 = stacks
+        r = np.random.default_rng(4).standard_normal(grid.shape)
+        along_x2 = np.stack([k2[i] @ r[i] for i in range(grid.n1)])
+        expected = np.stack([k1[j] @ along_x2[:, j] for j in range(grid.n2)],
+                            axis=1)
+        assert np.abs(hjb_solve(r) - expected).max() <= 1e-13
+
+    def test_a_nan_coefficient_is_not_read_as_no_diffusion(self):
+        # a NaN sum is not > 0, which once dropped the whole step; the step
+        # tests c1 == 0 and c2 == 0, and NaN equals nothing
+        nan_sigma = DynamicsSpec(sigma1=lambda x1, x2: np.full_like(x1, np.nan),
+                                 sigma2=lambda x1, x2: np.zeros_like(x1),
+                                 h=grushin_h)
+        grid = NON_SQUARE
+        r = np.ones(grid.shape)
+        for solve in hjb.implicit_diffusion(grid, nan_sigma, 0.01):
+            assert np.isnan(solve(r)).all()
 
 
 def test_hjb_does_not_import_verify():
