@@ -73,7 +73,7 @@ def _neumann_second_difference(n, dx):
     return sparse.csr_matrix(a) / dx ** 2
 
 
-def diffusion_coefficients(grid: Grid2D, dyn: DynamicsSpec):
+def _diffusion_coefficients(grid: Grid2D, dyn: DynamicsSpec):
     """(c1, c2) = epsilon + sigma_i^2 / 2 on the grid, shape (n1, n2) each."""
     return tuple(dyn.epsilon + c for c in half_sigma_sq(grid, dyn))
 
@@ -83,7 +83,7 @@ def assemble_diffusion(grid: Grid2D, dyn: DynamicsSpec) -> sparse.csr_matrix:
 
     The march never builds it (its step holds the line inverses of
     ``implicit_diffusion``); it is the reference the tests check against."""
-    c1, c2 = diffusion_coefficients(grid, dyn)
+    c1, c2 = _diffusion_coefficients(grid, dyn)
     d1 = _neumann_second_difference(grid.n1, grid.dx1)
     d2 = _neumann_second_difference(grid.n2, grid.dx2)
     eye1 = sparse.identity(grid.n1, format="csr")
@@ -148,19 +148,13 @@ def _rows(x, k):
 def implicit_diffusion(grid: Grid2D, dyn: DynamicsSpec, dt: float):
     """(hjb_solve, fpe_solve) of the implicit diffusion step, split by axis.
 
-    With A = A1 + A2 (A_i = diag(c_i) D_i, ``assemble_diffusion``) the step
-    solves S u = r for S = (I - dt A2)(I - dt A1), the locally
-    one-dimensional step (Yanenko 1971): S^-1 = K1 K2 with K_i the line
-    inverses of ``line_inverses``, one per line x2 = const (K1) or
-    x1 = const (K2). hjb_solve(r) is K1 (r K2^T) on the (n1, n2) slice;
-    fpe_solve(r), its W-adjoint (W the trapezoid cell weights), is
-    W^-1 (K1^T (W r)) K2. With L = 1 each product is one gemm. Each K_i
-    is >= 0 with unit row sums, so the HJB step keeps the maximum principle
-    and the FPE step keeps mass and sign. r holds a slice, flat or
-    (n1, n2); the result has its shape. Where c1 and c2 are 0 both solves
-    return their input.
+    hjb_solve(r) = K1 (r K2^T) solves (I - dt A2)(I - dt A1) u = r on the
+    (n1, n2) slice, K1 and K2 the ``line_inverses`` of the lines x2 = const
+    and x1 = const; fpe_solve(r) = W^-1 (K1^T (W r)) K2 is its W-adjoint
+    (W the trapezoid cell weights). r holds a slice, flat or (n1, n2), and
+    the result has its shape. Where c1 and c2 are 0 both return their input.
     """
-    c1, c2 = diffusion_coefficients(grid, dyn)
+    c1, c2 = _diffusion_coefficients(grid, dyn)
     if np.all(c1 == 0) and np.all(c2 == 0):  # False for a NaN coefficient
         return (lambda r: r), (lambda r: r)
     k1 = line_inverses(c1.T, grid.dx1, dt)

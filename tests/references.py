@@ -68,9 +68,10 @@ def split_diffusion_factors(grid, dyn, dt):
     i with reflecting ghost nodes, built by Kronecker products;
     A1 + A2 is ``hjb.assemble_diffusion``."""
     x1g, x2g = grid.meshgrid()
+    axes = ((grid.n1, grid.dx1, dyn.sigma1_sq),
+            (grid.n2, grid.dx2, dyn.sigma2_sq))
     factors = []
-    for axis, (n, dx, sigma_sq) in enumerate((
-            (grid.n1, grid.dx1, dyn.sigma1_sq), (grid.n2, grid.dx2, dyn.sigma2_sq))):
+    for axis, (n, dx, sigma_sq) in enumerate(axes):
         d = sparse.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
                          [-1, 0, 1], format="lil")
         d[0, 1] = d[n - 1, n - 2] = 2.0

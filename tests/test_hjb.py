@@ -442,9 +442,9 @@ class TestImplicitDiffusion:
     def test_a_nan_coefficient_is_not_read_as_no_diffusion(self):
         # a NaN sum is not > 0, which once dropped the whole step; the step
         # tests c1 == 0 and c2 == 0, and NaN equals nothing
-        nan_sigma = DynamicsSpec(sigma1=lambda x1, x2: np.full_like(x1, np.nan),
-                                 sigma2=lambda x1, x2: np.zeros_like(x1),
-                                 h=grushin_h)
+        nan_sigma = DynamicsSpec(
+            sigma1=lambda x1, x2: np.full_like(x1, np.nan),
+            sigma2=lambda x1, x2: np.zeros_like(x1), h=grushin_h)
         grid = NON_SQUARE
         r = np.ones(grid.shape)
         for solve in hjb.implicit_diffusion(grid, nan_sigma, 0.01):
