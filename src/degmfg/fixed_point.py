@@ -34,9 +34,10 @@ from .measures import GridDistance
 # cross-check's LPs now run inside GridDistance.distance ("measures.distance")
 from .measures import wasserstein1_points  # noqa: F401
 
-# a full step must cut the residual below this fraction of the previous one;
-# a stall that shrinks it by less never fires a fallback that waits for a rise
+# a full step must cut the residual below this fraction of the previous one,
+# else every later step is damped: a stall can shrink it forever, never rising
 CONTRACTION = 0.9
+
 
 @dataclass(frozen=True)
 class FixedPointConfig:
